@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 import numpy as np
@@ -119,12 +117,10 @@ def _sweep_grid(spec: dict) -> np.ndarray:
     raise ValueError(f"unknown sweep scale {scale!r}")
 
 
-def _sweep_eval(spec: dict, value: float) -> dict:
+def _sweep_eval(spec: dict, law: Optional[DissipationLaw], value: float) -> dict:
     n = int(spec.get("n", 2))
     lam = float(spec.get("lambda", 0.0))
     axis = spec["axis"]
-    law_data = spec.get("law")
-    law = law_from_json(law_data) if law_data else None
     if axis == "beta":
         return general_radial_energy(n, Convection(value), float(spec["R"]), lam).as_dict()
     if axis == "gamma":
@@ -150,10 +146,9 @@ def _sweep_eval(spec: dict, value: float) -> dict:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = json.loads(args.spec)
     grid = _sweep_grid(spec)
-    workers = int(os.environ.get("THERMOSHIELD_THREADS", os.cpu_count() or 1))
-    workers = max(1, min(workers, len(grid)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda v: _sweep_eval(spec, float(v)), grid))
+    law_data = spec.get("law")
+    law = law_from_json(law_data) if law_data else None
+    rows = [_sweep_eval(spec, law, float(v)) for v in grid]
     lines = [",".join(SWEEP_COLUMNS)]
     for value, row in zip(grid, rows):
         lines.append(

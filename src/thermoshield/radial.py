@@ -40,7 +40,14 @@ __all__ = [
     "gradient_ratio_max",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Trace grid of the global scan and its Dirichlet factor (1 - l)^2.
+_TRACE_GRID = np.linspace(0.0, 1.0, 4096)
+_TRACE_GAP2 = (1.0 - _TRACE_GRID) ** 2
+# Radii per block of the grid scan: its two (block, grid) temporaries take 0.5 MB.
+_BLOCK = 8
+# Relative positions of the points of one zoom round, and a cap on rounds.
+_ZOOM = np.linspace(0.0, 1.0, 33)
+_ZOOM_MAX_ROUNDS = 64
 
 
 @dataclass(frozen=True)
@@ -219,26 +226,77 @@ def gradient_ratio_max(n: int, beta: float, R: float, grid: int = 4096) -> float
     return float(np.max(gradient_ratio(n, beta, R, rho)))
 
 
-def _golden_min(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-12, max_iter: int = 200
-) -> Tuple[float, float]:
-    """Golden-section minimization on [a, b]; returns (argmin, min)."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol * (1.0 + abs(a) + abs(b)):
+def _zoom_min(
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Refine one bracket per row at once; returns (argmin, min) per row.
+
+    Each round evaluates f on a (rows, 33) array of equispaced points, one
+    row per bracket, and keeps the two cells around each row's argmin, so
+    every bracket shrinks sixteenfold until its width is at most
+    tol * (1 + |lo| + |hi|).
+    """
+    rows = np.arange(lo.size)
+    last = _ZOOM.size - 1
+    for _ in range(_ZOOM_MAX_ROUNDS):
+        pts = lo[:, None] + (hi - lo)[:, None] * _ZOOM
+        vals = f(pts)
+        j = np.argmin(vals, axis=1)
+        if np.all(hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi))):
             break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    x = c if fc <= fd else d
-    return (x, min(fc, fd))
+        lo = pts[rows, np.maximum(j - 1, 0)]
+        hi = pts[rows, np.minimum(j + 1, last)]
+    return pts[rows, j], vals[rows, j]
+
+
+def _trace_min(
+    law: DissipationLaw, stiff: np.ndarray, per_R: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row.
+
+    theta is evaluated once on the trace grid and shared by every row; the
+    grid scan runs _BLOCK rows at a time to keep its temporaries small.  The
+    bracket around each row's grid argmin is then refined for all rows at
+    once.  The grid argmin and the ends l = 0 (where theta may jump) and
+    l = 1 stay candidates.  Returns (trace, energy) per row.
+    """
+    theta = np.asarray(law.value(_TRACE_GRID))
+    k = np.empty(stiff.size, dtype=np.intp)
+    e_grid = np.empty(stiff.size)
+    for start in range(0, stiff.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        vals = np.multiply.outer(stiff[blk], _TRACE_GAP2)
+        vals += np.multiply.outer(per_R[blk], theta)
+        k[blk] = np.argmin(vals, axis=1)
+        e_grid[blk] = vals[np.arange(vals.shape[0]), k[blk]]
+
+    def energy(l: np.ndarray) -> np.ndarray:
+        return stiff[:, None] * (1.0 - l) ** 2 + per_R[:, None] * law.value(l)
+
+    lo = _TRACE_GRID[np.maximum(k - 1, 0)]
+    hi = _TRACE_GRID[np.minimum(k + 1, _TRACE_GRID.size - 1)]
+    l_ref, e_ref = _zoom_min(energy, lo, hi, 1e-12)
+    ls = np.stack([l_ref, _TRACE_GRID[k], np.zeros_like(l_ref), np.ones_like(l_ref)], axis=1)
+    es = np.stack([e_ref, e_grid, stiff + per_R * theta[0], per_R * theta[-1]], axis=1)
+    pick = np.argmin(es, axis=1)
+    rows = np.arange(stiff.size)
+    return ls[rows, pick], es[rows, pick]
+
+
+def _shell_coeffs(n: int, R: Union[float, np.ndarray]) -> Tuple:
+    """(stiff, per_R) of the trace energy for outer radii R > 1."""
+    per1 = n * unit_ball_volume(n)
+    return per1 / (phi(n, R) - phi(n, 1.0)), per1 * R ** (n - 1)
+
+
+def _radial_totals(n: int, law: DissipationLaw, R: np.ndarray, lam: float) -> np.ndarray:
+    """Total shell energy at each outer radius in R (all at least 1)."""
+    w = unit_ball_volume(n)
+    out = np.full(R.shape, n * w * law.value(1.0))
+    shell = R > 1.0
+    if np.any(shell):
+        _, out[shell] = _trace_min(law, *_shell_coeffs(n, R[shell]))
+    return out + lam * w * (R**n - 1.0)
 
 
 def general_radial_energy(
@@ -249,9 +307,10 @@ def general_radial_energy(
     The harmonic profile is determined by its outer trace l, so the energy
     is a scalar function of l: a Dirichlet term quadratic in (1 - l) plus
     the boundary term Per(B_R) theta(l).  The trace is found by a global
-    grid scan refined by golden section; the global scan comes first
-    because theta may be discontinuous or nonconvex, and the jump branch
-    at l = 0 is compared explicitly.
+    scan of a 4096-point grid, then the bracket around the grid minimum is
+    refined by 33-point zoom grids to 1e-12 relative width.  The global
+    scan comes first because theta may be discontinuous or nonconvex, and
+    the jump branch at l = 0 is compared explicitly.
     """
     _check_dim(n)
     if R < 1.0:
@@ -265,20 +324,9 @@ def general_radial_energy(
         return EnergyBreakdown(
             dirichlet=0.0, boundary=per1 * law.value(1.0), penalty=penalty, trace=1.0
         )
-    per_R = per1 * R ** (n - 1)
-    stiff = per1 / (phi(n, R) - phi(n, 1.0))
-
-    def energy(l: float) -> float:
-        return stiff * (1.0 - l) ** 2 + per_R * law.value(l)
-
-    grid = np.linspace(0.0, 1.0, 4096)
-    vals = stiff * (1.0 - grid) ** 2 + per_R * np.asarray(law.value(grid))
-    k = int(np.argmin(vals))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-    l_ref, e_ref = _golden_min(energy, lo, hi)
-    candidates = [(l_ref, e_ref), (float(grid[k]), float(vals[k])), (0.0, energy(0.0)), (1.0, energy(1.0))]
-    l_star, _ = min(candidates, key=lambda t: t[1])
+    stiff, per_R = _shell_coeffs(n, R)
+    trace, _ = _trace_min(law, np.array([stiff]), np.array([per_R]))
+    l_star = float(trace[0])
     return EnergyBreakdown(
         dirichlet=stiff * (1.0 - l_star) ** 2,
         boundary=per_R * law.value(l_star),
@@ -369,10 +417,12 @@ def best_radius(
 
     For lam > 0 the search bracket may be unbounded: it grows until the
     penalty term alone exceeds the bare-ball energy, which caps the volume
-    any minimizer can afford.  Scanning is log-spaced in R - 1 with the
-    bare ball included, then refined by golden section.  This reports the
-    best concentric pair; for general laws no claim is made against
-    non-spherical competitors.
+    any minimizer can afford.  The scan is log-spaced in R - 1 with the
+    bare ball included and evaluates all 512 radii in one batched pass;
+    the bracket around its minimum is refined by 33-radius zoom rounds to
+    1e-13 relative width, each round one batch.  The bare ball and R_max
+    stay candidates.  This reports the best concentric pair; for general
+    laws no claim is made against non-spherical competitors.
     """
     _check_dim(n)
     w = unit_ball_volume(n)
@@ -386,22 +436,23 @@ def best_radius(
         R_max = hi
     if R_max < 1.0:
         raise ValueError("R_max must be at least 1")
-
-    def total(R: float) -> float:
-        return general_radial_energy(n, law, R, lam).total
-
     if R_max == 1.0:
         return BestRadius(1.0, general_radial_energy(n, law, 1.0, lam))
     radii = np.concatenate(
         [[1.0], 1.0 + np.geomspace((R_max - 1.0) * 1e-6, R_max - 1.0, 511)]
     )
-    vals = np.array([total(R) for R in radii])
+    vals = _radial_totals(n, law, radii, lam)
     k = int(np.argmin(vals))
     lo = radii[max(k - 1, 0)]
     hi = radii[min(k + 1, radii.size - 1)]
-    R_ref, e_ref = _golden_min(total, lo, hi, tol=1e-13)
+    R_ref, e_ref = _zoom_min(
+        lambda R: _radial_totals(n, law, R.ravel(), lam).reshape(R.shape),
+        np.array([lo]),
+        np.array([hi]),
+        1e-13,
+    )
     candidates = [
-        (R_ref, e_ref),
+        (float(R_ref[0]), float(e_ref[0])),
         (float(radii[k]), float(vals[k])),
         (1.0, float(vals[0])),
         (float(R_max), float(vals[-1])),
