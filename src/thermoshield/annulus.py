@@ -61,6 +61,27 @@ class ConvergenceError(RuntimeError):
     """The state solver exhausted its iteration budget."""
 
 
+def _area_from_coeffs(c: np.ndarray) -> float:
+    """Area pi (a0^2 + (a1^2 + b1^2 + a2^2 + ...)/2) enclosed by the radius
+    function with flat coefficients c (Parseval)."""
+    return math.pi * (c[0] ** 2 + 0.5 * float(np.sum(c[1:] ** 2)))
+
+
+def _fourier_basis(theta: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Columns (1, cos t, sin t, cos 2t, sin 2t, ...) sampled at theta, and
+    their theta-derivatives: r = basis @ coeffs, r' = deriv @ coeffs."""
+    k = np.arange(1, order + 1)
+    kt = theta[:, None] * k[None, :]
+    basis = np.zeros((theta.size, 2 * order + 1))
+    deriv = np.zeros_like(basis)
+    basis[:, 0] = 1.0
+    basis[:, 1::2] = np.cos(kt)
+    basis[:, 2::2] = np.sin(kt)
+    deriv[:, 1::2] = -k * basis[:, 2::2]
+    deriv[:, 2::2] = k * basis[:, 1::2]
+    return basis, deriv
+
+
 @dataclass(frozen=True)
 class FourierShape:
     """Star-shaped boundary r(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta).
@@ -107,12 +128,9 @@ class FourierShape:
             r += k * (-self._arr[2 * k - 1] * np.sin(k * t) + self._arr[2 * k] * np.cos(k * t))
         return r
 
-    def area(self, n_points: int = 4096) -> float:
-        """Enclosed area (1/2) int r^2 dtheta by the periodic trapezoid rule,
-        exact for trigonometric polynomials at this resolution."""
-        theta = np.arange(n_points) * (2.0 * math.pi / n_points)
-        r = self.radius(theta)
-        return float(np.mean(r * r) * math.pi)
+    def area(self) -> float:
+        """Enclosed area (1/2) int r^2 dtheta in closed form."""
+        return _area_from_coeffs(self._arr)
 
     def scaled(self, t: float) -> "FourierShape":
         return FourierShape(self._arr * t)
@@ -198,8 +216,8 @@ class SolveResult:
 
 
 class Assembly:
-    """Precomputed geometry and the discrete energy, its gradient, and
-    curvature actions for one (pair, mesh) combination."""
+    """Precomputed geometry and the discrete energy, its gradient,
+    curvature actions and shape gradient for one (pair, mesh) combination."""
 
     def __init__(self, pair: StarPair, mesh: Mesh):
         self.pair = pair
@@ -226,10 +244,13 @@ class Assembly:
         self.C = 0.25 * w / rho**2
         mu = np.full(n_s, 2.0)
         mu[0] = mu[-1] = 1.0
+        self._mu = mu
         self._Pe = 2.0 * (self.P[:-1] + self.P[1:])
         self._Ce = (self.C + np.roll(self.C, -1, axis=1)) * mu[:, None]
         # Outer boundary arclength weights for the dissipation integral.
         self.bw = np.sqrt(ro**2 + rop**2) * self.dt
+        self._rkp = rkp
+        self._rop = rop
         self.x = rho * np.cos(theta)[None, :]
         self.y = rho * np.sin(theta)[None, :]
         # Metric of the polar map, used by the shell dilation law.
@@ -301,6 +322,70 @@ class Assembly:
         grad[-1] += self.boundary_grad_row(u, law)
         grad[0] = 0.0
         return grad
+
+    # -- shape sensitivity -------------------------------------------------
+
+    def shape_gradient(self, u: np.ndarray, law: DissipationLaw) -> Tuple[np.ndarray, np.ndarray]:
+        """Gradient of `energy(u, law)` with respect to the Fourier
+        coefficients of the inner and of the outer boundary, at fixed nodal
+        values u.
+
+        With c = ds dtheta, rho = (1-s) r_K + s r_O, g = r_O - r_K and
+        a = (1-s) r_K' + s r_O', the node weights are
+        P = c/4 (rho/g + a^2/(g rho)), Q = -c/2 a/rho, C = c/4 g/rho and
+        bw = sqrt(r_O^2 + r_O'^2) dtheta, and the energy is linear in them.
+        Their coefficients are chained through (rho, g, a) and summed over
+        the rows, giving one sensitivity per angle to each of r_K, r_K',
+        r_O and r_O'; the cos/sin basis and its derivative map these onto
+        the coefficients.
+
+        The admissible set ([0, 1] with the inner row pinned at 1) does not
+        depend on the shape, so at the solved field this is the gradient
+        of the solved energy (envelope theorem).
+        """
+        c = self.ds * self.dt
+        s = self.s[:, None]
+        rho, g = self.rho, self.g[None, :]
+        a = self._rkp + s * (self._rop - self._rkp)
+        US = self._us(u)
+        UT = self._ut(u)
+        V = UT + np.roll(UT, 1, axis=1)
+        W = np.zeros_like(u)
+        W[:-1] += US
+        W[1:] += US
+        US2 = US * US
+        EP = np.zeros_like(u)
+        EP[:-1] += 2.0 * US2
+        EP[1:] += 2.0 * US2
+        UT2 = UT * UT
+        EC = self._mu[:, None] * (UT2 + np.roll(UT2, 1, axis=1))
+        EQ = W * V
+        # Partial derivatives of the energy in rho, g and a at every node.
+        inv = 1.0 / rho
+        e_rho = c * (
+            0.25 * EP * (1.0 / g - a * a * inv * inv / g)
+            + 0.5 * EQ * a * inv * inv
+            - 0.25 * EC * g * inv * inv
+        )
+        e_g = c * (-0.25 * EP * (rho / g + a * a * inv / g) / g + 0.25 * EC * inv)
+        e_a = c * (0.5 * EP * a * inv / g - 0.5 * EQ * inv)
+        # Sums over the rows; reductions rather than matrix products, which
+        # would map the BLAS work buffers into every optimizing process.
+        rho_out = np.sum(s * e_rho, axis=0)
+        rho_in = np.sum(e_rho, axis=0) - rho_out
+        a_out = np.sum(s * e_a, axis=0)
+        a_in = np.sum(e_a, axis=0) - a_out
+        g_sum = np.sum(e_g, axis=0)
+        eb = np.asarray(law.value(u[-1])) * self.dt / np.sqrt(self.outer_r**2 + self._rop**2)
+        sensitivities = (
+            (self.pair.inner, rho_in - g_sum, a_in),
+            (self.pair.outer, rho_out + g_sum + eb * self.outer_r, a_out + eb * self._rop),
+        )
+        grads = []
+        for shape, d_r, d_rp in sensitivities:
+            basis, deriv = _fourier_basis(self.theta, shape.order)
+            grads.append(np.sum(d_r[:, None] * basis + d_rp[:, None] * deriv, axis=0))
+        return grads[0], grads[1]
 
     def breakdown(self, u: np.ndarray, law: DissipationLaw) -> EnergyBreakdown:
         trace = float(np.sum(self.bw * u[-1]) / np.sum(self.bw))

@@ -17,7 +17,7 @@ makes any law behave like ``O(u^2)`` near zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -407,11 +407,19 @@ def law_to_json(law: DissipationLaw) -> dict:
 
 
 def law_from_json(data: dict) -> DissipationLaw:
-    """Build a law from its wire-format dictionary."""
+    """Build a law from its wire-format dictionary; an unknown type, or an
+    unknown or missing parameter key, raises ValueError naming it."""
     try:
         tag = data["type"]
         cls = _LAW_TAGS[tag]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"unrecognized law specification: {data!r}") from exc
     kwargs = {k: v for k, v in data.items() if k != "type"}
+    names = [f.name for f in fields(cls) if f.init]
+    for key in kwargs:
+        if key not in names:
+            raise ValueError(f"unknown key {key!r} for law type {tag!r}")
+    for name in names:
+        if name not in kwargs:
+            raise ValueError(f"missing key {name!r} for law type {tag!r}")
     return cls(**kwargs)

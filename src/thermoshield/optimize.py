@@ -3,10 +3,13 @@
 Minimizes the solved annulus energy over the Fourier coefficients of both
 boundaries, for the volume-constrained problem (inner area fixed, outer
 area capped) and the penalized problem (inner area fixed, a volume penalty
-added).  Gradients come from central finite differences of the solved
-energy, one state solve per perturbed coefficient with warm starts; each
-step is projected back onto the constraints by exact coefficient scaling.
-Descent is monotone by backtracking.
+added).  Gradients are exact and cost no extra solve: the solved energy is
+a minimum over nodal values whose admissible set does not depend on the
+shape, so by the envelope theorem (Danskin) its gradient is the partial
+shape derivative of the discrete energy at the solved field.  Each step is
+projected back onto the constraints by exact coefficient scaling, and the
+line-search solves start warm from the current field.  Descent is monotone
+by backtracking.
 
 When the outer boundary collapses onto the inner one the parametric solver
 bottoms out at the minimum gap; the touching configuration is then scored
@@ -24,12 +27,14 @@ import numpy as np
 
 from .annulus import (
     GAP_MIN,
+    Assembly,
     FourierShape,
     GeometryError,
     Mesh,
     ScalarField,
     SolveResult,
     StarPair,
+    _area_from_coeffs,
     solve_state,
 )
 from .dissipation import DissipationLaw
@@ -70,16 +75,14 @@ class OptimizeOptions:
 
     fourier_order caps the boundary modes (at most 16).  The step rule is
     backtracking with factor 0.5 from step_init down to step_min along the
-    normalized projected gradient.  fd_step is the relative central
-    difference step for shape gradients.  The mesh is deliberately coarser
-    than the solver default: each gradient costs two solves per coefficient.
+    normalized projected gradient.  The mesh is deliberately coarser than
+    the solver default: every line-search trial is a full state solve.
     """
 
     fourier_order: int = 4
     step_init: float = 0.25
     backtrack: float = 0.5
     step_min: float = 1e-10
-    fd_step: float = 1e-5
     max_outer_iters: int = 500
     volume_tolerance: float = 1e-8
     grad_tol: float = 1e-6
@@ -89,7 +92,7 @@ class OptimizeOptions:
     def __post_init__(self) -> None:
         if not 0 < self.fourier_order <= 16:
             raise ValueError("fourier_order must lie in 1..16")
-        if min(self.step_init, self.backtrack, self.step_min, self.fd_step) <= 0:
+        if min(self.step_init, self.backtrack, self.step_min) <= 0:
             raise ValueError("step rule parameters must be positive")
         if self.max_outer_iters < 1 or self.volume_tolerance <= 0:
             raise ValueError("invalid iteration or tolerance settings")
@@ -121,9 +124,8 @@ class OptimizeResult:
 
 
 def area(shape: FourierShape) -> float:
-    """Enclosed area by the 4096-point trapezoid rule (exact for the
-    quadratic Fourier identity at this resolution)."""
-    return shape.area(4096)
+    """Enclosed area, in closed form from the Fourier coefficients."""
+    return shape.area()
 
 
 def project_inner_volume(shape: FourierShape) -> FourierShape:
@@ -145,10 +147,6 @@ def isoperimetric_deficit(pair: StarPair) -> float:
     return worst
 
 
-def _area_from_coeffs(c: np.ndarray) -> float:
-    return math.pi * (c[0] ** 2 + 0.5 * float(np.sum(c[1:] ** 2)))
-
-
 def _area_grad(c: np.ndarray) -> np.ndarray:
     g = math.pi * c.copy()
     g[0] *= 2.0
@@ -162,7 +160,7 @@ _CENTROID_SIN = np.sin(_CENTROID_THETA)
 
 def _centroid(shape: FourierShape) -> Tuple[float, float]:
     r3 = shape.radius(_CENTROID_THETA) ** 3 / 3.0
-    a = _area_from_coeffs(np.array(shape.coeffs))
+    a = shape.area()
     cx = float(np.mean(r3 * _CENTROID_COS)) * 2.0 * math.pi / a
     cy = float(np.mean(r3 * _CENTROID_SIN)) * 2.0 * math.pi / a
     return cx, cy
@@ -192,7 +190,6 @@ class _Descent:
                 f"infeasible initialization: outer area {area(outer):.6f} exceeds budget {M:.6f}"
             )
         self.x = np.concatenate([np.array(inner.coeffs), np.array(outer.coeffs)])
-        self.warm: Optional[np.ndarray] = None
         self.solves = 0
 
     def _pair(self, x: np.ndarray) -> StarPair:
@@ -211,29 +208,14 @@ class _Descent:
         self.solves += 1
         return res.energy.total + self.penalty(x), res
 
-    def fd_gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(x)
-        for i in range(x.size):
-            h = self.opts.fd_step * max(1.0, abs(x[i]))
-            vals = []
-            for sgn in (1.0, -1.0):
-                xp = x.copy()
-                xp[i] += sgn * h
-                try:
-                    e, _ = self.objective(xp, self.warm)
-                except GeometryError:
-                    e = math.nan
-                vals.append(e)
-            if math.isnan(vals[0]) and math.isnan(vals[1]):
-                g[i] = 0.0
-            elif math.isnan(vals[0]):
-                e0, _ = self.objective(x, self.warm)
-                g[i] = (e0 - vals[1]) / h
-            elif math.isnan(vals[1]):
-                e0, _ = self.objective(x, self.warm)
-                g[i] = (vals[0] - e0) / h
-            else:
-                g[i] = (vals[0] - vals[1]) / (2.0 * h)
+    def gradient(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Gradient of the objective at x, given the field solved there."""
+        n = self.ncoef
+        g_in, g_out = Assembly(self._pair(x), self.opts.mesh).shape_gradient(u, self.law)
+        g = np.concatenate([g_in, g_out])
+        if self.lam != 0.0:
+            g[:n] -= self.lam * _area_grad(x[:n])
+            g[n:] += self.lam * _area_grad(x[n:])
         return g
 
     def project_direction(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -288,7 +270,6 @@ def _run(descent: _Descent) -> OptimizeResult:
     opts = descent.opts
     x = descent.project_point(descent.x)
     energy, res = descent.objective(x, None)
-    descent.warm = res.field.values
     trace: List[TraceRow] = []
 
     def record(it: int, e: float, res: SolveResult, x: np.ndarray, step: float) -> None:
@@ -316,7 +297,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         if collapsed:
             break
         iterations = it
-        g = descent.fd_gradient(x)
+        g = descent.gradient(x, res.field.values)
         d = descent.project_direction(x, -g)
         norm = float(np.linalg.norm(d))
         if norm < opts.grad_tol:
@@ -327,7 +308,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         while alpha >= opts.step_min:
             try:
                 x_new = descent.project_point(x + alpha * d)
-                e_new, res_new = descent.objective(x_new, descent.warm)
+                e_new, res_new = descent.objective(x_new, res.field.values)
             except GeometryError:
                 alpha *= opts.backtrack
                 continue
@@ -339,7 +320,6 @@ def _run(descent: _Descent) -> OptimizeResult:
             break
         decrease = energy - e_new
         x, energy, res = x_new, e_new, res_new
-        descent.warm = res.field.values
         alpha_prev = alpha
         record(it, energy, res, x, alpha)
         if descent._pair(x).gap <= _COLLAPSE_GAP:

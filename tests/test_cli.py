@@ -54,6 +54,12 @@ class TestExitCodes:
     def test_unknown_law(self, capsys):
         assert run(["radial", "--n", "2", "--law", '{"type":"x"}', "--R", "1"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "law", ['{"type":"radiation","foo":1}', '{"type":"radiation"}']
+    )
+    def test_bad_law_keys(self, capsys, law):
+        assert run(["radial", "--n", "2", "--R", "2", "--law", law]) == EXIT_BAD_INPUT
+
     def test_malformed_json(self, capsys):
         assert run(["radial", "--n", "2", "--law", "junk", "--R", "1"]) == EXIT_BAD_INPUT
 

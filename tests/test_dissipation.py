@@ -273,6 +273,16 @@ class TestJson:
         with pytest.raises(ValueError):
             law_from_json({"type": "mystery"})
 
+    def test_unknown_key_named(self):
+        with pytest.raises(ValueError, match="'foo'"):
+            law_from_json({"type": "radiation", "gamma": 1.0, "foo": 1})
+
+    def test_missing_key_named(self):
+        with pytest.raises(ValueError, match="'gamma'"):
+            law_from_json({"type": "radiation"})
+        with pytest.raises(ValueError, match="'knots'"):
+            law_from_json({"type": "tabulated"})
+
 
 def test_unit_ball_volumes():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
