@@ -13,14 +13,18 @@ crack-admitting energy, and evaluates the high-cutoff feasibility bound.
 
 All lengths and areas come from splitting each mesh cell into two triangles
 with linear interpolation: contours are chords, partial areas are exact for
-the linear interpolant, consistent first order with the bilinear field.
+the linear interpolant, consistent first order with the bilinear field.  One
+clipping kernel gives the per-level lengths, areas, density integrals and
+truncated Dirichlet energies.  The superlevel-area function used for area
+matching is exact for the linear interpolant at all node values at once (it
+is piecewise quadratic in the level), so it needs no level count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -96,40 +100,44 @@ class HighCutoffReport:
     feasible: bool
 
 
+# Share of the value range below which `superlevel_areas` takes a piece as
+# a jump: its curvature would swamp the running sums.
+_JUMP_WIDTH = 1e-7
+
+
+class _Clip(NamedTuple):
+    """Triangles against one level t.  `full` marks those wholly above t.
+    For the triangles t cuts (`cut`), `corners` lists the vertex columns
+    from the vertex alone on its side of t (`above` if that side is above t)
+    on in cyclic order; `tau_b` and `tau_c` place the chord on the two edges
+    from that vertex, `frac` is the area fraction above t, `seg` the chord."""
+
+    full: np.ndarray
+    cut: np.ndarray
+    corners: np.ndarray
+    above: np.ndarray
+    tau_b: np.ndarray
+    tau_c: np.ndarray
+    frac: np.ndarray
+    seg: np.ndarray
+
+
 class _Triangulation:
     """Triangle split of the annulus mesh with per-triangle vertex data."""
 
     def __init__(self, asm: Assembly, values: np.ndarray):
-        x, y, u = asm.x, asm.y, values
-        n_s, n_t = u.shape
-
-        def corners(a: np.ndarray):
-            a00 = a[:-1]
-            a10 = a[1:]
-            a01 = np.roll(a, -1, axis=1)[:-1]
-            a11 = np.roll(a, -1, axis=1)[1:]
-            return a00, a10, a01, a11
-
-        x00, x10, x01, x11 = corners(x)
-        y00, y10, y01, y11 = corners(y)
-        u00, u10, u01, u11 = corners(u)
-        # Triangles (00, 10, 11) and (00, 11, 01) per cell, flattened.
-        self.vx = np.concatenate(
-            [np.stack([x00, x10, x11], -1), np.stack([x00, x11, x01], -1)]
-        ).reshape(-1, 3)
-        self.vy = np.concatenate(
-            [np.stack([y00, y10, y11], -1), np.stack([y00, y11, y01], -1)]
-        ).reshape(-1, 3)
-        self.vu = np.concatenate(
-            [np.stack([u00, u10, u11], -1), np.stack([u00, u11, u01], -1)]
-        ).reshape(-1, 3)
+        self.vx = self.attach(asm.x)
+        self.vy = self.attach(asm.y)
+        self.vu = self.attach(values)
         cross = (self.vx[:, 1] - self.vx[:, 0]) * (self.vy[:, 2] - self.vy[:, 0]) - (
             self.vx[:, 2] - self.vx[:, 0]
         ) * (self.vy[:, 1] - self.vy[:, 0])
         self.tri_area = 0.5 * np.abs(cross)
 
-    def attach(self, nodal: np.ndarray) -> np.ndarray:
-        """Per-triangle vertex values of a nodal array (same layout as vu)."""
+    @staticmethod
+    def attach(nodal: np.ndarray) -> np.ndarray:
+        """Per-triangle vertex values of a nodal array: triangles
+        (00, 10, 11) and (00, 11, 01) per cell, flattened."""
         a00 = nodal[:-1]
         a10 = nodal[1:]
         a01 = np.roll(nodal, -1, axis=1)[:-1]
@@ -152,6 +160,26 @@ class _Triangulation:
         gy = (ux1 * du2 - ux2 * du1) / det
         return gx * gx + gy * gy
 
+    def clip(self, t: float) -> _Clip:
+        """Clip every triangle against the level t of the linear interpolant."""
+        d = self.vu - t
+        pos = d > 0.0
+        npos = pos.sum(axis=1)
+        cut = np.flatnonzero((npos == 1) | (npos == 2))
+        above = npos[cut] == 1
+        lone = np.argmax(pos[cut] == above[:, None], axis=1)
+        corners = (lone[:, None] + np.arange(3)) % 3
+        rows = cut[:, None]
+        da, db, dc = d[rows, corners].T
+        tau_b = da / (da - db)
+        tau_c = da / (da - dc)
+        ax, bx, cx = self.vx[rows, corners].T
+        ay, by, cy = self.vy[rows, corners].T
+        seg = np.hypot(tau_b * (bx - ax) - tau_c * (cx - ax), tau_b * (by - ay) - tau_c * (cy - ay))
+        corner = tau_b * tau_c
+        frac = np.where(above, corner, 1.0 - corner)
+        return _Clip(npos == 3, cut, corners, above, tau_b, tau_c, frac, seg)
+
     def superlevel(self, t: float, density: Optional[np.ndarray] = None):
         """(area, contour length, density line integral, density^2 area
         integral) of {u > t} for the linear interpolant.
@@ -159,60 +187,79 @@ class _Triangulation:
         Partial triangle areas are exact; density integrals use vertex-mean
         values over the clipped polygon and the chord endpoints.
         """
-        d = self.vu - t
-        pos = d > 0.0
-        npos = pos.sum(axis=1)
-        area = float(np.sum(self.tri_area[npos == 3]))
-        line = 0.0
-        phi_line = 0.0
-        phi_area = 0.0
-        if density is not None:
-            phi_sq = density * density
-            phi_area = float(
-                np.sum(self.tri_area[npos == 3] * np.mean(phi_sq[npos == 3], axis=1))
-            )
-
-        def gather(arr: np.ndarray, idx: np.ndarray, sel: np.ndarray) -> np.ndarray:
-            return arr[sel][np.arange(sel.sum()), idx]
-
-        for lone_above in (True, False):
-            sel = npos == (1 if lone_above else 2)
-            if not np.any(sel):
-                continue
-            lone = np.argmax(pos[sel] if lone_above else ~pos[sel], axis=1)
-            ib = (lone + 1) % 3
-            ic = (lone + 2) % 3
-            da = gather(d, lone, sel)
-            db = gather(d, ib, sel)
-            dc = gather(d, ic, sel)
-            tau_b = da / (da - db)
-            tau_c = da / (da - dc)
-            ax, bx, cx = gather(self.vx, lone, sel), gather(self.vx, ib, sel), gather(self.vx, ic, sel)
-            ay, by, cy = gather(self.vy, lone, sel), gather(self.vy, ib, sel), gather(self.vy, ic, sel)
-            pbx, pby = ax + tau_b * (bx - ax), ay + tau_b * (by - ay)
-            pcx, pcy = ax + tau_c * (cx - ax), ay + tau_c * (cy - ay)
-            seg = np.hypot(pbx - pcx, pby - pcy)
-            line += float(np.sum(seg))
-            ta = self.tri_area[sel]
-            corner_area = ta * tau_b * tau_c
-            if lone_above:
-                area += float(np.sum(corner_area))
-            else:
-                area += float(np.sum(ta - corner_area))
-            if density is not None:
-                fa = gather(density, lone, sel)
-                fb = gather(density, ib, sel)
-                fc = gather(density, ic, sel)
-                fpb = fa + tau_b * (fb - fa)
-                fpc = fa + tau_c * (fc - fa)
-                phi_line += float(np.sum(seg * 0.5 * (fpb + fpc)))
-                corner_mean = (fa * fa + fpb * fpb + fpc * fpc) / 3.0
-                if lone_above:
-                    phi_area += float(np.sum(corner_area * corner_mean))
-                else:
-                    quad_mean = (fb * fb + fc * fc + fpb * fpb + fpc * fpc) / 4.0
-                    phi_area += float(np.sum((ta - corner_area) * quad_mean))
+        c = self.clip(t)
+        part = self.tri_area[c.cut] * c.frac
+        area = float(np.sum(self.tri_area[c.full])) + float(np.sum(part))
+        line = float(np.sum(c.seg))
+        if density is None:
+            return area, line, 0.0, 0.0
+        full_sq = np.mean(density[c.full] ** 2, axis=1)
+        phi_area = float(np.sum(self.tri_area[c.full] * full_sq))
+        fa, fb, fc = density[c.cut[:, None], c.corners].T
+        fpb = fa + c.tau_b * (fb - fa)
+        fpc = fa + c.tau_c * (fc - fa)
+        phi_line = float(np.sum(c.seg * 0.5 * (fpb + fpc)))
+        # The part above t is the corner at the lone vertex or the
+        # quadrilateral opposite it.
+        mean_sq = np.where(
+            c.above,
+            (fa * fa + fpb * fpb + fpc * fpc) / 3.0,
+            (fb * fb + fc * fc + fpb * fpb + fpc * fpc) / 4.0,
+        )
+        phi_area += float(np.sum(part * mean_sq))
         return area, line, phi_line, phi_area
+
+    def superlevel_areas(self, t: np.ndarray) -> np.ndarray:
+        """Area of {u > t} for the linear interpolant, at every entry of t.
+
+        On a triangle of area T with sorted vertex values a <= b <= c it is
+        T - T (t - a)^2 / ((b - a)(c - a)) on [a, b) and
+        T (c - t)^2 / ((c - a)(c - b)) on [b, c).  The total is piecewise
+        quadratic in t; its value, slope and curvature after each sorted
+        break are running sums, and a query takes a Taylor step from the
+        last break at or below it (side="right" keeps u > t strict).  A
+        piece narrower than `_JUMP_WIDTH` times the value range is a jump,
+        which changes the area only for t strictly inside that piece.
+        """
+        v = np.sort(self.vu, axis=1)
+        a, b, c = v.T
+        T = self.tri_area
+        full = float(np.sum(T))
+        jump = _JUMP_WIDTH * float(c.max() - a.min())
+        wide1, wide2 = b - a > jump, c - b > jump
+        x = np.unique(v)
+        ia, ib, ic = (np.searchsorted(x, col) for col in (a, b, c))
+
+        def at(i, w):
+            return np.bincount(i, weights=w, minlength=len(x))
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k1 = np.where(wide1, T / ((b - a) * (c - a)), 0.0)
+            k2 = np.where(wide2, T / ((c - b) * (c - a)), 0.0)
+            kink = np.where(wide1 != wide2, 2.0 * T / (c - a), 0.0)
+            at_b = np.where(c > a, T * (c - b) / (c - a), 0.0)
+        # Curvature -k1 on [a, b) and k2 on [b, c), split into multiples of
+        # one power of two q, whose sums stay below 2**53 q and so are exact,
+        # and remainders below q/2: a narrow piece's huge curvature then
+        # leaves no rounding residue behind it.
+        q = math.ldexp(1.0, math.frexp(2.0 * float(np.sum(k1 + k2)))[1] - 50)
+        curv = np.zeros(len(x))
+        for k, start, end in ((-k1, ia, ib), (k2, ib, ic)):
+            hi = np.round(k / q) * q
+            for w in (hi, k - hi):
+                curv += np.cumsum(at(start, w) - at(end, w))
+        gap = np.diff(x)
+        slope = at(ib, np.where(wide1, kink, -kink))
+        slope[1:] += 2.0 * curv[:-1] * gap
+        slope = np.cumsum(slope)
+        # A narrow piece keeps the value at its start and drops at its end.
+        value = at(ib, np.where(wide1, 0.0, at_b - T)) + at(ic, np.where(wide2, 0.0, -at_b))
+        value[1:] += (slope[:-1] + curv[:-1] * gap) * gap
+        value = full + np.cumsum(value)
+        value[-1] = slope[-1] = curv[-1] = 0.0  # nothing lies above the maximum
+        j = np.searchsorted(x, t, side="right") - 1
+        h = t - x[j]
+        return np.where(j < 0, full, value[j] + (slope[j] + curv[j] * h) * h)
 
 
 def decompose_levels(
@@ -228,40 +275,28 @@ def decompose_levels(
     interior contour and the integral of phi^2 over each superlevel set are
     accumulated alongside the geometry.
     """
+    if levels is None and n_levels < 1:
+        raise ValueError("n_levels must be positive")
     u = field.values
     if float(np.max(u) - np.min(u)) < 1e-14:
         raise DegenerateFieldError("field is constant; no level structure")
     if density is not None and density.values.shape != u.shape:
         raise ValueError("density grid does not match the field grid")
+    if levels is None:
+        levels = (np.arange(n_levels) + 0.5) / n_levels
+    levels = np.asarray(levels, dtype=float)
     asm = Assembly(pair, field.mesh)
     tri = _Triangulation(asm, u)
     dens = tri.attach(density.values) if density is not None else None
-    if levels is None:
-        if n_levels < 1:
-            raise ValueError("n_levels must be positive")
-        levels = (np.arange(n_levels) + 0.5) / n_levels
-    levels = np.asarray(levels, dtype=float)
-    interior = np.empty_like(levels)
-    exterior = np.empty_like(levels)
-    area = np.empty_like(levels)
-    dline = np.empty_like(levels) if dens is not None else None
-    darea = np.empty_like(levels) if dens is not None else None
-    outer_vals = u[-1]
-    for k, t in enumerate(levels):
-        a, line, pl, pa = tri.superlevel(float(t), dens)
-        interior[k] = line
-        area[k] = a
-        exterior[k] = float(np.sum(asm.bw[outer_vals > t]))
-        if dens is not None:
-            dline[k] = pl
-            darea[k] = pa
+    per_level = np.array([tri.superlevel(float(t), dens) for t in levels]).reshape(-1, 4)
+    area, interior, dline, darea = per_level.T
     return LevelDecomposition(
         levels=levels,
         interior_length=interior,
-        exterior_length=exterior,
+        exterior_length=np.array([np.sum(asm.bw[u[-1] > t]) for t in levels]),
         area=area,
-        density_line=dline,
-        density_sq_area=darea,
+        density_line=dline if dens is not None else None,
+        density_sq_area=darea if dens is not None else None,
     )
 
 
@@ -289,9 +324,8 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     us[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3]) / ds
     ut = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * dt)
     g = asm.g[None, :]
-    gp = asm.pair.outer.radius_deriv(asm.theta) - asm.pair.inner.radius_deriv(asm.theta)
-    rkp = asm.pair.inner.radius_deriv(asm.theta)
-    q = (rkp[None, :] + asm.s[:, None] * gp[None, :]) / g
+    rkp = asm._rkp
+    q = (rkp[None, :] + asm.s[:, None] * (asm._rop - rkp)[None, :]) / g
     u_rho = us / g
     u_ang = (ut - q * us) / asm.rho
     grad = np.hypot(u_rho, u_ang)
@@ -299,33 +333,22 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     return ScalarField(values=ratio, mesh=field.mesh, pair=pair)
 
 
-def dearrangement(
-    field: ScalarField, pair: StarPair, reference: RadialReference, n_area_levels: int = 512
-) -> ScalarField:
+def dearrangement(field: ScalarField, pair: StarPair, reference: RadialReference) -> ScalarField:
     """Transplant the radial gradient ratio onto the level sets of a field.
 
     Each node is assigned the radius whose concentric ball has the same
     volume as the node's superlevel set (annulus part plus the inner body),
     and receives the reference ratio |grad u*|/u* at that radius.  The
-    output is constant on discrete level sets of the field by construction.
+    superlevel areas are exact for the linear interpolant, evaluated at the
+    node values in one pass with no level grid.  The output is constant on
+    discrete level sets of the field by construction.
     """
     u = field.values
     if float(np.max(u) - np.min(u)) < 1e-14:
         raise DegenerateFieldError("field is constant; no level structure")
-    asm = Assembly(pair, field.mesh)
-    tri = _Triangulation(asm, u)
-    inner_area = pair.inner.area()
-    lo = float(np.min(u))
-    hi = float(np.max(u))
-    ts = np.linspace(lo, hi, n_area_levels)
-    ts = ts[1:-1]
-    areas = np.array([tri.superlevel(float(t))[0] for t in ts])
-    # Superlevel area is nonincreasing in t; build the node-value lookup.
-    full_area = float(np.sum(tri.tri_area))
-    t_knots = np.concatenate([[lo], ts, [hi]])
-    a_knots = np.concatenate([[full_area], areas, [0.0]])
-    node_area = np.interp(u.ravel(), t_knots, a_knots).reshape(u.shape)
-    r = np.sqrt((node_area + inner_area) / math.pi)
+    tri = _Triangulation(Assembly(pair, field.mesh), u)
+    node_area = tri.superlevel_areas(u)
+    r = np.sqrt((node_area + pair.inner.area()) / math.pi)
     r = np.clip(r, 1.0, reference.R)
     phi = gradient_ratio(reference.n, reference.beta, reference.R, r)
     return ScalarField(values=phi, mesh=field.mesh, pair=pair)
@@ -375,22 +398,20 @@ def truncation_scan(
     the input energy, so the best scanned energy never exceeds it.  All
     terms use the triangle quadrature so the comparison is exact.
     """
+    if n_thresholds < 1:
+        raise ValueError("n_thresholds must be positive")
     u = field.values
     asm = Assembly(pair, field.mesh)
     tri = _Triangulation(asm, u)
-    grad_sq = tri.gradient_sq()
+    dirich_each = tri.gradient_sq() * tri.tri_area
     boundary_each = asm.bw * np.asarray(law.value(np.clip(u[-1], 0.0, 1.0)))
-    if n_thresholds < 1:
-        raise ValueError("n_thresholds must be positive")
     thresholds = np.arange(n_thresholds) / n_thresholds
     energies = np.empty(n_thresholds)
     for k, t in enumerate(thresholds):
-        d = tri.vu - t
-        npos = (d > 0.0).sum(axis=1)
-        dirich = float(np.sum(grad_sq[npos == 3] * tri.tri_area[npos == 3]))
-        dirich += _partial_dirichlet(tri, grad_sq, float(t))
-        _, line, _, _ = tri.superlevel(float(t))
-        crack = float(law.value(float(t))) * line
+        c = tri.clip(float(t))
+        dirich = float(np.sum(dirich_each[c.full]))
+        dirich += float(np.sum(dirich_each[c.cut] * c.frac))
+        crack = float(law.value(float(t))) * float(np.sum(c.seg))
         boundary = float(np.sum(boundary_each[u[-1] > t]))
         energies[k] = dirich + crack + boundary
     reference = float(energies[0])
@@ -402,31 +423,6 @@ def truncation_scan(
         reference_energy=reference,
         improved=best < reference - 1e-12,
     )
-
-
-def _partial_dirichlet(tri: _Triangulation, grad_sq: np.ndarray, t: float) -> float:
-    """Dirichlet energy of the clipped parts of mixed triangles at level t."""
-    d = tri.vu - t
-    pos = d > 0.0
-    npos = pos.sum(axis=1)
-    total = 0.0
-    for lone_above in (True, False):
-        sel = npos == (1 if lone_above else 2)
-        if not np.any(sel):
-            continue
-        lone = np.argmax(pos[sel] if lone_above else ~pos[sel], axis=1)
-        ib = (lone + 1) % 3
-        ic = (lone + 2) % 3
-        rows = np.arange(sel.sum())
-        da = d[sel][rows, lone]
-        db = d[sel][rows, ib]
-        dc = d[sel][rows, ic]
-        tau_b = da / (da - db)
-        tau_c = da / (da - dc)
-        corner = tri.tri_area[sel] * tau_b * tau_c
-        part = corner if lone_above else tri.tri_area[sel] - corner
-        total += float(np.sum(grad_sq[sel] * part))
-    return total
 
 
 def high_cutoff_bound(

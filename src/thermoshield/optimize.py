@@ -190,7 +190,6 @@ class _Descent:
                 f"infeasible initialization: outer area {area(outer):.6f} exceeds budget {M:.6f}"
             )
         self.x = np.concatenate([np.array(inner.coeffs), np.array(outer.coeffs)])
-        self.solves = 0
 
     def _pair(self, x: np.ndarray) -> StarPair:
         n = self.ncoef
@@ -205,7 +204,6 @@ class _Descent:
     def objective(self, x: np.ndarray, warm: Optional[np.ndarray]) -> Tuple[float, SolveResult]:
         pair = self._pair(x)
         res = solve_state(pair, self.law, self.opts.mesh, self.opts.solver_tol, u0=warm)
-        self.solves += 1
         return res.energy.total + self.penalty(x), res
 
     def gradient(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -86,6 +86,11 @@ class TestDecomposeLevels:
         with pytest.raises(DegenerateFieldError):
             decompose_levels(field, pair, 8)
 
+    def test_no_levels_rejected(self, solved_circles):
+        pair, res = solved_circles
+        with pytest.raises(ValueError, match="n_levels"):
+            decompose_levels(res.field, pair, 0)
+
 
 class TestHFunction:
     def test_zero_density(self, solved_circles):
@@ -223,6 +228,11 @@ class TestTruncationScan:
         pair, res = solved_circles
         rep = truncation_scan(res.field, pair, SurfaceCost(1.0, 0.0, 1.0), 32)
         assert rep.best_energy <= rep.reference_energy
+
+    def test_no_thresholds_rejected(self, solved_circles):
+        pair, res = solved_circles
+        with pytest.raises(ValueError, match="n_thresholds"):
+            truncation_scan(res.field, pair, Convection(1.0), 0)
 
 
 class TestHighCutoff:
