@@ -6,10 +6,13 @@ between them maps onto the (s, theta) unit rectangle; the temperature is
 discretized on a structured grid there, the Dirichlet energy is assembled
 with bilinear elements and corner (trapezoid) quadrature of the mapped
 gradient, and the boundary dissipation uses the trapezoid rule with the
-arclength weight.  The state is the minimizer of this discrete energy over
-nodal values clamped to [0, 1] with the inner row pinned to 1, found by a
-projected nonlinear conjugate-gradient iteration; for a quadratic law the
-iteration reduces to linear CG with exact steps.
+arclength weight.  One matrix-free stencil gives the Dirichlet energy and
+gradient, one law call the boundary term's energy and difference quotients.
+The state is the minimizer of this discrete energy over nodal values
+clamped to [0, 1] with the inner row pinned to 1, found by a projected
+nonlinear conjugate-gradient iteration that evaluates each trial point
+once; for a quadratic law the iteration reduces to linear CG with exact
+steps.
 
 Contact between the two boundaries is excluded by a minimum gap: the
 touching configuration is handled analytically by the radial formulas, and
@@ -47,6 +50,9 @@ __all__ = [
 
 GAP_MIN = 1e-3
 _CHECK_GRID = 1024
+# Steps of the boundary law's slope and second difference.
+_SLOPE_STEP = 1e-7
+_BEND_STEP = 1e-4
 
 
 class GeometryError(ValueError):
@@ -216,8 +222,9 @@ class SolveResult:
 
 
 class Assembly:
-    """Precomputed geometry and the discrete energy, its gradient,
-    curvature actions and shape gradient for one (pair, mesh) combination."""
+    """Precomputed geometry and the discrete energy for one (pair, mesh):
+    one Dirichlet stencil (`dirichlet`), one law call for the boundary term
+    (`_boundary`), both at once (`evaluate`), and the shape gradient."""
 
     def __init__(self, pair: StarPair, mesh: Mesh):
         self.pair = pair
@@ -239,96 +246,87 @@ class Assembly:
         q = (rkp[None, :] + s * gp[None, :]) / g[None, :]
         w = rho * g[None, :] * self.ds * self.dt
         self.rho = rho
-        self.P = 0.25 * w * (1.0 / g[None, :] ** 2 + q**2 / rho**2)
+        P = 0.25 * w * (1.0 / g[None, :] ** 2 + q**2 / rho**2)
         self.Q = -0.5 * w * q / rho**2
-        self.C = 0.25 * w / rho**2
+        C = 0.25 * w / rho**2
         mu = np.full(n_s, 2.0)
         mu[0] = mu[-1] = 1.0
         self._mu = mu
-        self._Pe = 2.0 * (self.P[:-1] + self.P[1:])
-        self._Ce = (self.C + np.roll(self.C, -1, axis=1)) * mu[:, None]
+        self._Pe = 2.0 * (P[:-1] + P[1:])
+        self._Ce = (C + np.roll(C, -1, axis=1)) * mu[:, None]
         # Outer boundary arclength weights for the dissipation integral.
         self.bw = np.sqrt(ro**2 + rop**2) * self.dt
         self._rkp = rkp
         self._rop = rop
-        self.x = rho * np.cos(theta)[None, :]
-        self.y = rho * np.sin(theta)[None, :]
         # Metric of the polar map, used by the shell dilation law.
         self.g = g
         self.outer_r = ro
 
-    # -- differences ------------------------------------------------------
-
-    def _us(self, u: np.ndarray) -> np.ndarray:
-        return np.diff(u, axis=0) / self.ds
-
-    def _ut(self, u: np.ndarray) -> np.ndarray:
-        return (np.roll(u, -1, axis=1) - u) / self.dt
-
     # -- Dirichlet term ----------------------------------------------------
 
-    def dirichlet_energy(self, u: np.ndarray) -> float:
-        US = self._us(u)
-        UT = self._ut(u)
+    def _edges(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Radial and angular edge differences US, UT of u and their sums
+        V, W over the two angular and the two radial edges at each node."""
+        US = np.diff(u, axis=0) / self.ds
+        UT = (np.roll(u, -1, axis=1) - u) / self.dt
         V = UT + np.roll(UT, 1, axis=1)
-        e_rad = np.sum(self._Pe * US * US)
-        e_ang = np.sum(self._Ce * UT * UT)
-        e_cross = np.sum(US * (self.Q[:-1] * V[:-1] + self.Q[1:] * V[1:]))
-        return float(e_rad + e_ang + e_cross)
-
-    def dirichlet_grad(self, u: np.ndarray) -> np.ndarray:
-        US = self._us(u)
-        UT = self._ut(u)
-        V = UT + np.roll(UT, 1, axis=1)
-        GUS = 2.0 * self._Pe * US + self.Q[:-1] * V[:-1] + self.Q[1:] * V[1:]
         W = np.zeros_like(u)
         W[:-1] += US
         W[1:] += US
+        return US, UT, V, W
+
+    def dirichlet(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Dirichlet energy of u and its nodal gradient.  The fluxes FS, FT
+        are the energy's partials in the edge differences, so the energy is
+        (US.FS + UT.FT)/2: exactly 0 on a constant field, unlike <u, grad>/2
+        on a nearly constant one.  The gradient is the fluxes' divergence."""
+        US, UT, V, W = self._edges(u)
+        FS = 2.0 * self._Pe * US + self.Q[:-1] * V[:-1] + self.Q[1:] * V[1:]
         QW = self.Q * W
-        GUT = 2.0 * self._Ce * UT + QW + np.roll(QW, -1, axis=1)
+        FT = 2.0 * self._Ce * UT + QW + np.roll(QW, -1, axis=1)
+        energy = 0.5 * (float(np.sum(US * FS)) + float(np.sum(UT * FT)))
         grad = np.zeros_like(u)
-        grad[1:] += GUS / self.ds
-        grad[:-1] -= GUS / self.ds
-        grad += (np.roll(GUT, 1, axis=1) - GUT) / self.dt
-        return grad
+        grad[1:] += FS / self.ds
+        grad[:-1] -= FS / self.ds
+        grad += (np.roll(FT, 1, axis=1) - FT) / self.dt
+        return energy, grad
+
+    def dirichlet_grad(self, u: np.ndarray) -> np.ndarray:
+        """Gradient of the Dirichlet energy: `dirichlet(u)[1]`."""
+        return self.dirichlet(u)[1]
 
     # -- boundary term -----------------------------------------------------
 
-    def boundary_energy(self, u: np.ndarray, law: DissipationLaw) -> float:
-        return float(np.sum(self.bw * law.value(u[-1])))
-
-    def boundary_grad_row(self, u: np.ndarray, law: DissipationLaw, h: float = 1e-7) -> np.ndarray:
+    def _boundary(self, u: np.ndarray, law: DissipationLaw) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Boundary energy, its outer-row gradient (a slope clamped to
+        [0, 1]) and the law's second difference there, from one law call."""
         ub = u[-1]
-        hi = np.minimum(ub + h, 1.0)
-        lo = np.maximum(ub - h, 0.0)
-        return self.bw * (law.value(hi) - law.value(lo)) / (hi - lo)
-
-    def boundary_curvature(self, u: np.ndarray, d: np.ndarray, law: DissipationLaw,
-                           h: float = 1e-4) -> float:
-        ub = u[-1]
-        lo = np.clip(ub - h, 0.0, 1.0 - 2 * h)
-        mid = lo + h
-        hi = lo + 2 * h
-        second = (law.value(hi) - 2.0 * law.value(mid) + law.value(lo)) / h**2
-        return float(np.sum(self.bw * second * d[-1] ** 2))
+        hi = np.minimum(ub + _SLOPE_STEP, 1.0)
+        lo = np.maximum(ub - _SLOPE_STEP, 0.0)
+        b0 = np.clip(ub - _BEND_STEP, 0.0, 1.0 - 2 * _BEND_STEP)
+        v = law.value(np.stack([ub, hi, lo, b0, b0 + _BEND_STEP, b0 + 2 * _BEND_STEP]))
+        energy = float(np.sum(self.bw * v[0]))
+        slope = self.bw * (v[1] - v[2]) / (hi - lo)
+        bend = (v[5] - 2.0 * v[4] + v[3]) / _BEND_STEP**2
+        return energy, slope, bend
 
     # -- total energy ------------------------------------------------------
 
-    def energy(self, u: np.ndarray, law: DissipationLaw) -> float:
-        return self.dirichlet_energy(u) + self.boundary_energy(u, law)
-
-    def gradient(self, u: np.ndarray, law: DissipationLaw) -> np.ndarray:
-        grad = self.dirichlet_grad(u)
-        grad[-1] += self.boundary_grad_row(u, law)
+    def evaluate(self, u: np.ndarray, law: DissipationLaw) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Energy at u, its gradient (zero on the pinned inner row) and the
+        law's second difference on the outer row (see `_boundary`)."""
+        e_dir, grad = self.dirichlet(u)
+        e_bd, slope, bend = self._boundary(u, law)
+        grad[-1] += slope
         grad[0] = 0.0
-        return grad
+        return e_dir + e_bd, grad, bend
 
     # -- shape sensitivity -------------------------------------------------
 
     def shape_gradient(self, u: np.ndarray, law: DissipationLaw) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradient of `energy(u, law)` with respect to the Fourier
-        coefficients of the inner and of the outer boundary, at fixed nodal
-        values u.
+        """Gradient of the energy `evaluate(u, law)[0]` with respect to the
+        Fourier coefficients of the inner and of the outer boundary, at
+        fixed nodal values u.
 
         With c = ds dtheta, rho = (1-s) r_K + s r_O, g = r_O - r_K and
         a = (1-s) r_K' + s r_O', the node weights are
@@ -347,12 +345,7 @@ class Assembly:
         s = self.s[:, None]
         rho, g = self.rho, self.g[None, :]
         a = self._rkp + s * (self._rop - self._rkp)
-        US = self._us(u)
-        UT = self._ut(u)
-        V = UT + np.roll(UT, 1, axis=1)
-        W = np.zeros_like(u)
-        W[:-1] += US
-        W[1:] += US
+        US, UT, V, W = self._edges(u)
         US2 = US * US
         EP = np.zeros_like(u)
         EP[:-1] += 2.0 * US2
@@ -390,19 +383,18 @@ class Assembly:
     def breakdown(self, u: np.ndarray, law: DissipationLaw) -> EnergyBreakdown:
         trace = float(np.sum(self.bw * u[-1]) / np.sum(self.bw))
         return EnergyBreakdown(
-            dirichlet=self.dirichlet_energy(u),
-            boundary=self.boundary_energy(u, law),
+            dirichlet=self.dirichlet(u)[0],
+            boundary=self._boundary(u, law)[0],
             penalty=0.0,
             trace=trace,
         )
 
 
 def _project_gradient(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Zero the gradient components that push against an active clamp."""
-    g = g.copy()
+    """Zero, in place, the gradient components that push against an active
+    clamp."""
     g[(u <= 0.0) & (g > 0.0)] = 0.0
     g[(u >= 1.0) & (g < 0.0)] = 0.0
-    g[0] = 0.0
     return g
 
 
@@ -436,8 +428,8 @@ def solve_state(
         u = np.clip(u0, 0.0, 1.0).copy()
     u[0] = 1.0
 
-    energy = asm.energy(u, law)
-    g = _project_gradient(asm.gradient(u, law), u)
+    energy, g, bend = asm.evaluate(u, law)
+    g = _project_gradient(g, u)
     d = -g
     gg = float(np.sum(g * g))
     stagnant = 0
@@ -452,9 +444,9 @@ def solve_state(
             if gd == 0.0:
                 converged = True
                 break
-        hd = asm.dirichlet_grad(d)
-        hd[0] = 0.0
-        curv = float(np.sum(d * hd)) + asm.boundary_curvature(u, d, law)
+        # d is zero on the pinned inner row, so <d, A d> needs no masking.
+        curv = float(np.sum(d * asm.dirichlet(d)[1]))
+        curv += float(np.sum(asm.bw * bend * d[-1] ** 2))
         if curv > 0.0:
             alpha = -gd / curv
         else:
@@ -463,7 +455,7 @@ def solve_state(
         for _ in range(60):
             u_new = np.clip(u + alpha * d, 0.0, 1.0)
             u_new[0] = 1.0
-            e_new = asm.energy(u_new, law)
+            e_new, g_new, bend_new = asm.evaluate(u_new, law)
             if e_new <= energy + 1e-4 * alpha * gd:
                 accepted = True
                 break
@@ -475,8 +467,8 @@ def solve_state(
             d = -g
             continue
         decrease = energy - e_new
-        u, energy = u_new, e_new
-        g_new = _project_gradient(asm.gradient(u, law), u)
+        u, energy, bend = u_new, e_new, bend_new
+        g_new = _project_gradient(g_new, u)
         gg_new = float(np.sum(g_new * g_new))
         beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gg) if gg > 0 else 0.0
         d = -g_new + beta * d

@@ -126,8 +126,8 @@ class _Triangulation:
     """Triangle split of the annulus mesh with per-triangle vertex data."""
 
     def __init__(self, asm: Assembly, values: np.ndarray):
-        self.vx = self.attach(asm.x)
-        self.vy = self.attach(asm.y)
+        self.vx = self.attach(asm.rho * np.cos(asm.theta)[None, :])
+        self.vy = self.attach(asm.rho * np.sin(asm.theta)[None, :])
         self.vu = self.attach(values)
         cross = (self.vx[:, 1] - self.vx[:, 0]) * (self.vy[:, 2] - self.vy[:, 0]) - (
             self.vx[:, 2] - self.vx[:, 0]
