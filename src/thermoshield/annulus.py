@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dissipation import DissipationLaw
+from .dissipation import DissipationLaw, _require_finite
 from .radial import EnergyBreakdown
 
 __all__ = [
@@ -49,7 +49,8 @@ __all__ = [
 ]
 
 GAP_MIN = 1e-3
-_CHECK_GRID = 1024
+# Angles at which a pair's positivity and gap are checked.
+_CHECK_THETA = np.arange(1024) * (2.0 * math.pi / 1024)
 # Steps of the boundary law's slope and second difference.
 _SLOPE_STEP = 1e-7
 _BEND_STEP = 1e-4
@@ -74,17 +75,18 @@ def _area_from_coeffs(c: np.ndarray) -> float:
 
 
 def _fourier_basis(theta: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Columns (1, cos t, sin t, cos 2t, sin 2t, ...) sampled at theta, and
-    their theta-derivatives: r = basis @ coeffs, r' = deriv @ coeffs."""
+    """Columns (1, cos t, sin t, cos 2t, sin 2t, ...) sampled at theta, along
+    a new last axis, and their theta-derivatives: r = basis @ coeffs,
+    r' = deriv @ coeffs."""
     k = np.arange(1, order + 1)
-    kt = theta[:, None] * k[None, :]
-    basis = np.zeros((theta.size, 2 * order + 1))
+    kt = theta[..., None] * k
+    basis = np.zeros(theta.shape + (2 * order + 1,))
     deriv = np.zeros_like(basis)
-    basis[:, 0] = 1.0
-    basis[:, 1::2] = np.cos(kt)
-    basis[:, 2::2] = np.sin(kt)
-    deriv[:, 1::2] = -k * basis[:, 2::2]
-    deriv[:, 2::2] = k * basis[:, 1::2]
+    basis[..., 0] = 1.0
+    basis[..., 1::2] = np.cos(kt)
+    basis[..., 2::2] = np.sin(kt)
+    deriv[..., 1::2] = -k * basis[..., 2::2]
+    deriv[..., 2::2] = k * basis[..., 1::2]
     return basis, deriv
 
 
@@ -99,7 +101,7 @@ class FourierShape:
     _arr: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, coeffs: Sequence[float]):
-        flat = tuple(float(c) for c in coeffs)
+        flat = tuple(_require_finite("Fourier coefficient", c) for c in coeffs)
         if len(flat) % 2 == 0:
             raise ValueError("coefficient vector must have odd length (a0, a1, b1, ...)")
         object.__setattr__(self, "coeffs", flat)
@@ -120,19 +122,17 @@ class FourierShape:
         out[:take] = self._arr[:take]
         return FourierShape(out)
 
+    def _jet(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """r(theta) and r'(theta) from one basis evaluation; reductions, not
+        matrix products (see `Assembly.shape_gradient`)."""
+        basis, deriv = _fourier_basis(np.asarray(theta, dtype=float), self.order)
+        return np.sum(basis * self._arr, axis=-1), np.sum(deriv * self._arr, axis=-1)
+
     def radius(self, theta: np.ndarray) -> np.ndarray:
-        t = np.asarray(theta, dtype=float)
-        r = np.full_like(t, self._arr[0])
-        for k in range(1, self.order + 1):
-            r += self._arr[2 * k - 1] * np.cos(k * t) + self._arr[2 * k] * np.sin(k * t)
-        return r
+        return self._jet(theta)[0]
 
     def radius_deriv(self, theta: np.ndarray) -> np.ndarray:
-        t = np.asarray(theta, dtype=float)
-        r = np.zeros_like(t)
-        for k in range(1, self.order + 1):
-            r += k * (-self._arr[2 * k - 1] * np.sin(k * t) + self._arr[2 * k] * np.cos(k * t))
-        return r
+        return self._jet(theta)[1]
 
     def area(self) -> float:
         """Enclosed area (1/2) int r^2 dtheta in closed form."""
@@ -156,17 +156,18 @@ class StarPair:
 
     inner: FourierShape
     outer: FourierShape
+    _gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        theta = np.arange(_CHECK_GRID) * (2.0 * math.pi / _CHECK_GRID)
-        rk = self.inner.radius(theta)
-        ro = self.outer.radius(theta)
+        rk = self.inner.radius(_CHECK_THETA)
+        gap = float(np.min(self.outer.radius(_CHECK_THETA) - rk))
         if np.min(rk) <= 0.0:
             raise GeometryError("inner radius must be positive")
-        if np.min(ro - rk) < GAP_MIN * (1.0 - 1e-9):
+        if gap < GAP_MIN * (1.0 - 1e-9):
             raise GeometryError(
-                f"pair violates the minimum gap {GAP_MIN}: min separation {np.min(ro - rk):.3e}"
+                f"pair violates the minimum gap {GAP_MIN}: min separation {gap:.3e}"
             )
+        object.__setattr__(self, "_gap", gap)
 
     @classmethod
     def circles(cls, r_inner: float, r_outer: float, order: int = 0) -> "StarPair":
@@ -174,8 +175,8 @@ class StarPair:
 
     @property
     def gap(self) -> float:
-        theta = np.arange(_CHECK_GRID) * (2.0 * math.pi / _CHECK_GRID)
-        return float(np.min(self.outer.radius(theta) - self.inner.radius(theta)))
+        """Minimum separation r_O - r_K over the construction-time check grid."""
+        return self._gap
 
     def scaled(self, t: float) -> "StarPair":
         return StarPair(self.inner.scaled(t), self.outer.scaled(t))
@@ -234,10 +235,8 @@ class Assembly:
         self.dt = 2.0 * math.pi / n_t
         theta = np.arange(n_t) * self.dt
         self.theta = theta
-        rk = pair.inner.radius(theta)
-        rkp = pair.inner.radius_deriv(theta)
-        ro = pair.outer.radius(theta)
-        rop = pair.outer.radius_deriv(theta)
+        rk, rkp = pair.inner._jet(theta)
+        ro, rop = pair.outer._jet(theta)
         g = ro - rk
         gp = rop - rkp
         s = np.linspace(0.0, 1.0, n_s)[:, None]

@@ -31,6 +31,7 @@ from .dissipation import (
     Convection,
     DissipationLaw,
     Radiation,
+    _require_finite,
     law_from_json,
     unit_ball_volume,
 )
@@ -68,8 +69,17 @@ def _parse_law(text: str) -> DissipationLaw:
     return law_from_json(json.loads(text))
 
 
-def _parse_pair(text: str) -> StarPair:
+def _json_object(text: str, what: str) -> dict:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {text!r}")
+    return data
+
+
+def _parse_pair(text: str) -> StarPair:
+    data = _json_object(text, "pair")
+    if not all(isinstance(data.get(key), list) for key in ("inner", "outer")):
+        raise ValueError("pair needs the lists of Fourier coefficients 'inner' and 'outer'")
     return StarPair(FourierShape(data["inner"]), FourierShape(data["outer"]))
 
 
@@ -84,6 +94,10 @@ def _parse_mesh(text: Optional[str]) -> Mesh:
     if len(parts) != 2:
         raise ValueError("mesh must be given as n_s,n_theta")
     return Mesh(int(parts[0]), int(parts[1]))
+
+
+def _finite_float(text: str) -> float:
+    return _require_finite("argument", float(text))
 
 
 def _emit(data: dict) -> None:
@@ -103,8 +117,14 @@ def _cmd_regime(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _spec_number(spec: dict, key: str, default: Optional[float] = None) -> float:
+    value = spec[key] if default is None else spec.get(key, default)
+    return _require_finite(f"sweep key {key!r}", value)
+
+
 def _sweep_grid(spec: dict) -> np.ndarray:
-    lo, hi, count = float(spec["lo"]), float(spec["hi"]), int(spec["count"])
+    lo, hi = _spec_number(spec, "lo"), _spec_number(spec, "hi")
+    count = int(_spec_number(spec, "count"))
     if not lo < hi or count < 2:
         raise ValueError("sweep range requires lo < hi and count >= 2")
     scale = spec.get("scale", "linear")
@@ -118,24 +138,20 @@ def _sweep_grid(spec: dict) -> np.ndarray:
 
 
 def _sweep_eval(spec: dict, law: Optional[DissipationLaw], value: float) -> dict:
-    n = int(spec.get("n", 2))
-    lam = float(spec.get("lambda", 0.0))
+    n = int(_spec_number(spec, "n", 2))
+    lam = _spec_number(spec, "lambda", 0.0)
     axis = spec["axis"]
+    if axis in ("R", "lambda", "M") and law is None:
+        raise ValueError(f"sweep over {axis} requires a law")
     if axis == "beta":
-        return general_radial_energy(n, Convection(value), float(spec["R"]), lam).as_dict()
+        return general_radial_energy(n, Convection(value), _spec_number(spec, "R"), lam).as_dict()
     if axis == "gamma":
-        return general_radial_energy(n, Radiation(value), float(spec["R"]), lam).as_dict()
+        return general_radial_energy(n, Radiation(value), _spec_number(spec, "R"), lam).as_dict()
     if axis == "R":
-        if law is None:
-            raise ValueError("sweep over R requires a law")
         return general_radial_energy(n, law, value, lam).as_dict()
     if axis == "lambda":
-        if law is None:
-            raise ValueError("sweep over lambda requires a law")
         return best_radius(n, law, math.inf, value).energy.as_dict()
     if axis == "M":
-        if law is None:
-            raise ValueError("sweep over M requires a law")
         r_max = (value / unit_ball_volume(n)) ** (1.0 / n)
         if r_max < 1.0:
             raise ValueError("M below the inner ball volume")
@@ -144,26 +160,15 @@ def _sweep_eval(spec: dict, law: Optional[DissipationLaw], value: float) -> dict
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = json.loads(args.spec)
+    spec = _json_object(args.spec, "sweep spec")
     grid = _sweep_grid(spec)
     law_data = spec.get("law")
     law = law_from_json(law_data) if law_data else None
     rows = [_sweep_eval(spec, law, float(v)) for v in grid]
     lines = [",".join(SWEEP_COLUMNS)]
     for value, row in zip(grid, rows):
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    value,
-                    row["total"],
-                    row["dirichlet"],
-                    row["boundary"],
-                    row["penalty"],
-                    row["trace"],
-                )
-            )
-        )
+        row["value"] = value
+        lines.append(",".join(repr(float(row[c])) for c in SWEEP_COLUMNS))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     return EXIT_OK
@@ -313,14 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radial", help="radial shell energy at fixed outer radius")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--law", required=True)
-    p.add_argument("--R", type=float, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--R", type=_finite_float, required=True)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_radial)
 
     p = sub.add_parser("regime", help="convection regime classification")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--rmax", type=float, required=True)
+    p.add_argument("--beta", type=_finite_float, required=True)
+    p.add_argument("--rmax", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_regime)
 
     p = sub.add_parser("sweep", help="CSV sweep over beta, gamma, R, lambda, or M")
@@ -332,15 +337,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--law", required=True)
     p.add_argument("--mesh", default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=1e-10)
     p.add_argument("--out-field", default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("optimize", help="optimize the shape pair")
     p.add_argument("--mode", choices=("constrained", "penalized"), required=True)
     p.add_argument("--law", required=True)
-    p.add_argument("--M", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--M", type=_finite_float, default=None)
+    p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.add_argument("--init", required=True)
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--mesh", default=None)
@@ -351,13 +356,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="pass/fail verification checks")
     p.add_argument("check", choices=("h", "truncation", "perturbation", "regimes"))
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--rmax", type=float, default=3.0)
-    p.add_argument("--amplitude", type=float, default=0.1)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--rmax", type=_finite_float, default=3.0)
+    p.add_argument("--amplitude", type=_finite_float, default=0.1)
     p.add_argument("--levels", type=int, default=64)
     p.add_argument("--mesh", default=None)
     p.add_argument("--law", default='{"type":"radiation","gamma":1.0}')
-    p.add_argument("--eps", type=float, default=1e-3)
+    p.add_argument("--eps", type=_finite_float, default=1e-3)
     p.add_argument("--out-levels", default=None)
     p.set_defaults(func=_cmd_verify)
 

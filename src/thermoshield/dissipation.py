@@ -17,6 +17,7 @@ makes any law behave like ``O(u^2)`` near zero.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Sequence, Tuple, Union
 
@@ -47,6 +48,7 @@ ArrayLike = Union[float, np.ndarray]
 # Slack for the construction-time monotonicity check (pure rounding noise).
 _MONOTONE_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class NonDifferentiableError(ValueError):
@@ -57,6 +59,14 @@ class DegenerateLawError(ValueError):
     """The law vanishes identically on the evaluation grid."""
 
 
+def _require_finite(name: str, value: object) -> float:
+    """value as a float; ValueError naming it unless a finite real number."""
+    # abs(value) <= max is False for NaN and compares huge integers exactly.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= _FLOAT_MAX:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def _check_domain(u: np.ndarray) -> np.ndarray:
     if np.any(u < -_DOMAIN_TOL) or np.any(u > 1.0 + _DOMAIN_TOL):
         raise ValueError(f"dissipation law argument outside [0, 1]: {u}")
@@ -65,9 +75,13 @@ def _check_domain(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DissipationLaw:
-    """Base class; concrete laws implement `_raw` on validated arrays."""
+    """Base class; concrete laws implement `_raw` on validated arrays.  Every
+    parameter annotated `float` must be a finite real number."""
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.type == "float":
+                _require_finite(f.name, getattr(self, f.name))
         self._validate_params()
         grid = np.linspace(0.0, 1.0, 1024)
         vals = self._raw(grid)
@@ -226,7 +240,11 @@ class Tabulated(DissipationLaw):
     _vs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, knots: Sequence[Sequence[float]]):
-        pairs = tuple((float(u), float(v)) for u, v in knots)
+        try:
+            raw = [(u, v) for u, v in knots]
+        except (TypeError, ValueError) as exc:
+            raise ValueError("knots must be a list of [u, v] pairs") from exc
+        pairs = tuple((_require_finite("knots", u), _require_finite("knots", v)) for u, v in raw)
         object.__setattr__(self, "knots", pairs)
         us = np.array([p[0] for p in pairs])
         vs = np.array([p[1] for p in pairs])
@@ -264,10 +282,10 @@ class Tabulated(DissipationLaw):
             out[mid] = vs[lo] + frac * (vs[hi] - vs[lo])
         return out.reshape(np.shape(u))
 
-    def derivative(self, u: float, h: float = 1e-6) -> float:
+    def derivative(self, u: float) -> float:
         _check_domain(np.asarray(u, dtype=float))
-        lo = max(0.0, u - h)
-        hi = min(1.0, u + h)
+        lo = max(0.0, u - 1e-6)
+        hi = min(1.0, u + 1e-6)
         return (self.value(hi) - self.value(lo)) / (hi - lo)
 
 
@@ -280,18 +298,16 @@ class FlatCriterion:
     flat_optimal_for_small_M: bool
 
 
-def hyp_theta_inf(law: DissipationLaw, grid_size: int = 4096) -> float:
+def hyp_theta_inf(law: DissipationLaw) -> float:
     """Minimum of theta(s/3)/theta(s) over a logarithmic grid of s in (0, 1].
 
-    The grid is geometric with ratio 3**(-1/m) so that small arguments are
-    sampled densely; a uniform grid would undersample the region where the
-    one-third comparison is most restrictive.  Grid points with theta(s) = 0
-    are skipped (the ratio tends to a limit there).
+    The grid has 4096 points, geometric with ratio 3**(-1/341), so that
+    small arguments are sampled densely down to 3**-12; a uniform grid would
+    undersample the region where the one-third comparison is most
+    restrictive.  Grid points with theta(s) = 0 are skipped (the ratio tends
+    to a limit there).
     """
-    if grid_size < 64:
-        raise ValueError("grid_size must be at least 64")
-    m = max(1, grid_size // 12)
-    s = 3.0 ** (-np.arange(grid_size) / m)
+    s = 3.0 ** (-np.arange(4096) / 341)
     denom = np.asarray(law.value(s))
     keep = denom > 0.0
     if not np.any(keep):

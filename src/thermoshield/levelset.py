@@ -267,7 +267,6 @@ def decompose_levels(
     pair: StarPair,
     n_levels: int,
     density: Optional[ScalarField] = None,
-    levels: Optional[np.ndarray] = None,
 ) -> LevelDecomposition:
     """Level decomposition of a field at uniform levels in (0, 1).
 
@@ -275,16 +274,14 @@ def decompose_levels(
     interior contour and the integral of phi^2 over each superlevel set are
     accumulated alongside the geometry.
     """
-    if levels is None and n_levels < 1:
+    if n_levels < 1:
         raise ValueError("n_levels must be positive")
     u = field.values
     if float(np.max(u) - np.min(u)) < 1e-14:
         raise DegenerateFieldError("field is constant; no level structure")
     if density is not None and density.values.shape != u.shape:
         raise ValueError("density grid does not match the field grid")
-    if levels is None:
-        levels = (np.arange(n_levels) + 0.5) / n_levels
-    levels = np.asarray(levels, dtype=float)
+    levels = (np.arange(n_levels) + 0.5) / n_levels
     asm = Assembly(pair, field.mesh)
     tri = _Triangulation(asm, u)
     dens = tri.attach(density.values) if density is not None else None
@@ -425,10 +422,8 @@ def truncation_scan(
     )
 
 
-def high_cutoff_bound(
-    law: DissipationLaw, n: int, M: float, C_n: float = 1.0, grid: int = 4096
-) -> HighCutoffReport:
-    """Largest delta with delta + C_n theta(1)/sqrt(theta(delta)) (M - omega_n)^(1/2n) < 1.
+def high_cutoff_bound(law: DissipationLaw, n: int, M: float, C_n: float = 1.0) -> HighCutoffReport:
+    """Largest delta = k/4096 with delta + C_n theta(1)/sqrt(theta(delta)) (M - omega_n)^(1/2n) < 1.
 
     Feasibility of a delta close to 1 certifies that states may be truncated
     just below their maximum without raising the relaxed energy; it requires
@@ -439,7 +434,7 @@ def high_cutoff_bound(
     w = unit_ball_volume(n)
     if M < w:
         raise ValueError("M must be at least the unit ball volume")
-    deltas = np.arange(1, grid) / grid
+    deltas = np.arange(1, 4096) / 4096
     theta1 = law.value(1.0)
     excess = (M - w) ** (1.0 / (2 * n)) if M > w else 0.0
     theta_d = np.asarray(law.value(deltas))

@@ -9,7 +9,9 @@ shape, so by the envelope theorem (Danskin) its gradient is the partial
 shape derivative of the discrete energy at the solved field.  Each step is
 projected back onto the constraints by exact coefficient scaling, and the
 line-search solves start warm from the current field.  Descent is monotone
-by backtracking.
+by backtracking.  The energy does not change when both boundaries are
+translated together; that gauge is fixed linearly, by keeping the inner
+boundary's first Fourier mode at zero.
 
 When the outer boundary collapses onto the inner one the parametric solver
 bottoms out at the minimum gap; the touching configuration is then scored
@@ -44,7 +46,6 @@ __all__ = [
     "OptimizeOptions",
     "OptimizeResult",
     "TraceRow",
-    "area",
     "project_inner_volume",
     "isoperimetric_deficit",
     "optimize_constrained",
@@ -67,35 +68,35 @@ TRACE_COLUMNS = (
 _COLLAPSE_GAP = 2.0 * GAP_MIN
 _STALL_DECREASE = 1e-10
 _STALL_LIMIT = 3
+# Backtracking: first trial step, reduction factor, smallest step tried.
+_STEP_INIT = 0.25
+_BACKTRACK = 0.5
+_STEP_MIN = 1e-10
+_VOLUME_TOL = 1e-8
+_GRAD_TOL = 1e-6
+_SOLVER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Knobs of the outer descent.
+    """Settings of the outer descent.
 
-    fourier_order caps the boundary modes (at most 16).  The step rule is
-    backtracking with factor 0.5 from step_init down to step_min along the
-    normalized projected gradient.  The mesh is deliberately coarser than
-    the solver default: every line-search trial is a full state solve.
+    fourier_order caps the boundary modes (at most 16) and max_outer_iters
+    the accepted steps.  The mesh is deliberately coarser than the solver
+    default: every line-search trial is a full state solve.  The step rule
+    (backtracking by halves from 0.25 down to 1e-10 along the normalized
+    projected gradient) and the tolerances are fixed.
     """
 
     fourier_order: int = 4
-    step_init: float = 0.25
-    backtrack: float = 0.5
-    step_min: float = 1e-10
     max_outer_iters: int = 500
-    volume_tolerance: float = 1e-8
-    grad_tol: float = 1e-6
     mesh: Mesh = dc_field(default_factory=lambda: Mesh(33, 128))
-    solver_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not 0 < self.fourier_order <= 16:
             raise ValueError("fourier_order must lie in 1..16")
-        if min(self.step_init, self.backtrack, self.step_min) <= 0:
-            raise ValueError("step rule parameters must be positive")
-        if self.max_outer_iters < 1 or self.volume_tolerance <= 0:
-            raise ValueError("invalid iteration or tolerance settings")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be positive")
 
 
 @dataclass(frozen=True)
@@ -123,14 +124,9 @@ class OptimizeResult:
     field: Optional[ScalarField]
 
 
-def area(shape: FourierShape) -> float:
-    """Enclosed area, in closed form from the Fourier coefficients."""
-    return shape.area()
-
-
 def project_inner_volume(shape: FourierShape) -> FourierShape:
     """Scale all coefficients so the enclosed area is exactly pi."""
-    a = area(shape)
+    a = shape.area()
     if a <= 0:
         raise GeometryError("shape has nonpositive area")
     return shape.scaled(math.sqrt(math.pi / a))
@@ -153,19 +149,6 @@ def _area_grad(c: np.ndarray) -> np.ndarray:
     return g
 
 
-_CENTROID_THETA = np.arange(4096) * (2.0 * math.pi / 4096)
-_CENTROID_COS = np.cos(_CENTROID_THETA)
-_CENTROID_SIN = np.sin(_CENTROID_THETA)
-
-
-def _centroid(shape: FourierShape) -> Tuple[float, float]:
-    r3 = shape.radius(_CENTROID_THETA) ** 3 / 3.0
-    a = shape.area()
-    cx = float(np.mean(r3 * _CENTROID_COS)) * 2.0 * math.pi / a
-    cy = float(np.mean(r3 * _CENTROID_SIN)) * 2.0 * math.pi / a
-    return cx, cy
-
-
 class _Descent:
     """Shared state of one optimization run."""
 
@@ -185,9 +168,9 @@ class _Descent:
         self.ncoef = 2 * m + 1
         inner = project_inner_volume(init.inner.with_order(m))
         outer = init.outer.with_order(m)
-        if M is not None and area(outer) > M * (1.0 + 1e-12):
+        if M is not None and outer.area() > M * (1.0 + 1e-12):
             raise ValueError(
-                f"infeasible initialization: outer area {area(outer):.6f} exceeds budget {M:.6f}"
+                f"infeasible initialization: outer area {outer.area():.6f} exceeds budget {M:.6f}"
             )
         self.x = np.concatenate([np.array(inner.coeffs), np.array(outer.coeffs)])
 
@@ -203,7 +186,7 @@ class _Descent:
 
     def objective(self, x: np.ndarray, warm: Optional[np.ndarray]) -> Tuple[float, SolveResult]:
         pair = self._pair(x)
-        res = solve_state(pair, self.law, self.opts.mesh, self.opts.solver_tol, u0=warm)
+        res = solve_state(pair, self.law, self.opts.mesh, _SOLVER_TOL, u0=warm)
         return res.energy.total + self.penalty(x), res
 
     def gradient(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -229,30 +212,25 @@ class _Descent:
             gout = _area_grad(x[n:])
             nout = gout / np.linalg.norm(gout)
             push = np.dot(out[n:], nout)
-            if aout >= self.M - self.opts.volume_tolerance and push > 0.0:
+            if aout >= self.M - _VOLUME_TOL and push > 0.0:
                 out[n:] -= push * nout
         return out
 
     def project_point(self, x: np.ndarray) -> np.ndarray:
         """Gauge and volume projection.
 
-        Joint translations of both boundaries are energy-neutral, so the
-        common center is fixed by shifting the pair until the inner body's
-        centroid sits at the origin (first-order shift on the k = 1
-        coefficients, iterated).  Then the inner area is scaled to pi
-        exactly and the outer area clipped to the budget; scaling about the
-        origin preserves the centering.
+        Joint translations of both boundaries are energy-neutral.  To first
+        order a translation by (a, b) adds a cos + b sin to both radius
+        functions, so the gauge is fixed linearly: the inner shape's
+        (a1, b1) is subtracted from the k = 1 coefficients of both shapes,
+        which leaves the inner a1 = b1 = 0 exactly.  Then the inner area is
+        scaled to pi exactly and the outer area clipped to the budget;
+        scaling keeps the inner a1 = b1 = 0.
         """
         n = self.ncoef
         out = x.copy()
-        if n >= 3:
-            for _ in range(3):
-                cx, cy = _centroid(FourierShape(out[:n]))
-                if abs(cx) + abs(cy) < 1e-14:
-                    break
-                for block in (out[:n], out[n:]):
-                    block[1] -= cx
-                    block[2] -= cy
+        out[n + 1 : n + 3] -= out[1:3]
+        out[1:3] = 0.0
         ain = _area_from_coeffs(out[:n])
         if ain <= 0:
             raise GeometryError("inner shape degenerated")
@@ -279,15 +257,15 @@ def _run(descent: _Descent) -> OptimizeResult:
                 dirichlet=res.energy.dirichlet,
                 boundary=res.energy.boundary,
                 penalty=descent.penalty(x),
-                inner_area=area(pair.inner),
-                outer_area=area(pair.outer),
+                inner_area=pair.inner.area(),
+                outer_area=pair.outer.area(),
                 deficit=isoperimetric_deficit(pair),
                 step=step,
             )
         )
 
     record(0, energy, res, x, 0.0)
-    alpha_prev = opts.step_init
+    alpha_prev = _STEP_INIT
     collapsed = descent._pair(x).gap <= _COLLAPSE_GAP
     stall = 0
     iterations = 0
@@ -298,22 +276,22 @@ def _run(descent: _Descent) -> OptimizeResult:
         g = descent.gradient(x, res.field.values)
         d = descent.project_direction(x, -g)
         norm = float(np.linalg.norm(d))
-        if norm < opts.grad_tol:
+        if norm < _GRAD_TOL:
             break
         d /= norm
-        alpha = min(opts.step_init, 4.0 * alpha_prev)
+        alpha = min(_STEP_INIT, 4.0 * alpha_prev)
         accepted = False
-        while alpha >= opts.step_min:
+        while alpha >= _STEP_MIN:
             try:
                 x_new = descent.project_point(x + alpha * d)
                 e_new, res_new = descent.objective(x_new, res.field.values)
             except GeometryError:
-                alpha *= opts.backtrack
+                alpha *= _BACKTRACK
                 continue
             if e_new < energy - 1e-12 * max(1.0, abs(energy)):
                 accepted = True
                 break
-            alpha *= opts.backtrack
+            alpha *= _BACKTRACK
         if not accepted:
             break
         decrease = energy - e_new
@@ -390,23 +368,7 @@ def trace_to_csv(result: OptimizeResult, path: str) -> None:
     """Write the per-iteration optimization trace as CSV."""
     lines = [",".join(TRACE_COLUMNS)]
     for row in result.trace:
-        lines.append(
-            ",".join(
-                [str(row.iter)]
-                + [
-                    repr(float(v))
-                    for v in (
-                        row.energy,
-                        row.dirichlet,
-                        row.boundary,
-                        row.penalty,
-                        row.inner_area,
-                        row.outer_area,
-                        row.deficit,
-                        row.step,
-                    )
-                ]
-            )
-        )
+        values = [repr(float(getattr(row, c))) for c in TRACE_COLUMNS[1:]]
+        lines.append(",".join([str(row.iter)] + values))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -213,8 +213,9 @@ def gradient_ratio(
     return float(out) if np.ndim(rho) == 0 else out
 
 
-def gradient_ratio_max(n: int, beta: float, R: float, grid: int = 4096) -> float:
-    """Maximum of |grad u|/u over the shell, on a uniform radial grid.
+def gradient_ratio_max(n: int, beta: float, R: float) -> float:
+    """Maximum of |grad u|/u over the shell, on a uniform radial grid of
+    4096 points.
 
     The maximum is at most beta exactly when no smaller outer ball has
     lower energy, which makes this a cheap monotonicity certificate.
@@ -222,7 +223,7 @@ def gradient_ratio_max(n: int, beta: float, R: float, grid: int = 4096) -> float
     _check_dim(n)
     if R <= 1.0:
         raise ValueError("R must exceed 1")
-    rho = np.linspace(1.0, R, grid)
+    rho = np.linspace(1.0, R, 4096)
     return float(np.max(gradient_ratio(n, beta, R, rho)))
 
 
@@ -368,14 +369,14 @@ def threshold_radius(n: int, beta: float) -> Optional[float]:
     return 0.5 * (lo + hi)
 
 
-def classify_regime(n: int, beta: float, R_max: float, tie_tol: float = 1e-9) -> RegimeReport:
+def classify_regime(n: int, beta: float, R_max: float) -> RegimeReport:
     """Pick the optimal outer ball radius in [1, R_max] for the convection law.
 
     Regime 'a' (beta >= n-1): the energy decreases in R, use the full budget.
     Regime 'c' (beta <= n-2): the bare ball wins outright.
     Regime 'b' (between): compare the budget to the threshold radius; at a
-    tie both radii are optimal and the bare ball is reported with the tie
-    flag set.
+    tie (within 1e-9) both radii are optimal and the bare ball is reported
+    with the tie flag set.
     """
     _check_dim(n)
     if beta <= 0:
@@ -394,7 +395,7 @@ def classify_regime(n: int, beta: float, R_max: float, tie_tol: float = 1e-9) ->
     else:
         regime = "b"
         threshold = threshold_radius(n, beta)
-        if abs(R_max - threshold) < tie_tol:
+        if abs(R_max - threshold) < 1e-9:
             tie = True
             r_opt = 1.0
         else:

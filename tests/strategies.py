@@ -13,19 +13,20 @@ def pos(lo, hi):
 
 
 @st.composite
-def pairs(draw):
-    """A nested pair of order 1-4 whose separation is at least GAP_MIN.
+def pairs(draw, min_order=1, max_order=4):
+    """A nested pair of order min_order..max_order whose separation is at
+    least GAP_MIN.
 
     The inner radius is a0 plus modes of total amplitude at most a0 / 5; the
     outer radius adds a gap function h0 plus modes of total amplitude at most
     h0 / 2, so the separation is at least h0 / 2 >= GAP_MIN.
     """
-    order = draw(st.integers(1, 4))
+    order = draw(st.integers(min_order, max_order))
     a0 = draw(pos(0.5, 2.0))
     h0 = draw(pos(2.0 * GAP_MIN, 2.0))
     unit = st.lists(pos(-1.0, 1.0), min_size=2 * order, max_size=2 * order)
-    inner = np.array([a0] + draw(unit)) * np.r_[1.0, [0.1 * a0 / order] * (2 * order)]
-    gap = np.array([h0] + draw(unit)) * np.r_[1.0, [0.25 * h0 / order] * (2 * order)]
+    inner = np.array([a0] + draw(unit)) * np.r_[1.0, [0.1 * a0 / max(order, 1)] * (2 * order)]
+    gap = np.array([h0] + draw(unit)) * np.r_[1.0, [0.25 * h0 / max(order, 1)] * (2 * order)]
     return StarPair(FourierShape(inner), FourierShape(inner + gap))
 
 

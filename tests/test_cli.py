@@ -66,6 +66,31 @@ class TestExitCodes:
     def test_missing_arguments(self, capsys):
         assert run(["radial", "--n", "2"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            '{"type":"convection","beta":"x"}',
+            '{"type":"convection","beta":null}',
+            '{"type":"convection","beta":NaN}',
+            '{"type":"radiation","gamma":Infinity}',
+            '{"type":"power","c":1,"alpha":[1]}',
+            '{"type":"tabulated","knots":5}',
+        ],
+    )
+    def test_malformed_law_parameters(self, capsys, law):
+        assert run(["radial", "--n", "2", "--R", "2", "--law", law]) == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize("pair", ["[1]", '{"inner":1,"outer":[2.0]}'])
+    def test_malformed_pair(self, capsys, pair):
+        assert run(["solve", "--pair", pair, "--law", CONV1]) == EXIT_BAD_INPUT
+
+    def test_sweep_spec_not_an_object(self, capsys, tmp_path):
+        out = str(tmp_path / "x.csv")
+        assert run(["sweep", "--spec", "[1]", "--out", out]) == EXIT_BAD_INPUT
+
+    def test_nonfinite_argument(self, capsys):
+        assert run(["regime", "--n", "2", "--beta", "nan", "--rmax", "3"]) == EXIT_BAD_INPUT
+
     def test_bad_sweep_range(self, capsys, tmp_path):
         spec = '{"axis":"beta","lo":2.0,"hi":1.0,"count":5,"n":2,"R":2.0}'
         out = str(tmp_path / "x.csv")

@@ -12,7 +12,6 @@ from thermoshield.annulus import FourierShape, Mesh, StarPair
 from thermoshield.dissipation import Convection
 from thermoshield.optimize import (
     OptimizeOptions,
-    area,
     isoperimetric_deficit,
     optimize_constrained,
     optimize_penalized,
@@ -32,17 +31,17 @@ def quick_init(r_out=2.0, amp=0.08):
 
 class TestAreaAndProjection:
     def test_constant_shapes(self):
-        assert area(FourierShape.circle(1.0)) == pytest.approx(math.pi, rel=1e-12)
-        assert area(FourierShape.circle(2.0)) == pytest.approx(4 * math.pi, rel=1e-12)
+        assert FourierShape.circle(1.0).area() == pytest.approx(math.pi, rel=1e-12)
+        assert FourierShape.circle(2.0).area() == pytest.approx(4 * math.pi, rel=1e-12)
 
     def test_perturbed_circle_identity(self):
-        got = area(FourierShape([1.0, 0.1, 0.0]))
+        got = FourierShape([1.0, 0.1, 0.0]).area()
         assert got == pytest.approx(math.pi * 1.005, rel=1e-12)
 
     def test_projection_scales_to_unit_area(self):
         assert project_inner_volume(FourierShape.circle(2.0)).coeffs[0] == pytest.approx(1.0)
         proj = project_inner_volume(FourierShape([1.0, 0.1, 0.0]))
-        assert area(proj) == pytest.approx(math.pi, abs=1e-12)
+        assert proj.area() == pytest.approx(math.pi, abs=1e-12)
         assert proj.coeffs[0] == pytest.approx(1.005**-0.5, rel=1e-9)
 
     def test_projection_idempotent_on_unit_circle(self):
@@ -75,6 +74,14 @@ class TestDescentContracts:
     def test_penalized_requires_positive_weight(self):
         with pytest.raises(ValueError):
             optimize_penalized(Convection(1.0), 0.0, quick_init(), QUICK)
+
+    def test_translation_gauge_zeroes_inner_first_mode(self):
+        init = StarPair(
+            FourierShape([1.0, 0.03, 0.0, 0.04, 0.0]),
+            FourierShape([2.4, 0.0, 0.0, 0.08, 0.0]),
+        )
+        res = optimize_constrained(Convection(1.0), 9 * math.pi, init, QUICK)
+        assert res.pair.inner.coeffs[1:3] == (0.0, 0.0)
 
     def test_rotational_degeneracy(self):
         init = quick_init(2.2)
@@ -122,7 +129,3 @@ class TestOptions:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             OptimizeOptions(fourier_order=17)
-
-    def test_positive_steps(self):
-        with pytest.raises(ValueError):
-            OptimizeOptions(step_init=0.0)
