@@ -142,11 +142,12 @@ class FourierShape:
         return FourierShape(self._arr * t)
 
     def rotated(self, angle: float) -> "FourierShape":
+        k = np.arange(1, self.order + 1)
+        cos, sin = np.cos(k * angle), np.sin(k * angle)
+        a, b = self._arr[1::2], self._arr[2::2]
         out = self._arr.copy()
-        for k in range(1, self.order + 1):
-            a, b = self._arr[2 * k - 1], self._arr[2 * k]
-            out[2 * k - 1] = a * math.cos(k * angle) + b * math.sin(k * angle)
-            out[2 * k] = -a * math.sin(k * angle) + b * math.cos(k * angle)
+        out[1::2] = a * cos + b * sin
+        out[2::2] = b * cos - a * sin
         return FourierShape(out)
 
 
@@ -159,8 +160,14 @@ class StarPair:
     _gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rk = self.inner.radius(_CHECK_THETA)
-        gap = float(np.min(self.outer.radius(_CHECK_THETA) - rk))
+        # One basis of the larger order serves both shapes: a shape of lower
+        # order reads its leading columns, the same sums as `radius`.
+        basis = _fourier_basis(_CHECK_THETA, max(self.inner.order, self.outer.order))[0]
+        rk, ro = (
+            np.sum(basis[:, : shape._arr.size] * shape._arr, axis=-1)
+            for shape in (self.inner, self.outer)
+        )
+        gap = float(np.min(ro - rk))
         if np.min(rk) <= 0.0:
             raise GeometryError("inner radius must be positive")
         if gap < GAP_MIN * (1.0 - 1e-9):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "DissipationLaw",
@@ -334,7 +333,11 @@ def volume_bound(law: DissipationLaw, n: int, c_n: float = 1.0) -> float:
     on (1e-8, 1] decade by decade; when the per-decade contributions do not
     decay near zero the integral diverges and +inf is returned (any budget
     is then admissible).  c_n is a dimensional constant left to the caller.
+    scipy is imported here, the one place that needs it, so that importing
+    the package and running the CLI do not load it.
     """
+    from scipy.integrate import quad
+
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if c_n <= 0:

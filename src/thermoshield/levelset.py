@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .annulus import Assembly, ScalarField, StarPair, energy_of
+from .annulus import Assembly, ScalarField, StarPair, _require_same_pair
 from .dissipation import Convection, DissipationLaw, unit_ball_volume
 from .radial import gradient_ratio
 
@@ -123,9 +123,12 @@ class _Clip(NamedTuple):
 
 
 class _Triangulation:
-    """Triangle split of the annulus mesh with per-triangle vertex data."""
+    """Triangle split of the annulus mesh with per-triangle vertex data of
+    the nodal field `values`, and the outer boundary weights `bw`."""
 
     def __init__(self, asm: Assembly, values: np.ndarray):
+        self.values = values
+        self.bw = asm.bw
         self.vx = self.attach(asm.rho * np.cos(asm.theta)[None, :])
         self.vy = self.attach(asm.rho * np.sin(asm.theta)[None, :])
         self.vu = self.attach(values)
@@ -262,6 +265,37 @@ class _Triangulation:
         return np.where(j < 0, full, value[j] + (slope[j] + curv[j] * h) * h)
 
 
+def _check_not_constant(u: np.ndarray) -> None:
+    if float(np.max(u) - np.min(u)) < 1e-14:
+        raise DegenerateFieldError("field is constant; no level structure")
+
+
+def _check_levels(u: np.ndarray, n_levels: int, density: Optional[ScalarField]) -> None:
+    if n_levels < 1:
+        raise ValueError("n_levels must be positive")
+    _check_not_constant(u)
+    if density is not None and density.values.shape != u.shape:
+        raise ValueError("density grid does not match the field grid")
+
+
+def _decompose(tri: _Triangulation, n_levels: int, density: Optional[np.ndarray]) -> LevelDecomposition:
+    """`decompose_levels` of the field that `tri` triangulates, with nodal
+    density values."""
+    levels = (np.arange(n_levels) + 0.5) / n_levels
+    dens = tri.attach(density) if density is not None else None
+    per_level = np.array([tri.superlevel(float(t), dens) for t in levels]).reshape(-1, 4)
+    area, interior, dline, darea = per_level.T
+    outer_row = tri.values[-1]
+    return LevelDecomposition(
+        levels=levels,
+        interior_length=interior,
+        exterior_length=np.array([np.sum(tri.bw[outer_row > t]) for t in levels]),
+        area=area,
+        density_line=dline if dens is not None else None,
+        density_sq_area=darea if dens is not None else None,
+    )
+
+
 def decompose_levels(
     field: ScalarField,
     pair: StarPair,
@@ -274,27 +308,9 @@ def decompose_levels(
     interior contour and the integral of phi^2 over each superlevel set are
     accumulated alongside the geometry.
     """
-    if n_levels < 1:
-        raise ValueError("n_levels must be positive")
-    u = field.values
-    if float(np.max(u) - np.min(u)) < 1e-14:
-        raise DegenerateFieldError("field is constant; no level structure")
-    if density is not None and density.values.shape != u.shape:
-        raise ValueError("density grid does not match the field grid")
-    levels = (np.arange(n_levels) + 0.5) / n_levels
-    asm = Assembly(pair, field.mesh)
-    tri = _Triangulation(asm, u)
-    dens = tri.attach(density.values) if density is not None else None
-    per_level = np.array([tri.superlevel(float(t), dens) for t in levels]).reshape(-1, 4)
-    area, interior, dline, darea = per_level.T
-    return LevelDecomposition(
-        levels=levels,
-        interior_length=interior,
-        exterior_length=np.array([np.sum(asm.bw[u[-1] > t]) for t in levels]),
-        area=area,
-        density_line=dline if dens is not None else None,
-        density_sq_area=darea if dens is not None else None,
-    )
+    _check_levels(field.values, n_levels, density)
+    tri = _Triangulation(Assembly(pair, field.mesh), field.values)
+    return _decompose(tri, n_levels, density.values if density is not None else None)
 
 
 def h_function(dec: LevelDecomposition, beta: float) -> np.ndarray:
@@ -330,6 +346,14 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     return ScalarField(values=ratio, mesh=field.mesh, pair=pair)
 
 
+def _dearranged(tri: _Triangulation, pair: StarPair, reference: RadialReference) -> np.ndarray:
+    """`dearrangement` values of the field that `tri` triangulates."""
+    node_area = tri.superlevel_areas(tri.values)
+    r = np.sqrt((node_area + pair.inner.area()) / math.pi)
+    r = np.clip(r, 1.0, reference.R)
+    return gradient_ratio(reference.n, reference.beta, reference.R, r)
+
+
 def dearrangement(field: ScalarField, pair: StarPair, reference: RadialReference) -> ScalarField:
     """Transplant the radial gradient ratio onto the level sets of a field.
 
@@ -340,15 +364,9 @@ def dearrangement(field: ScalarField, pair: StarPair, reference: RadialReference
     node values in one pass with no level grid.  The output is constant on
     discrete level sets of the field by construction.
     """
-    u = field.values
-    if float(np.max(u) - np.min(u)) < 1e-14:
-        raise DegenerateFieldError("field is constant; no level structure")
-    tri = _Triangulation(Assembly(pair, field.mesh), u)
-    node_area = tri.superlevel_areas(u)
-    r = np.sqrt((node_area + pair.inner.area()) / math.pi)
-    r = np.clip(r, 1.0, reference.R)
-    phi = gradient_ratio(reference.n, reference.beta, reference.R, r)
-    return ScalarField(values=phi, mesh=field.mesh, pair=pair)
+    _check_not_constant(field.values)
+    tri = _Triangulation(Assembly(pair, field.mesh), field.values)
+    return ScalarField(values=_dearranged(tri, pair, reference), mesh=field.mesh, pair=pair)
 
 
 def h_inequality_check(
@@ -363,12 +381,22 @@ def h_inequality_check(
 
     By default phi is the dearrangement of the reference solution on the
     volume-matched ball pair; any nonnegative bounded density is accepted.
+    The energy, the dearrangement and the level decomposition share one
+    assembly and one triangulation of the field.
     """
-    energy = energy_of(field, pair, Convection(beta)).total
+    _require_same_pair(field, pair)
+    u = field.values
+    _check_levels(u, n_levels, phi)
+    asm = Assembly(pair, field.mesh)
+    energy = asm.breakdown(u, Convection(beta)).total
+    tri = _Triangulation(asm, u)
+    del asm  # the triangulation holds all that is used below
     if phi is None:
         R_ref = math.sqrt(pair.outer.area() / math.pi)
-        phi = dearrangement(field, pair, RadialReference(2, beta, R_ref))
-    dec = decompose_levels(field, pair, n_levels, density=phi)
+        density = _dearranged(tri, pair, RadialReference(2, beta, R_ref))
+    else:
+        density = phi.values
+    dec = _decompose(tri, n_levels, density)
     h_vals = h_function(dec, beta)
     t = dec.levels
     y = t * (h_vals - energy)

@@ -43,7 +43,10 @@ __all__ = [
 # Trace grid of the global scan and its Dirichlet factor (1 - l)^2.
 _TRACE_GRID = np.linspace(0.0, 1.0, 4096)
 _TRACE_GAP2 = (1.0 - _TRACE_GRID) ** 2
-# Radii per block of the grid scan: its two (block, grid) temporaries take 0.5 MB.
+# Radii per block of the grid scan.  Its two (block, grid) arrays take 0.5 MB
+# and are allocated once per scan: the C allocator may map arrays this large
+# afresh on every allocation, and per-block page faults would cost about a
+# fifth of the scan.
 _BLOCK = 8
 # Relative positions of the points of one zoom round, and a cap on rounds.
 _ZOOM = np.linspace(0.0, 1.0, 33)
@@ -256,7 +259,7 @@ def _trace_min(
     """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row.
 
     theta is evaluated once on the trace grid and shared by every row; the
-    grid scan runs _BLOCK rows at a time to keep its temporaries small.  The
+    grid scan runs _BLOCK rows at a time in two reused buffers.  The
     bracket around each row's grid argmin is then refined for all rows at
     once.  The grid argmin and the ends l = 0 (where theta may jump) and
     l = 1 stay candidates.  Returns (trace, energy) per row.
@@ -264,10 +267,12 @@ def _trace_min(
     theta = np.asarray(law.value(_TRACE_GRID))
     k = np.empty(stiff.size, dtype=np.intp)
     e_grid = np.empty(stiff.size)
+    buf = np.empty((2, min(_BLOCK, stiff.size), _TRACE_GRID.size))
     for start in range(0, stiff.size, _BLOCK):
         blk = slice(start, start + _BLOCK)
-        vals = np.multiply.outer(stiff[blk], _TRACE_GAP2)
-        vals += np.multiply.outer(per_R[blk], theta)
+        vals, tmp = buf[:, : stiff[blk].size]
+        np.multiply.outer(stiff[blk], _TRACE_GAP2, out=vals)
+        vals += np.multiply.outer(per_R[blk], theta, out=tmp)
         k[blk] = np.argmin(vals, axis=1)
         e_grid[blk] = vals[np.arange(vals.shape[0]), k[blk]]
 

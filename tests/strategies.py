@@ -13,21 +13,36 @@ def pos(lo, hi):
 
 
 @st.composite
-def pairs(draw, min_order=1, max_order=4):
+def pairs(draw, min_order=1, max_order=4, mixed_orders=False):
     """A nested pair of order min_order..max_order whose separation is at
     least GAP_MIN.
 
     The inner radius is a0 plus modes of total amplitude at most a0 / 5; the
     outer radius adds a gap function h0 plus modes of total amplitude at most
-    h0 / 2, so the separation is at least h0 / 2 >= GAP_MIN.
+    h0 / 2, so the separation is at least h0 / 2 >= GAP_MIN.  With
+    mixed_orders the gap function draws its own order, and a drawn coin may
+    instead take the shape, raised by 3 h0 / 2, as the outer radius and
+    subtract the gap from it: either shape may then have the larger order.
     """
     order = draw(st.integers(min_order, max_order))
+    gap_order = draw(st.integers(min_order, max_order)) if mixed_orders else order
     a0 = draw(pos(0.5, 2.0))
     h0 = draw(pos(2.0 * GAP_MIN, 2.0))
-    unit = st.lists(pos(-1.0, 1.0), min_size=2 * order, max_size=2 * order)
-    inner = np.array([a0] + draw(unit)) * np.r_[1.0, [0.1 * a0 / max(order, 1)] * (2 * order)]
-    gap = np.array([h0] + draw(unit)) * np.r_[1.0, [0.25 * h0 / max(order, 1)] * (2 * order)]
-    return StarPair(FourierShape(inner), FourierShape(inner + gap))
+
+    def modes(k):
+        return draw(st.lists(pos(-1.0, 1.0), min_size=2 * k, max_size=2 * k))
+
+    shape = np.array([a0] + modes(order)) * np.r_[1.0, [0.1 * a0 / max(order, 1)] * (2 * order)]
+    gap = np.array([h0] + modes(gap_order))
+    gap *= np.r_[1.0, [0.25 * h0 / max(gap_order, 1)] * (2 * gap_order)]
+
+    def padded(c):
+        return np.pad(c, (0, 2 * max(order, gap_order) + 1 - c.size))
+
+    if not mixed_orders or draw(st.booleans()):
+        return StarPair(FourierShape(shape), FourierShape(padded(shape) + padded(gap)))
+    shape[0] += 1.5 * h0
+    return StarPair(FourierShape(padded(shape) - padded(gap)), FourierShape(shape))
 
 
 @st.composite

@@ -3,13 +3,13 @@
 `radius` is checked against the per-mode sum written out here as the
 reference, `radius_deriv` against central differences, `rotated` against a
 shift of the angle, and `StarPair.gap` against the separation sampled on
-the 1024-angle check grid.
+the 1024-angle check grid, also for pairs whose two shapes differ in order.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from strategies import pairs, pos
@@ -69,3 +69,11 @@ def test_rotation_shifts_the_angle(shape, theta, phi):
 def test_gap_is_the_sampled_minimum_separation(pair):
     theta = np.arange(1024) * (2.0 * math.pi / 1024)
     assert pair.gap == float(np.min(pair.outer.radius(theta) - pair.inner.radius(theta)))
+
+
+@given(pair=pairs(min_order=0, max_order=16, mixed_orders=True))
+def test_gap_with_mixed_orders(pair):
+    assume(pair.inner.order != pair.outer.order)
+    theta = np.arange(1024) * (2.0 * math.pi / 1024)
+    sampled = float(np.min(pair.outer.radius(theta) - pair.inner.radius(theta)))
+    assert abs(pair.gap - sampled) <= 1e-14

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from thermoshield.annulus import FourierShape, Mesh, ScalarField, StarPair, solve_state
+from thermoshield.annulus import (
+    FourierShape,
+    Mesh,
+    MeshMismatchError,
+    ScalarField,
+    StarPair,
+    energy_of,
+    solve_state,
+)
 from thermoshield.dissipation import Convection, SurfaceCost, Tabulated, unit_ball_volume
 from thermoshield.levelset import (
     DegenerateFieldError,
@@ -183,6 +191,29 @@ class TestHInequality:
             )
             res = solve_state(pair, Convection(beta), Mesh(48, 192))
             assert h_inequality_check(res.field, pair, beta, 64).passes
+
+    def test_matches_public_composition(self):
+        pair = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.05, 0.0]),
+            FourierShape([2.0, 0.0, 0.0, 0.0, 0.12]),
+        )
+        field = solve_state(pair, Convection(1.0), Mesh(17, 64)).field
+        rep = h_inequality_check(field, pair, 1.0, 32)
+        energy = energy_of(field, pair, Convection(1.0)).total
+        ref = RadialReference(2, 1.0, math.sqrt(pair.outer.area() / math.pi))
+        dec = decompose_levels(field, pair, 32, density=dearrangement(field, pair, ref))
+        h_vals = h_function(dec, 1.0)
+        t = dec.levels
+        y = t * (h_vals - energy)
+        weighted = float(np.trapezoid(y, t)) + float(y[0]) * float(t[0]) + float(y[-1]) * float(1.0 - t[-1])
+        assert rep.energy == energy
+        assert rep.min_H == float(np.min(h_vals))
+        assert rep.weighted_integral == weighted
+
+    def test_field_of_another_pair_rejected(self, solved_circles):
+        pair, res = solved_circles
+        with pytest.raises(MeshMismatchError):
+            h_inequality_check(res.field, StarPair.circles(1.0, 2.5), 1.0, 64)
 
     def test_adversarial_constant_density(self, solved_circles):
         # The existence of a good level holds for any bounded nonnegative
