@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -494,8 +494,7 @@ def solve_state(
 
 
 def _require_same_pair(field: ScalarField, pair: StarPair) -> None:
-    same = field.pair.inner.coeffs == pair.inner.coeffs and field.pair.outer.coeffs == pair.outer.coeffs
-    if not same:
+    if field.pair != pair:
         raise MeshMismatchError("field was built on a different pair")
 
 
@@ -525,20 +524,36 @@ def scale_field(field: ScalarField, pair: StarPair, t: float) -> Tuple[ScalarFie
     return new_field, new_pair
 
 
+def _write_csv(path: str, rows: Iterable[Iterable[object]]) -> None:
+    """Write rows as CSV, the one cell format of every file the package
+    writes: a string as it is, a Python int in decimal, None as an empty
+    cell, any other value as repr(float(v)); a newline ends every row."""
+
+    def cell(v: object) -> str:
+        if isinstance(v, str):
+            return v
+        if isinstance(v, int):
+            return str(v)
+        return "" if v is None else repr(float(v))
+
+    with open(path, "w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(",".join(cell(v) for v in row) + "\n")
+
+
 def dump_field(field: ScalarField, path: str) -> None:
     """Write a field as CSV: one header line `n_s,n_theta,fourier_order,
     <inner coeffs>,<outer coeffs>` followed by the n_s grid rows."""
     pair = field.pair
     order = max(pair.inner.order, pair.outer.order)
-    inner = pair.inner.with_order(order).coeffs
-    outer = pair.outer.with_order(order).coeffs
-    header = [str(field.mesh.n_s), str(field.mesh.n_theta), str(order)]
-    header += [repr(float(c)) for c in inner] + [repr(float(c)) for c in outer]
-    lines = [",".join(header)]
-    for row in field.values:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    header = (
+        field.mesh.n_s,
+        field.mesh.n_theta,
+        order,
+        *pair.inner.with_order(order).coeffs,
+        *pair.outer.with_order(order).coeffs,
+    )
+    _write_csv(path, [header, *field.values])
 
 
 def load_field(path: str) -> ScalarField:

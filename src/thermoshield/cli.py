@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .annulus import (
     Mesh,
     ScalarField,
     StarPair,
+    _write_csv,
     dump_field,
     solve_state,
 )
@@ -49,6 +51,7 @@ from .optimize import (
     trace_to_csv,
 )
 from .radial import (
+    EnergyBreakdown,
     best_radius,
     classify_regime,
     convection_energy,
@@ -62,7 +65,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
-SWEEP_COLUMNS = ("value", "total", "dirichlet", "boundary", "penalty", "trace")
+SWEEP_COLUMNS = ("value", "total", *(f.name for f in fields(EnergyBreakdown)))
 
 
 def _parse_law(text: str) -> DissipationLaw:
@@ -137,25 +140,25 @@ def _sweep_grid(spec: dict) -> np.ndarray:
     raise ValueError(f"unknown sweep scale {scale!r}")
 
 
-def _sweep_eval(spec: dict, law: Optional[DissipationLaw], value: float) -> dict:
+def _sweep_eval(spec: dict, law: Optional[DissipationLaw], value: float) -> EnergyBreakdown:
     n = int(_spec_number(spec, "n", 2))
     lam = _spec_number(spec, "lambda", 0.0)
     axis = spec["axis"]
     if axis in ("R", "lambda", "M") and law is None:
         raise ValueError(f"sweep over {axis} requires a law")
     if axis == "beta":
-        return general_radial_energy(n, Convection(value), _spec_number(spec, "R"), lam).as_dict()
+        return general_radial_energy(n, Convection(value), _spec_number(spec, "R"), lam)
     if axis == "gamma":
-        return general_radial_energy(n, Radiation(value), _spec_number(spec, "R"), lam).as_dict()
+        return general_radial_energy(n, Radiation(value), _spec_number(spec, "R"), lam)
     if axis == "R":
-        return general_radial_energy(n, law, value, lam).as_dict()
+        return general_radial_energy(n, law, value, lam)
     if axis == "lambda":
-        return best_radius(n, law, math.inf, value).energy.as_dict()
+        return best_radius(n, law, math.inf, value).energy
     if axis == "M":
         r_max = (value / unit_ball_volume(n)) ** (1.0 / n)
         if r_max < 1.0:
             raise ValueError("M below the inner ball volume")
-        return best_radius(n, law, r_max, lam).energy.as_dict()
+        return best_radius(n, law, r_max, lam).energy
     raise ValueError(f"unknown sweep axis {axis!r}")
 
 
@@ -164,13 +167,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _sweep_grid(spec)
     law_data = spec.get("law")
     law = law_from_json(law_data) if law_data else None
-    rows = [_sweep_eval(spec, law, float(v)) for v in grid]
-    lines = [",".join(SWEEP_COLUMNS)]
-    for value, row in zip(grid, rows):
-        row["value"] = value
-        lines.append(",".join(repr(float(row[c])) for c in SWEEP_COLUMNS))
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    energies = [_sweep_eval(spec, law, float(v)) for v in grid]
+    rows = [(v, e.total, *astuple(e)) for v, e in zip(grid, energies)]
+    _write_csv(args.out, [SWEEP_COLUMNS, *rows])
     return EXIT_OK
 
 

@@ -409,19 +409,16 @@ _LAW_TAGS = {
 
 
 def law_to_json(law: DissipationLaw) -> dict:
-    """Serialize a law to its wire-format dictionary."""
-    if isinstance(law, Convection):
-        return {"type": "convection", "beta": law.beta}
-    if isinstance(law, Radiation):
-        return {"type": "radiation", "gamma": law.gamma}
-    if isinstance(law, Linear):
-        return {"type": "linear", "c": law.c}
-    if isinstance(law, Power):
-        return {"type": "power", "c": law.c, "alpha": law.alpha}
-    if isinstance(law, SurfaceCost):
-        return {"type": "surface_cost", "c1": law.c1, "c2": law.c2, "alpha": law.alpha}
-    if isinstance(law, Tabulated):
-        return {"type": "tabulated", "knots": [[u, v] for u, v in law.knots]}
+    """Serialize a law to its wire-format dictionary: the type tag and the
+    constructor parameters that `law_from_json` reads, tuples as lists."""
+
+    def plain(v: object) -> object:
+        return [plain(x) for x in v] if isinstance(v, tuple) else v
+
+    for tag, cls in _LAW_TAGS.items():
+        if isinstance(law, cls):
+            params = {f.name: plain(getattr(law, f.name)) for f in fields(cls) if f.init}
+            return {"type": tag, **params}
     raise TypeError(f"unknown law type {type(law).__name__}")
 
 

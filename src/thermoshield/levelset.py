@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .annulus import Assembly, ScalarField, StarPair, _require_same_pair
+from .annulus import Assembly, ScalarField, StarPair, _require_same_pair, _write_csv
 from .dissipation import Convection, DissipationLaw, unit_ball_volume
 from .radial import gradient_ratio
 
@@ -482,20 +482,7 @@ def levels_to_csv(dec: LevelDecomposition, beta: float, path: str) -> None:
     """Write the per-level decomposition as CSV: t, interior_length,
     exterior_length, area, H_value (H only when density integrals exist)."""
     have_h = dec.density_line is not None and dec.density_sq_area is not None
-    h_vals = h_function(dec, beta) if have_h else None
-    lines = ["t,interior_length,exterior_length,area,H_value"]
-    for k in range(len(dec.levels)):
-        h_txt = repr(float(h_vals[k])) if have_h else ""
-        lines.append(
-            ",".join(
-                [
-                    repr(float(dec.levels[k])),
-                    repr(float(dec.interior_length[k])),
-                    repr(float(dec.exterior_length[k])),
-                    repr(float(dec.area[k])),
-                    h_txt,
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    h_vals = h_function(dec, beta) if have_h else [None] * len(dec.levels)
+    header = ("t", "interior_length", "exterior_length", "area", "H_value")
+    columns = (dec.levels, dec.interior_length, dec.exterior_length, dec.area, h_vals)
+    _write_csv(path, [header, *zip(*columns)])

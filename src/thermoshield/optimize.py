@@ -22,7 +22,7 @@ and the smaller energy is reported with the collapse flag set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import astuple, dataclass, field as dc_field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -37,6 +37,7 @@ from .annulus import (
     SolveResult,
     StarPair,
     _area_from_coeffs,
+    _write_csv,
     solve_state,
 )
 from .dissipation import DissipationLaw
@@ -52,18 +53,6 @@ __all__ = [
     "optimize_penalized",
     "trace_to_csv",
 ]
-
-TRACE_COLUMNS = (
-    "iter",
-    "energy",
-    "dirichlet",
-    "boundary",
-    "penalty",
-    "inner_area",
-    "outer_area",
-    "deficit",
-    "step",
-)
 
 _COLLAPSE_GAP = 2.0 * GAP_MIN
 _STALL_DECREASE = 1e-10
@@ -110,6 +99,9 @@ class TraceRow:
     outer_area: float
     deficit: float
     step: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRow))
 
 
 @dataclass(frozen=True)
@@ -174,10 +166,6 @@ class _Descent:
             )
         self.x = np.concatenate([np.array(inner.coeffs), np.array(outer.coeffs)])
 
-    def _pair(self, x: np.ndarray) -> StarPair:
-        n = self.ncoef
-        return StarPair(FourierShape(x[:n]), FourierShape(x[n:]))
-
     def penalty(self, x: np.ndarray) -> float:
         if self.lam == 0.0:
             return 0.0
@@ -185,14 +173,16 @@ class _Descent:
         return self.lam * (_area_from_coeffs(x[n:]) - _area_from_coeffs(x[:n]))
 
     def objective(self, x: np.ndarray, warm: Optional[np.ndarray]) -> Tuple[float, SolveResult]:
-        pair = self._pair(x)
+        n = self.ncoef
+        pair = StarPair(FourierShape(x[:n]), FourierShape(x[n:]))
         res = solve_state(pair, self.law, self.opts.mesh, _SOLVER_TOL, u0=warm)
         return res.energy.total + self.penalty(x), res
 
-    def gradient(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Gradient of the objective at x, given the field solved there."""
+    def gradient(self, x: np.ndarray, res: SolveResult) -> np.ndarray:
+        """Gradient of the objective at x, given the state solved there."""
         n = self.ncoef
-        g_in, g_out = Assembly(self._pair(x), self.opts.mesh).shape_gradient(u, self.law)
+        solved = res.field
+        g_in, g_out = Assembly(solved.pair, solved.mesh).shape_gradient(solved.values, self.law)
         g = np.concatenate([g_in, g_out])
         if self.lam != 0.0:
             g[:n] -= self.lam * _area_grad(x[:n])
@@ -249,7 +239,7 @@ def _run(descent: _Descent) -> OptimizeResult:
     trace: List[TraceRow] = []
 
     def record(it: int, e: float, res: SolveResult, x: np.ndarray, step: float) -> None:
-        pair = descent._pair(x)
+        pair = res.field.pair
         trace.append(
             TraceRow(
                 iter=it,
@@ -266,14 +256,14 @@ def _run(descent: _Descent) -> OptimizeResult:
 
     record(0, energy, res, x, 0.0)
     alpha_prev = _STEP_INIT
-    collapsed = descent._pair(x).gap <= _COLLAPSE_GAP
+    collapsed = res.field.pair.gap <= _COLLAPSE_GAP
     stall = 0
     iterations = 0
     for it in range(1, opts.max_outer_iters + 1):
         if collapsed:
             break
         iterations = it
-        g = descent.gradient(x, res.field.values)
+        g = descent.gradient(x, res)
         d = descent.project_direction(x, -g)
         norm = float(np.linalg.norm(d))
         if norm < _GRAD_TOL:
@@ -298,7 +288,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         x, energy, res = x_new, e_new, res_new
         alpha_prev = alpha
         record(it, energy, res, x, alpha)
-        if descent._pair(x).gap <= _COLLAPSE_GAP:
+        if res.field.pair.gap <= _COLLAPSE_GAP:
             collapsed = True
         if decrease < _STALL_DECREASE * max(1.0, abs(energy)):
             stall += 1
@@ -307,7 +297,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         else:
             stall = 0
 
-    pair = descent._pair(x)
+    pair = res.field.pair
     breakdown = EnergyBreakdown(
         dirichlet=res.energy.dirichlet,
         boundary=res.energy.boundary,
@@ -365,10 +355,6 @@ def optimize_penalized(
 
 
 def trace_to_csv(result: OptimizeResult, path: str) -> None:
-    """Write the per-iteration optimization trace as CSV."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for row in result.trace:
-        values = [repr(float(getattr(row, c))) for c in TRACE_COLUMNS[1:]]
-        lines.append(",".join([str(row.iter)] + values))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    """Write the per-iteration optimization trace as CSV, one column per
+    `TraceRow` field."""
+    _write_csv(path, [TRACE_COLUMNS, *map(astuple, result.trace)])

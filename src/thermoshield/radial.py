@@ -14,7 +14,7 @@ monotonicity test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
@@ -23,7 +23,6 @@ from .dissipation import DissipationLaw, unit_ball_volume
 
 __all__ = [
     "EnergyBreakdown",
-    "RadialConfig",
     "RegimeReport",
     "BestRadius",
     "PerturbationExpansion",
@@ -74,38 +73,7 @@ class EnergyBreakdown:
         return self.dirichlet + self.boundary + self.penalty
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "dirichlet": self.dirichlet,
-            "boundary": self.boundary,
-            "penalty": self.penalty,
-            "trace": self.trace,
-        }
-
-
-@dataclass(frozen=True)
-class RadialConfig:
-    """Concentric-ball configuration: unit inner ball, outer radius R,
-    a dissipation law, and an optional penalization weight."""
-
-    n: int
-    law: DissipationLaw
-    R: float
-    lam: float = 0.0
-
-    def __post_init__(self) -> None:
-        _check_dim(self.n)
-        if self.R < 1.0:
-            raise ValueError("outer radius must be at least 1")
-        if self.lam < 0.0:
-            raise ValueError("penalization weight must be nonnegative")
-
-    @property
-    def inner_volume(self) -> float:
-        return unit_ball_volume(self.n)
-
-    def energy(self) -> "EnergyBreakdown":
-        return general_radial_energy(self.n, self.law, self.R, self.lam)
+        return {"total": self.total, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -125,14 +93,7 @@ class RegimeReport:
     tie: bool
 
     def as_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "critical_radius": self.critical_radius,
-            "threshold_radius": self.threshold_radius,
-            "optimal_radius": self.optimal_radius,
-            "optimal_energy": self.optimal_energy,
-            "tie": self.tie,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

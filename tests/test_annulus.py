@@ -11,6 +11,7 @@ from thermoshield.annulus import (
     GeometryError,
     Mesh,
     MeshMismatchError,
+    ScalarField,
     StarPair,
     dump_field,
     energy_of,
@@ -203,3 +204,16 @@ class TestFieldDump:
         assert loaded.pair.inner.coeffs == pair.inner.coeffs
         head = open(path).readline().split(",")
         assert int(head[0]) == 17 and int(head[1]) == 64
+
+    def test_exact_text(self, tmp_path):
+        # Integers in decimal, floats as their shortest round-trip repr (the
+        # outer coefficients are padded to the larger order), a newline
+        # after every row.
+        pair = StarPair(FourierShape([1]), FourierShape([2.5, 0.0, 0.125]))
+        values = np.full((3, 8), 1.0 / 3.0)
+        values[0] = 1
+        path = str(tmp_path / "field.csv")
+        dump_field(ScalarField(values=values, mesh=Mesh(3, 8), pair=pair), path)
+        third = ",".join(["0.3333333333333333"] * 8)
+        expected = f"3,8,1,1.0,0.0,0.0,2.5,0.0,0.125\n{','.join(['1.0'] * 8)}\n{third}\n{third}\n"
+        assert open(path).read() == expected

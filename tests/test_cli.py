@@ -129,8 +129,7 @@ class TestSweep:
 
         assert row[1] == pytest.approx(convection_energy(2, row[0], 2.0).total, rel=1e-7)
 
-    def test_single_thread_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("THERMOSHIELD_THREADS", "1")
+    def test_radius_sweep_under_radiation(self, capsys, tmp_path):
         out = str(tmp_path / "sweep.csv")
         spec = '{"axis":"R","lo":1.5,"hi":3.0,"count":4,"law":{"type":"radiation","gamma":1.0}}'
         assert run(["sweep", "--spec", spec, "--out", out]) == EXIT_OK

@@ -281,6 +281,21 @@ class TestJson:
             {"type": "surface_cost", "c1": 1.0, "c2": 0.0, "alpha": 1.0}
         ) == SurfaceCost(1.0, 0.0, 1.0)
 
+    def test_wire_format(self):
+        assert law_to_json(Convection(1.5)) == {"type": "convection", "beta": 1.5}
+        assert law_to_json(Radiation(0.7)) == {"type": "radiation", "gamma": 0.7}
+        assert law_to_json(Linear(2.0)) == {"type": "linear", "c": 2.0}
+        assert law_to_json(Power(1.0, 0.5)) == {"type": "power", "c": 1.0, "alpha": 0.5}
+        assert law_to_json(SurfaceCost(0.2, 1.0, 2.0)) == {
+            "type": "surface_cost", "c1": 0.2, "c2": 1.0, "alpha": 2.0
+        }
+        # A duplicated abscissa encodes a jump; knots come back as lists.
+        jump = law_to_json(Tabulated([(0.0, 0.0), (0.5, 0.3), (0.5, 0.6), (1.0, 1.0)]))
+        assert jump == {
+            "type": "tabulated", "knots": [[0.0, 0.0], [0.5, 0.3], [0.5, 0.6], [1.0, 1.0]]
+        }
+        assert all(type(knot) is list for knot in jump["knots"])
+
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             law_from_json({"type": "mystery"})

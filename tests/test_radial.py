@@ -13,7 +13,6 @@ from thermoshield.dissipation import (
     unit_ball_volume,
 )
 from thermoshield.radial import (
-    RadialConfig,
     _radial_totals,
     best_radius,
     classify_regime,
@@ -145,16 +144,11 @@ class TestGeneralRadialEnergy:
         e = general_radial_energy(2, Convection(1.0), 2.0, lam=0.5)
         assert e.penalty == pytest.approx(0.5 * math.pi * 3.0, rel=1e-12)
 
-    def test_radial_config_record(self):
-        cfg = RadialConfig(2, Convection(1.0), math.e)
-        assert cfg.inner_volume == pytest.approx(math.pi)
-        assert cfg.energy().total == pytest.approx(
-            convection_energy(2, 1.0, math.e).total, rel=1e-8
-        )
+    def test_invalid_radius_and_weight_rejected(self):
         with pytest.raises(ValueError):
-            RadialConfig(2, Convection(1.0), 0.5)
+            general_radial_energy(2, Convection(1.0), 0.5)
         with pytest.raises(ValueError):
-            RadialConfig(2, Convection(1.0), 2.0, lam=-1.0)
+            general_radial_energy(2, Convection(1.0), 2.0, lam=-1.0)
 
 
 class TestThresholdRadius:
