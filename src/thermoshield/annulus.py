@@ -244,12 +244,13 @@ class Assembly:
         self.theta = theta
         rk, rkp = pair.inner._jet(theta)
         ro, rop = pair.outer._jet(theta)
+        self._rkp = rkp
+        self._rop = rop
         g = ro - rk
-        gp = rop - rkp
         s = np.linspace(0.0, 1.0, n_s)[:, None]
         self.s = s[:, 0]
         rho = rk[None, :] + s * g[None, :]
-        q = (rkp[None, :] + s * gp[None, :]) / g[None, :]
+        q = self._slope() / g[None, :]
         w = rho * g[None, :] * self.ds * self.dt
         self.rho = rho
         P = 0.25 * w * (1.0 / g[None, :] ** 2 + q**2 / rho**2)
@@ -262,11 +263,13 @@ class Assembly:
         self._Ce = (C + np.roll(C, -1, axis=1)) * mu[:, None]
         # Outer boundary arclength weights for the dissipation integral.
         self.bw = np.sqrt(ro**2 + rop**2) * self.dt
-        self._rkp = rkp
-        self._rop = rop
-        # Metric of the polar map, used by the shell dilation law.
+        # Radial stretch r_O - r_K of the polar map, per angle.
         self.g = g
         self.outer_r = ro
+
+    def _slope(self) -> np.ndarray:
+        """a = (1-s) r_K' + s r_O' at every node: the polar map's d rho/d theta."""
+        return self._rkp + self.s[:, None] * (self._rop - self._rkp)
 
     # -- Dirichlet term ----------------------------------------------------
 
@@ -350,7 +353,7 @@ class Assembly:
         c = self.ds * self.dt
         s = self.s[:, None]
         rho, g = self.rho, self.g[None, :]
-        a = self._rkp + s * (self._rop - self._rkp)
+        a = self._slope()
         US, UT, V, W = self._edges(u)
         US2 = US * US
         EP = np.zeros_like(u)

@@ -337,8 +337,7 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     us[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3]) / ds
     ut = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * dt)
     g = asm.g[None, :]
-    rkp = asm._rkp
-    q = (rkp[None, :] + asm.s[:, None] * (asm._rop - rkp)[None, :]) / g
+    q = asm._slope() / g
     u_rho = us / g
     u_ang = (ut - q * us) / asm.rho
     grad = np.hypot(u_rho, u_ang)

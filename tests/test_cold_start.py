@@ -1,8 +1,8 @@
-"""Importing the package and running the CLI load no scipy.
+"""Importing the package, running the CLI and `volume_bound` load no scipy.
 
-scipy is imported only inside the functions that need it (`volume_bound`
-today).  The check runs in a fresh interpreter, because other test modules
-import scipy into the pytest process.
+No module under `src/` imports scipy; only the tests use it, as an
+independent oracle.  The check runs in a fresh interpreter, because other
+test modules import scipy into the pytest process.
 """
 
 import json
@@ -32,7 +32,8 @@ COMMANDS = {
 }
 
 # Runs in the fresh interpreter: argv[1] is the JSON command table.  Prints
-# one JSON line of [step, exit code, loaded scipy modules] records.
+# one JSON line of [step, exit code, loaded scipy modules] records; the last
+# step is a `volume_bound` call on a law with a jump.
 CHILD = """
 import contextlib, io, json, sys
 
@@ -45,6 +46,8 @@ for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(argv)
     records.append([name, code, scipy_modules()])
+thermoshield.volume_bound(thermoshield.Tabulated([(0, 0), (0.3, 0.1), (0.3, 0.5), (1, 1)]), 2)
+records.append(["volume_bound", 0, scipy_modules()])
 print(json.dumps(records))
 """
 
@@ -57,7 +60,7 @@ def test_import_and_cli_commands_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     records = json.loads(proc.stdout)
-    assert [r[0] for r in records] == ["import", *COMMANDS]
+    assert [r[0] for r in records] == ["import", *COMMANDS, "volume_bound"]
     for name, code, loaded in records:
         assert code == 0, f"{name}: exit code {code}\n{proc.stderr}"
         assert loaded == [], f"{name} loaded {loaded}"

@@ -1,6 +1,7 @@
 """Dissipation law evaluation, structural hypotheses, and regularization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,36 @@ ALL_LAWS = [
     Tabulated([(0, 0), (0.25, 0.1), (0.5, 0.1), (1, 2.0)]),
     Tabulated([(0, 0), (0, 0.5), (1, 1.5)]),
 ]
+
+# (law, whether the volume integral diverges): it does exactly when theta
+# vanishes at least quadratically at 0, so that t^(2n-1)/theta(t)^n is at
+# least of order 1/t there.
+ORACLE_LAWS = [
+    pytest.param(Convection(1.0), True, id="convection"),
+    pytest.param(Radiation(1.0), True, id="radiation"),
+    pytest.param(Linear(1.0), False, id="linear"),
+    pytest.param(Power(1.0, 0.5), False, id="power-0.5"),
+    pytest.param(Power(1.0, 1.0), False, id="power-1"),
+    pytest.param(Power(1.0, 1.5), False, id="power-1.5"),
+    pytest.param(Power(1.0, 3.0), True, id="power-3"),
+    pytest.param(SurfaceCost(0.3, 1.0, 2.0), False, id="surface-cost"),
+    pytest.param(SurfaceCost(1.0, 0.0, 1.0), False, id="surface-cost-flat"),
+    pytest.param(Tabulated([(0, 0), (0.25, 0.1), (0.5, 0.1), (1, 2.0)]), False, id="tabulated-kinked"),
+    pytest.param(Tabulated([(0, 0), (0.3, 0.1), (0.3, 0.5), (1, 1)]), False, id="tabulated-jump"),
+    pytest.param(epsilon_regularize(Radiation(1.0), 0.1), True, id="regularized-radiation"),
+]
+
+
+def _quad_integral(law, n):
+    """int_{1e-8}^1 t^(2n-1)/theta(t)^n dt by adaptive quadrature on each
+    decade, split at the knots of a tabulated law."""
+    knots = [u for u, _ in getattr(law, "knots", ())]
+    total = 0.0
+    for k in range(8):
+        lo, hi = 10.0 ** -(k + 1), 10.0**-k
+        points = [u for u in knots if lo < u < hi] or None
+        total += quad(lambda t: t ** (2 * n - 1) / law.value(t) ** n, lo, hi, points=points, limit=200)[0]
+    return total
 
 
 class TestEval:
@@ -202,6 +233,26 @@ class TestVolumeBound:
     def test_dimension_floor(self):
         with pytest.raises(ValueError):
             volume_bound(Power(1.0, 1.0), 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("law, diverges", ORACLE_LAWS)
+    def test_matches_quadrature(self, law, diverges, n):
+        # c_n = 1e12 lifts the integral term far above omega_n, so that the
+        # difference shows the integral's own error.
+        got = volume_bound(law, n, 1e12) - unit_ball_volume(n)
+        if diverges:
+            assert got == math.inf
+        else:
+            expected = 1e12 * hyp_theta_inf(law) ** (2 * n) * _quad_integral(law, n)
+            assert got == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("alpha", [3.0, 8.0, 20.0])
+    def test_steep_power_law_diverges_silently(self, alpha, n):
+        # At alpha = 20 theta(t)^n underflows near t = 1e-8.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert volume_bound(Power(1.0, alpha), n) == math.inf
 
 
 class TestFlatCriterion:
