@@ -23,13 +23,14 @@ is piecewise quadratic in the level), so it needs no level count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .annulus import Assembly, ScalarField, StarPair, _require_same_pair, _write_csv
-from .dissipation import Convection, DissipationLaw, unit_ball_volume
+from .dissipation import Convection, DissipationLaw, _require_finite, unit_ball_volume
 from .radial import gradient_ratio
 
 __all__ = [
@@ -77,6 +78,14 @@ class RadialReference:
     beta: float
     R: float
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, numbers.Integral) or self.n < 2:
+            raise ValueError(f"n must be an integer of at least 2, got {self.n!r}")
+        if not _require_finite("beta", self.beta) > 0.0:
+            raise ValueError(f"beta must be positive, got {self.beta!r}")
+        if not _require_finite("R", self.R) >= 1.0:
+            raise ValueError(f"R must be at least 1, got {self.R!r}")
+
 
 @dataclass(frozen=True)
 class HInequalityReport:
@@ -103,23 +112,6 @@ class HighCutoffReport:
 # Share of the value range below which `superlevel_areas` takes a piece as
 # a jump: its curvature would swamp the running sums.
 _JUMP_WIDTH = 1e-7
-
-
-class _Clip(NamedTuple):
-    """Triangles against one level t.  `full` marks those wholly above t.
-    For the triangles t cuts (`cut`), `corners` lists the vertex columns
-    from the vertex alone on its side of t (`above` if that side is above t)
-    on in cyclic order; `tau_b` and `tau_c` place the chord on the two edges
-    from that vertex, `frac` is the area fraction above t, `seg` the chord."""
-
-    full: np.ndarray
-    cut: np.ndarray
-    corners: np.ndarray
-    above: np.ndarray
-    tau_b: np.ndarray
-    tau_c: np.ndarray
-    frac: np.ndarray
-    seg: np.ndarray
 
 
 class _Triangulation:
@@ -163,54 +155,60 @@ class _Triangulation:
         gy = (ux1 * du2 - ux2 * du1) / det
         return gx * gx + gy * gy
 
-    def clip(self, t: float) -> _Clip:
-        """Clip every triangle against the level t of the linear interpolant."""
+    def superlevel(
+        self, t: float, density: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None
+    ):
+        """(weighted area, contour length, density line integral, density^2
+        weighted-area integral) of {u > t} for the linear interpolant.
+
+        Each triangle counts with its weight (by default its area) times the
+        share of its area above t, which is exact.  Density integrals use
+        vertex-mean values over the clipped polygon and the chord endpoints.
+        """
         d = self.vu - t
         pos = d > 0.0
         npos = pos.sum(axis=1)
         cut = np.flatnonzero((npos == 1) | (npos == 2))
+        full = npos == 3
+        # The lone vertex on its side of t comes first, the other two follow
+        # in cyclic order; `above` if that side is above t.
         above = npos[cut] == 1
         lone = np.argmax(pos[cut] == above[:, None], axis=1)
         corners = (lone[:, None] + np.arange(3)) % 3
         rows = cut[:, None]
         da, db, dc = d[rows, corners].T
+        del d, pos, npos  # full-size; the density integrals below make more
         tau_b = da / (da - db)
         tau_c = da / (da - dc)
         ax, bx, cx = self.vx[rows, corners].T
         ay, by, cy = self.vy[rows, corners].T
         seg = np.hypot(tau_b * (bx - ax) - tau_c * (cx - ax), tau_b * (by - ay) - tau_c * (cy - ay))
         corner = tau_b * tau_c
-        frac = np.where(above, corner, 1.0 - corner)
-        return _Clip(npos == 3, cut, corners, above, tau_b, tau_c, frac, seg)
-
-    def superlevel(self, t: float, density: Optional[np.ndarray] = None):
-        """(area, contour length, density line integral, density^2 area
-        integral) of {u > t} for the linear interpolant.
-
-        Partial triangle areas are exact; density integrals use vertex-mean
-        values over the clipped polygon and the chord endpoints.
-        """
-        c = self.clip(t)
-        part = self.tri_area[c.cut] * c.frac
-        area = float(np.sum(self.tri_area[c.full])) + float(np.sum(part))
-        line = float(np.sum(c.seg))
+        w = self.tri_area if weights is None else weights
+        part = w[cut] * np.where(above, corner, 1.0 - corner)
+        area = float(np.sum(w[full])) + float(np.sum(part))
+        line = float(np.sum(seg))
         if density is None:
             return area, line, 0.0, 0.0
-        full_sq = np.mean(density[c.full] ** 2, axis=1)
-        phi_area = float(np.sum(self.tri_area[c.full] * full_sq))
-        fa, fb, fc = density[c.cut[:, None], c.corners].T
-        fpb = fa + c.tau_b * (fb - fa)
-        fpc = fa + c.tau_c * (fc - fa)
-        phi_line = float(np.sum(c.seg * 0.5 * (fpb + fpc)))
+        full_sq = np.mean(density[full] ** 2, axis=1)
+        phi_area = float(np.sum(w[full] * full_sq))
+        fa, fb, fc = density[rows, corners].T
+        fpb = fa + tau_b * (fb - fa)
+        fpc = fa + tau_c * (fc - fa)
+        phi_line = float(np.sum(seg * 0.5 * (fpb + fpc)))
         # The part above t is the corner at the lone vertex or the
         # quadrilateral opposite it.
         mean_sq = np.where(
-            c.above,
+            above,
             (fa * fa + fpb * fpb + fpc * fpc) / 3.0,
             (fb * fb + fc * fc + fpb * fpb + fpc * fpc) / 4.0,
         )
         phi_area += float(np.sum(part * mean_sq))
         return area, line, phi_line, phi_area
+
+    def outer_above(self, t: float, weights: np.ndarray) -> float:
+        """Sum of the outer-row nodal weights where u > t."""
+        return float(np.sum(weights[self.values[-1] > t]))
 
     def superlevel_areas(self, t: np.ndarray) -> np.ndarray:
         """Area of {u > t} for the linear interpolant, at every entry of t.
@@ -224,14 +222,16 @@ class _Triangulation:
         piece narrower than `_JUMP_WIDTH` times the value range is a jump,
         which changes the area only for t strictly inside that piece.
         """
-        v = np.sort(self.vu, axis=1)
-        a, b, c = v.T
+        # The ranks of the node values among the distinct values x, sorted
+        # per triangle, are the break indices of the sorted vertex values.
+        x, rank = np.unique(self.values, return_inverse=True)
+        iv = np.sort(self.attach(rank.reshape(self.values.shape)), axis=1)
+        ia, ib, ic = iv.T
+        a, b, c = x[iv].T
         T = self.tri_area
         full = float(np.sum(T))
         jump = _JUMP_WIDTH * float(c.max() - a.min())
         wide1, wide2 = b - a > jump, c - b > jump
-        x = np.unique(v)
-        ia, ib, ic = (np.searchsorted(x, col) for col in (a, b, c))
 
         def at(i, w):
             return np.bincount(i, weights=w, minlength=len(x))
@@ -241,6 +241,7 @@ class _Triangulation:
             k2 = np.where(wide2, T / ((c - b) * (c - a)), 0.0)
             kink = np.where(wide1 != wide2, 2.0 * T / (c - a), 0.0)
             at_b = np.where(c > a, T * (c - b) / (c - a), 0.0)
+        del rank, a, b, c  # the sums below need only the break indices
         # Curvature -k1 on [a, b) and k2 on [b, c), split into multiples of
         # one power of two q, whose sums stay below 2**53 q and so are exact,
         # and remainders below q/2: a narrow piece's huge curvature then
@@ -278,6 +279,14 @@ def _check_levels(u: np.ndarray, n_levels: int, density: Optional[ScalarField]) 
         raise ValueError("density grid does not match the field grid")
 
 
+def _triangulate(field: ScalarField, pair: StarPair) -> Tuple[Assembly, _Triangulation]:
+    """The assembly of `pair` on the field's mesh and the triangulation of
+    the field over it.  A field of another pair raises `MeshMismatchError`."""
+    _require_same_pair(field, pair)
+    asm = Assembly(pair, field.mesh)
+    return asm, _Triangulation(asm, field.values)
+
+
 def _decompose(tri: _Triangulation, n_levels: int, density: Optional[np.ndarray]) -> LevelDecomposition:
     """`decompose_levels` of the field that `tri` triangulates, with nodal
     density values."""
@@ -285,11 +294,10 @@ def _decompose(tri: _Triangulation, n_levels: int, density: Optional[np.ndarray]
     dens = tri.attach(density) if density is not None else None
     per_level = np.array([tri.superlevel(float(t), dens) for t in levels]).reshape(-1, 4)
     area, interior, dline, darea = per_level.T
-    outer_row = tri.values[-1]
     return LevelDecomposition(
         levels=levels,
         interior_length=interior,
-        exterior_length=np.array([np.sum(tri.bw[outer_row > t]) for t in levels]),
+        exterior_length=np.array([tri.outer_above(t, tri.bw) for t in levels]),
         area=area,
         density_line=dline if dens is not None else None,
         density_sq_area=darea if dens is not None else None,
@@ -309,7 +317,7 @@ def decompose_levels(
     accumulated alongside the geometry.
     """
     _check_levels(field.values, n_levels, density)
-    tri = _Triangulation(Assembly(pair, field.mesh), field.values)
+    tri = _triangulate(field, pair)[1]
     return _decompose(tri, n_levels, density.values if density is not None else None)
 
 
@@ -328,6 +336,7 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     everywhere.  The result feeds the comparison functional as the density
     whose H value reproduces the energy.
     """
+    _require_same_pair(field, pair)
     asm = Assembly(pair, field.mesh)
     u = field.values
     ds, dt = asm.ds, asm.dt
@@ -364,7 +373,7 @@ def dearrangement(field: ScalarField, pair: StarPair, reference: RadialReference
     discrete level sets of the field by construction.
     """
     _check_not_constant(field.values)
-    tri = _Triangulation(Assembly(pair, field.mesh), field.values)
+    tri = _triangulate(field, pair)[1]
     return ScalarField(values=_dearranged(tri, pair, reference), mesh=field.mesh, pair=pair)
 
 
@@ -383,12 +392,10 @@ def h_inequality_check(
     The energy, the dearrangement and the level decomposition share one
     assembly and one triangulation of the field.
     """
-    _require_same_pair(field, pair)
     u = field.values
     _check_levels(u, n_levels, phi)
-    asm = Assembly(pair, field.mesh)
+    asm, tri = _triangulate(field, pair)
     energy = asm.breakdown(u, Convection(beta)).total
-    tri = _Triangulation(asm, u)
     del asm  # the triangulation holds all that is used below
     if phi is None:
         R_ref = math.sqrt(pair.outer.area() / math.pi)
@@ -424,19 +431,15 @@ def truncation_scan(
     """
     if n_thresholds < 1:
         raise ValueError("n_thresholds must be positive")
-    u = field.values
-    asm = Assembly(pair, field.mesh)
-    tri = _Triangulation(asm, u)
+    tri = _triangulate(field, pair)[1]
     dirich_each = tri.gradient_sq() * tri.tri_area
-    boundary_each = asm.bw * np.asarray(law.value(np.clip(u[-1], 0.0, 1.0)))
+    boundary_each = tri.bw * np.asarray(law.value(np.clip(field.values[-1], 0.0, 1.0)))
     thresholds = np.arange(n_thresholds) / n_thresholds
     energies = np.empty(n_thresholds)
     for k, t in enumerate(thresholds):
-        c = tri.clip(float(t))
-        dirich = float(np.sum(dirich_each[c.full]))
-        dirich += float(np.sum(dirich_each[c.cut] * c.frac))
-        crack = float(law.value(float(t))) * float(np.sum(c.seg))
-        boundary = float(np.sum(boundary_each[u[-1] > t]))
+        dirich, line = tri.superlevel(float(t), weights=dirich_each)[:2]
+        crack = float(law.value(float(t))) * line
+        boundary = tri.outer_above(t, boundary_each)
         energies[k] = dirich + crack + boundary
     reference = float(energies[0])
     k_best = int(np.argmin(energies))

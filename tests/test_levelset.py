@@ -162,6 +162,22 @@ class TestDearrangement:
         assert u[i, j1] == u[i, j2]
         assert phi.values[i, j1] == phi.values[i, j2]
 
+    @pytest.mark.parametrize(
+        "n, beta, R, name",
+        [
+            (1, 1.0, 2.0, "n"),
+            (2.0, 1.0, 2.0, "n"),
+            (2, -1.0, 2.0, "beta"),
+            (2, 0.0, 2.0, "beta"),
+            (2, math.nan, 2.0, "beta"),
+            (2, 1.0, 0.5, "R"),
+            (2, 1.0, math.inf, "R"),
+        ],
+    )
+    def test_reference_rejects_nonsense(self, n, beta, R, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            RadialReference(n, beta, R)
+
     def test_volume_matched_perturbed_pair_chain(self):
         # min_t H(t, phi) sits between the ball-pair energy (lower bound
         # from the transplant) and the pair energy (existence of a good t).
@@ -174,6 +190,22 @@ class TestDearrangement:
         ball = convection_energy(2, 1.0, 2.0).total
         assert rep.min_H >= ball * 0.98
         assert rep.min_H <= rep.energy * 1.02
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field, pair: decompose_levels(field, pair, 8),
+        nodal_gradient_ratio,
+        lambda field, pair: dearrangement(field, pair, RadialReference(2, 1.0, 3.0)),
+        lambda field, pair: truncation_scan(field, pair, Convection(1.0), 8),
+    ],
+    ids=["decompose_levels", "nodal_gradient_ratio", "dearrangement", "truncation_scan"],
+)
+def test_field_of_another_pair_rejected(solved_circles, call):
+    _, res = solved_circles
+    with pytest.raises(MeshMismatchError):
+        call(res.field, StarPair.circles(1.0, 3.0))
 
 
 class TestHInequality:
