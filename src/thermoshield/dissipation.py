@@ -7,11 +7,11 @@ convection (quadratic), radiation (quintic polynomial in the normalized
 temperature), constant-flux (linear), power laws, a surface-material cost
 with a jump at zero, and tabulated laws given by knots.
 
-Besides pointwise evaluation and differentiation, this module provides the
-structural quantities that decide which optimization regimes apply to a law:
-the infimum of ``theta(s/3)/theta(s)``, a volume threshold built from it,
-the flatness criterion at the hot end, and a quadratic regularization that
-makes any law behave like ``O(u^2)`` near zero.
+Besides evaluation and exact one-sided slopes (`jet`, `breakpoints`), this
+module provides the structural quantities that decide which optimization
+regimes apply to a law: the infimum of ``theta(s/3)/theta(s)``, a volume
+threshold built from it, the flatness criterion at the hot end, and a
+quadratic regularization that makes any law behave like ``O(u^2)`` near zero.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "SurfaceCost",
     "Tabulated",
     "FlatCriterion",
-    "NonDifferentiableError",
     "DegenerateLawError",
     "hyp_theta_inf",
     "volume_bound",
@@ -48,10 +47,6 @@ ArrayLike = Union[float, np.ndarray]
 _MONOTONE_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-class NonDifferentiableError(ValueError):
-    """The law has no derivative at the requested point (jump or cusp)."""
 
 
 class DegenerateLawError(ValueError):
@@ -74,13 +69,17 @@ def _check_domain(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DissipationLaw:
-    """Base class; concrete laws implement `_raw` on validated arrays.  Every
-    parameter annotated `float` must be a finite real number."""
+    """Base class; concrete laws implement `_raw` and `_jet` on validated
+    arrays.  Every parameter annotated `float` must be a finite positive
+    number, or nonnegative where its field's metadata says `may_vanish`."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
             if f.type == "float":
-                _require_finite(f.name, getattr(self, f.name))
+                value = _require_finite(f.name, getattr(self, f.name))
+                may_vanish = f.metadata.get("may_vanish", False)
+                if not (value >= 0.0 if may_vanish else value > 0.0):
+                    raise ValueError(f"{f.name} must be {'nonnegative' if may_vanish else 'positive'}")
         self._validate_params()
         grid = np.linspace(0.0, 1.0, 1024)
         vals = self._raw(grid)
@@ -103,9 +102,30 @@ class DissipationLaw:
         out = self._raw(arr)
         return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
 
-    def derivative(self, u: float) -> float:
-        """Derivative theta'(u); one-sided at the interval ends."""
-        raise NotImplementedError
+    def jet(self, u: ArrayLike) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Left slope theta'(u-), right slope theta'(u+) and curvature
+        theta''(u), arrays of u's shape.  A jump or a cusp has slope +inf on
+        that side: `SurfaceCost` and `Power` with alpha < 1 at 0 from the
+        right, and every `Tabulated` jump.  At 0 and at 1 the side outside
+        [0, 1] repeats the inside one, so the left slope at 1 is theta'(1).
+        A `Tabulated` law has slope 0 beyond its last knot and curvature 0."""
+        x = _check_domain(np.asarray(u, dtype=float))
+        with np.errstate(divide="ignore", over="ignore"):
+            left, right, bend = self._jet(x)
+        return np.where(x > 0.0, left, right), np.where(x < 1.0, right, left), bend
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """Sorted points where the law may jump or kink: 0 and 1 here."""
+        return np.array([0.0, 1.0])
+
+
+def _power_jet(c: float, alpha: float, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The jet of c u^alpha; a linear term's curvature is 0, also at 0."""
+    if c == 0.0 or alpha == 1.0:
+        return np.full_like(u, c), np.full_like(u, c), np.zeros_like(u)
+    slope = c * alpha * np.power(u, alpha - 1.0)
+    return slope, slope, c * alpha * (alpha - 1.0) * np.power(u, alpha - 2.0)
 
 
 @dataclass(frozen=True)
@@ -114,16 +134,11 @@ class Convection(DissipationLaw):
 
     beta: float
 
-    def _validate_params(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
-
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.beta * u * u
 
-    def derivative(self, u: float) -> float:
-        _check_domain(np.asarray(u, dtype=float))
-        return 2.0 * self.beta * u
+    def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return 2.0 * self.beta * u, 2.0 * self.beta * u, np.full_like(u, 2.0 * self.beta)
 
 
 @dataclass(frozen=True)
@@ -137,18 +152,14 @@ class Radiation(DissipationLaw):
 
     gamma: float
 
-    def _validate_params(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-
     def _raw(self, u: np.ndarray) -> np.ndarray:
         g = self.gamma
         return u * u * (2 * g**3 + u * (2 * g**2 + u * (g + u / 5.0)))
 
-    def derivative(self, u: float) -> float:
-        _check_domain(np.asarray(u, dtype=float))
+    def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         g = self.gamma
-        return u * (4 * g**3 + u * (6 * g**2 + u * (4 * g + u)))
+        slope = u * (4 * g**3 + u * (6 * g**2 + u * (4 * g + u)))
+        return slope, slope, 4 * g**3 + u * (12 * g**2 + u * (12 * g + 4 * u))
 
 
 @dataclass(frozen=True)
@@ -157,16 +168,11 @@ class Linear(DissipationLaw):
 
     c: float
 
-    def _validate_params(self) -> None:
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * u
 
-    def derivative(self, u: float) -> float:
-        _check_domain(np.asarray(u, dtype=float))
-        return self.c
+    def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return np.full_like(u, self.c), np.full_like(u, self.c), np.zeros_like(u)
 
 
 @dataclass(frozen=True)
@@ -176,22 +182,11 @@ class Power(DissipationLaw):
     c: float
     alpha: float
 
-    def _validate_params(self) -> None:
-        if self.c <= 0 or self.alpha <= 0:
-            raise ValueError("c and alpha must be positive")
-
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * np.power(u, self.alpha)
 
-    def derivative(self, u: float) -> float:
-        _check_domain(np.asarray(u, dtype=float))
-        if u == 0.0:
-            if self.alpha > 1.0:
-                return 0.0
-            if self.alpha == 1.0:
-                return self.c
-            raise NonDifferentiableError("power law with alpha < 1 has a cusp at 0")
-        return self.c * self.alpha * u ** (self.alpha - 1.0)
+    def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _power_jet(self.c, self.alpha, u)
 
 
 @dataclass(frozen=True)
@@ -203,25 +198,16 @@ class SurfaceCost(DissipationLaw):
     """
 
     c1: float
-    c2: float
+    c2: float = field(metadata={"may_vanish": True})
     alpha: float
-
-    def _validate_params(self) -> None:
-        if self.c1 <= 0:
-            raise ValueError("c1 must be positive")
-        if self.c2 < 0 or self.alpha <= 0:
-            raise ValueError("c2 must be nonnegative, alpha positive")
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return np.where(u > 0.0, self.c1 + self.c2 * np.power(u, self.alpha), 0.0)
 
-    def derivative(self, u: float) -> float:
-        _check_domain(np.asarray(u, dtype=float))
-        if u == 0.0:
-            raise NonDifferentiableError("surface-cost law jumps at u = 0")
-        if self.c2 == 0.0:
-            return 0.0
-        return self.c2 * self.alpha * u ** (self.alpha - 1.0)
+    def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        slope, _, bend = _power_jet(self.c2, self.alpha, u)
+        slope = np.where(u > 0.0, slope, np.inf)
+        return slope, slope, bend
 
 
 @dataclass(frozen=True)
@@ -276,16 +262,30 @@ class Tabulated(DissipationLaw):
         if np.any(mid):
             hi = idx[mid]
             lo = hi - 1
-            span = us[hi] - us[lo]
-            frac = np.where(span > 0, (x[mid] - us[lo]) / np.where(span > 0, span, 1.0), 0.0)
+            frac = (x[mid] - us[lo]) / (us[hi] - us[lo])  # us[lo] < x < us[hi]
             out[mid] = vs[lo] + frac * (vs[hi] - vs[lo])
         return out.reshape(np.shape(u))
 
-    def derivative(self, u: float) -> float:
-        _check_domain(np.asarray(u, dtype=float))
-        lo = max(0.0, u - 1e-6)
-        hi = min(1.0, u + 1e-6)
-        return (self.value(hi) - self.value(lo)) / (hi - lo)
+    def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        us, vs, du = self._us, self._vs, np.diff(self._us)
+        # Chord slope of each knot interval, and 0 beyond the last knot.
+        chord = np.append(np.divide(np.diff(vs), du, out=np.zeros_like(du), where=du > 0.0), 0.0)
+        first, after = np.searchsorted(us, u, side="left"), np.searchsorted(us, u, side="right")
+        # A knot takes its first knot's value: it jumps where its last one is higher.
+        jump = (first < after) & (vs[after - 1] > vs[np.minimum(first, len(us) - 1)])
+        return chord[first - 1], np.where(jump, np.inf, chord[after - 1]), np.zeros_like(u)
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """0, 1 and the knots where the law jumps or its slope changes by more
+        than rounding the knot values can: collinear knots are no kinks."""
+        x = np.unique(np.append(self._us, 1.0))
+        left, right, _ = self.jet(x[1:-1])
+        v, gap = np.abs(self.value(x)), np.diff(x)
+        noise = 8 * np.finfo(float).eps * np.maximum(v[1:-1], v[2:]) * (1 / gap[:-1] + 1 / gap[1:])
+        # Infinite slopes (jumps) are tested apart: no scale applies to them.
+        kink = np.isinf(right) | (np.abs(right - left) > noise)
+        return np.concatenate([[0.0], x[1:-1][kink], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -331,8 +331,8 @@ def volume_bound(law: DissipationLaw, n: int, c_n: float = 1.0) -> float:
     Budgets below this threshold guarantee the insulation problem is
     well-posed for the law.  The integral runs over [1e-8, 1] decade by
     decade, with a fixed composite Gauss-Legendre rule: 20 nodes on each of
-    64 log-uniform panels per decade, and the knots of a tabulated law as
-    extra panel edges, so that no panel straddles a kink or a jump.  When a
+    64 log-uniform panels per decade, and the law's breakpoints as extra
+    panel edges, so that no panel straddles a kink or a jump.  When a
     decade's contribution is infinite, or the contributions do not decay
     near zero, the integral diverges and +inf is returned (any budget is
     then admissible).  c_n is a dimensional constant left to the caller.
@@ -346,18 +346,23 @@ def volume_bound(law: DissipationLaw, n: int, c_n: float = 1.0) -> float:
     cuts = grid[::64]  # 1e-8, 1e-7, ..., 1
     if np.any(law.value(cuts) == 0.0):
         return math.inf
-    knots = law._us if isinstance(law, Tabulated) else grid
+    knots = law.breakpoints
     edges = np.union1d(grid, knots[(knots > grid[0]) & (knots < 1.0)])
-    half = 0.5 * np.diff(edges)
     nodes, weights = np.polynomial.legendre.leggauss(20)
-    t = (edges[:-1] + half)[:, None] + half[:, None] * nodes
-    # t^(2n-1)/theta^n as (t^2/theta)^n / t, which has no 0/0 where both
-    # powers underflow; an overflow makes its panel infinite.
-    with np.errstate(divide="ignore", over="ignore"):
-        f = (t * t / law.value(t)) ** n / t
-    panels = half * np.sum(f * weights, axis=1)
+    panels = []
+    # One decade's nodes at a time: a law with thousands of knots would
+    # otherwise put all of them through one evaluation.
+    at = np.searchsorted(edges, cuts)
+    for e in (edges[a : b + 1] for a, b in zip(at[:-1], at[1:])):
+        half = 0.5 * np.diff(e)
+        t = (e[:-1] + half)[:, None] + half[:, None] * nodes
+        # t^(2n-1)/theta^n as (t^2/theta)^n / t, which has no 0/0 where both
+        # powers underflow; an overflow makes its panel infinite.
+        with np.errstate(divide="ignore", over="ignore"):
+            f = (t * t / law.value(t)) ** n / t
+        panels.append(half * np.sum(f * weights, axis=1))
     decade = np.searchsorted(cuts, edges[:-1], side="right") - 1
-    pieces = np.bincount(decade, weights=panels, minlength=8)  # [1e-8, 1e-7] first
+    pieces = np.bincount(decade, weights=np.concatenate(panels), minlength=8)  # [1e-8, 1e-7] first
     total = float(np.sum(pieces))
     # Harmonic-or-worse decay near zero means the integral diverges.
     if total == math.inf or np.any((pieces[:-1] >= 0.8 * pieces[1:]) & (pieces[:-1] > 0.0)):
@@ -370,7 +375,7 @@ def flat_criterion(law: DissipationLaw, n: int) -> FlatCriterion:
     optimal for volume budgets close to the bare body."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    d1 = law.derivative(1.0)
+    d1 = float(law.jet(1.0)[0])
     t1 = law.value(1.0)
     ratio = d1 * d1 / t1 if t1 > 0.0 else 0.0
     bound = 4.0 * (n - 1)

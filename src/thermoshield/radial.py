@@ -440,7 +440,7 @@ def perturbation_expansion(n: int, law: DissipationLaw, eps: float) -> Perturbat
     _check_dim(n)
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
-    d1 = law.derivative(1.0)
+    d1 = float(law.jet(1.0)[0])
     t1 = law.value(1.0)
     arg = 1.0 - 0.5 * d1 * eps
     if arg < 0.0:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermoshield.annulus import (
+    Assembly,
     ConvergenceError,
     FourierShape,
     GeometryError,
@@ -19,7 +20,7 @@ from thermoshield.annulus import (
     scale_field,
     solve_state,
 )
-from thermoshield.dissipation import Convection, Radiation, Tabulated
+from thermoshield.dissipation import Convection, Power, Radiation, SurfaceCost, Tabulated
 from thermoshield.radial import convection_energy, general_radial_energy
 
 ZERO_LAW = Tabulated([(0, 0), (1, 0)])
@@ -133,8 +134,6 @@ class TestSolverInvariants:
         )
         assert np.all(interior <= stacks.max(axis=0) + 1e-6)
         assert np.all(interior >= stacks.min(axis=0) - 1e-6)
-        from thermoshield.annulus import Assembly
-
         g = Assembly(pair, res.field.mesh).evaluate(u, Convection(1.0))[1]
         assert np.abs(g[1:-1]).max() < 1e-6
 
@@ -165,6 +164,37 @@ class TestSolverInvariants:
             solve_state(
                 perturbed_pair(), Convection(1.0), Mesh(33, 128), u0=np.ones((5, 5))
             )
+
+
+class TestResidual:
+    PAIR = StarPair(FourierShape([1, 0, 0, 0.05, 0]), FourierShape([2, 0, 0, 0, 0.12]))
+    MESH = Mesh(33, 128)
+
+    @pytest.mark.parametrize(
+        "law", [Convection(1.0), Radiation(1.0), SurfaceCost(0.3, 1.0, 1.0), SurfaceCost(0.3, 1.0, 2.0)]
+    )
+    def test_solves_read_stationary(self, law):
+        res = solve_state(self.PAIR, law, self.MESH)
+        # The bound of the benchmark's stationarity check.
+        assert 0.0 <= res.residual <= 3e-5
+        assert res.residual == Assembly(self.PAIR, self.MESH).residual(res.field.values, law)
+
+    def test_raised_node_reads_unstationary(self):
+        law = Convection(1.0)
+        u = solve_state(self.PAIR, law, self.MESH).field.values.copy()
+        u[10, 5] += 0.01
+        assert Assembly(self.PAIR, self.MESH).residual(u, law) > 1e-3
+
+    def test_outer_row_at_zero_under_cusp_is_held(self):
+        # The right slope of Power(1, 0.5) at 0 is infinite, so no outer node
+        # at 0 can move up; under convection the same row wants to.
+        asm = Assembly(self.PAIR, self.MESH)
+        u = solve_state(self.PAIR, Convection(1.0), self.MESH).field.values.copy()
+        u[-1] = 0.0
+        g = asm.dirichlet(u)[1][1:-1]
+        inner = float(np.max(np.where(g > 0.0, g * (u[1:-1] > 0.0), -g * (u[1:-1] < 1.0))))
+        assert asm.residual(u, Power(1.0, 0.5)) == inner
+        assert asm.residual(u, Convection(1.0)) > inner
 
 
 class TestScaleField:

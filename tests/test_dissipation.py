@@ -11,7 +11,6 @@ from thermoshield.dissipation import (
     Convection,
     DegenerateLawError,
     Linear,
-    NonDifferentiableError,
     Power,
     Radiation,
     SurfaceCost,
@@ -148,37 +147,91 @@ class TestEval:
 
 
 class TestDerivative:
+    """Exact one-sided slopes and curvature from `jet`."""
+
     def test_convection(self):
-        assert Convection(2.0).derivative(0.5) == pytest.approx(2.0)
+        left, right, bend = Convection(2.0).jet(0.5)
+        assert left == right == 2.0
+        assert bend == 4.0
 
     def test_radiation_at_one(self):
-        # 1 + 4 gamma + 6 gamma^2 + 4 gamma^3 at gamma = 1
-        assert Radiation(1.0).derivative(1.0) == pytest.approx(15.0)
+        # 1 + 4 gamma + 6 gamma^2 + 4 gamma^3 at gamma = 1; the right slope
+        # at 1 repeats the left one.
+        left, right, _ = Radiation(1.0).jet(1.0)
+        assert left == right == 15.0
 
-    def test_surface_cost_jump_raises(self):
-        with pytest.raises(NonDifferentiableError):
-            SurfaceCost(1.0, 1.0, 1.0).derivative(0.0)
+    def test_surface_cost_jump_infinite_slope(self):
+        left, right, _ = SurfaceCost(1.0, 1.0, 1.0).jet(np.array([0.0, 0.5]))
+        assert right[0] == math.inf and left[0] == math.inf
+        assert left[1] == right[1] == 1.0
 
-    def test_power_cusp_raises(self):
-        with pytest.raises(NonDifferentiableError):
-            Power(1.0, 0.5).derivative(0.0)
+    def test_power_cusp_infinite_slope(self):
+        left, right, _ = Power(1.0, 0.5).jet(0.0)
+        assert right == math.inf and left == math.inf
 
     def test_linear_constant(self):
-        assert Linear(3.0).derivative(0.0) == 3.0
-        assert Linear(3.0).derivative(1.0) == 3.0
+        left, right, bend = Linear(3.0).jet(np.array([0.0, 1.0]))
+        assert np.all(left == 3.0) and np.all(right == 3.0)
+        assert np.all(bend == 0.0)
 
-    def test_tabulated_finite_difference(self):
-        law = Tabulated([(0, 0), (1.0, 2.0)])
-        assert law.derivative(0.5) == pytest.approx(2.0, rel=1e-6)
-        assert law.derivative(0.0) == pytest.approx(2.0, rel=1e-6)
-        assert law.derivative(1.0) == pytest.approx(2.0, rel=1e-6)
+    def test_tabulated_exact_slope(self):
+        left, right, bend = Tabulated([(0, 0), (1.0, 2.0)]).jet(np.array([0.0, 0.5, 1.0]))
+        assert np.all(left == 2.0) and np.all(right == 2.0)
+        assert np.all(bend == 0.0)
 
     @pytest.mark.parametrize("law", [Convection(0.7), Radiation(0.4), Power(2.0, 2.5)])
     def test_matches_finite_difference(self, law):
         h = 1e-7
         for u in (0.2, 0.5, 0.9):
             fd = (law.value(u + h) - law.value(u - h)) / (2 * h)
-            assert law.derivative(u) == pytest.approx(fd, rel=1e-5)
+            left, right, bend = law.jet(u)
+            assert left == right == pytest.approx(fd, rel=1e-5)
+            second = (law.value(u + 1e-4) - 2 * law.value(u) + law.value(u - 1e-4)) / 1e-8
+            assert bend == pytest.approx(second, rel=1e-5)
+
+
+class TestBreakpoints:
+    def test_smooth_laws_end_points_only(self):
+        for law in (Convection(1.0), Radiation(1.0), Power(1.0, 0.5), SurfaceCost(0.3, 1.0, 2.0)):
+            assert np.array_equal(law.breakpoints, [0.0, 1.0])
+
+    def test_tabulated_jump(self):
+        law = Tabulated([(0, 0), (0.3, 0.1), (0.3, 0.5), (1, 1)])
+        assert np.array_equal(law.breakpoints, [0.0, 0.3, 1.0])
+        # The jump has an infinite right slope; the left one is the chord's.
+        left, right, _ = law.jet(0.3)
+        assert right == math.inf
+        assert left == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+    def test_tabulated_kink_and_flat_tail(self):
+        law = Tabulated([(0, 0), (0.5, 1.0)])
+        assert np.array_equal(law.breakpoints, [0.0, 0.5, 1.0])
+        left, right, _ = law.jet(np.array([0.5, 0.75, 1.0]))
+        assert np.array_equal(left, [2.0, 0.0, 0.0])
+        assert np.array_equal(right, [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_collinear_knot_dropped(self, n):
+        law = Tabulated([(0, 0), (0.2, 0.1), (0.5, 0.25), (1, 1)])
+        assert np.array_equal(law.breakpoints, [0.0, 0.5, 1.0])
+        plain = Tabulated([(0, 0), (0.5, 0.25), (1, 1)])
+        assert volume_bound(law, n) == pytest.approx(volume_bound(plain, n), rel=1e-13)
+
+    def test_regularized_linear_keeps_only_real_kinks(self):
+        # Knots on the quadratic branch, and the first on the affine branch
+        # u + eps, are kinks; knots between two affine neighbours are not.
+        eps = 0.1
+        reg = epsilon_regularize(Linear(1.0), eps)
+        u = np.array([k for k, _ in reg.knots])
+        curved = (1.0 + eps) * (u / eps) ** 2 < u + eps
+        kink = curved[1:-1] | curved[:-2]
+        expected = np.concatenate([[0.0], u[1:-1][kink], [1.0]])
+        assert np.array_equal(reg.breakpoints, expected)
+        assert len(u) == 7169 and len(expected) == 4905
+
+    def test_regularized_radiation_keeps_every_knot(self):
+        reg = epsilon_regularize(Radiation(1.0), 0.1)
+        assert np.array_equal(reg.breakpoints, [k for k, _ in reg.knots])
 
 
 class TestHypThetaInf:
@@ -278,7 +331,7 @@ class TestFlatCriterion:
         assert fc.flat_optimal_for_small_M
 
     def test_propagates_nondifferentiable(self):
-        # Differentiable at 1, jump only at 0: no error.
+        # The jump at 0 leaves the slope at 1 finite.
         fc = flat_criterion(SurfaceCost(1.0, 1.0, 1.0), 2)
         assert fc.ratio == pytest.approx(1.0 / 2.0)
 
