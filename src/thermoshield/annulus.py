@@ -6,13 +6,12 @@ between them maps onto the (s, theta) unit rectangle; the temperature is
 discretized on a structured grid there, the Dirichlet energy is assembled
 with bilinear elements and corner (trapezoid) quadrature of the mapped
 gradient, and the boundary dissipation uses the trapezoid rule with the
-arclength weight.  One matrix-free stencil gives the Dirichlet energy and
-gradient, one law call the boundary term's energy and difference quotients.
-The state is the minimizer of this discrete energy over nodal values
-clamped to [0, 1] with the inner row pinned to 1, found by a projected
-nonlinear conjugate-gradient iteration that evaluates each trial point
-once; for a quadratic law the iteration reduces to linear CG with exact
-steps.
+arclength weight.  One matrix-free stencil gives the Dirichlet energy,
+gradient and Hessian products; the law enters through its values and exact
+one-sided slopes (`DissipationLaw.jet`).  The state is the minimizer of
+this discrete energy over nodal values clamped to [0, 1] with the inner row
+pinned to 1, found by a projected Newton iteration that stops on a
+reported residual (`solve_state`).
 
 Contact between the two boundaries is excluded by a minimum gap: the
 touching configuration is handled analytically by the radial formulas, and
@@ -51,9 +50,12 @@ __all__ = [
 GAP_MIN = 1e-3
 # Angles at which a pair's positivity and gap are checked.
 _CHECK_THETA = np.arange(1024) * (2.0 * math.pi / 1024)
-# Steps of the boundary law's slope and second difference.
-_SLOPE_STEP = 1e-7
-_BEND_STEP = 1e-4
+# Rounding floor of the state solver's residual, per unit of the largest
+# Dirichlet stiffness; the relative size of a rounding-level energy change;
+# and the Armijo constant.
+_FLOOR = 4.0 * np.finfo(float).eps
+_ROUNDING = 1e3 * np.finfo(float).eps
+_ARMIJO = 1e-4
 
 
 class GeometryError(ValueError):
@@ -234,8 +236,9 @@ class SolveResult:
 
 class Assembly:
     """Precomputed geometry and the discrete energy for one (pair, mesh):
-    one Dirichlet stencil (`dirichlet`), one law call for the boundary term
-    (`_boundary`), both at once (`evaluate`), and the shape gradient."""
+    one Dirichlet stencil (`dirichlet`), the boundary term (`_boundary`),
+    the energy's one-sided slopes and their residual (`residual`), and the
+    shape gradient."""
 
     def __init__(self, pair: StarPair, mesh: Mesh):
         self.pair = pair
@@ -309,18 +312,25 @@ class Assembly:
 
     # -- boundary term -----------------------------------------------------
 
-    def _boundary(self, u: np.ndarray, law: DissipationLaw) -> Tuple[float, np.ndarray, np.ndarray]:
-        """Boundary energy, its outer-row gradient (a slope clamped to
-        [0, 1]) and the law's second difference there, from one law call."""
-        ub = u[-1]
-        hi = np.minimum(ub + _SLOPE_STEP, 1.0)
-        lo = np.maximum(ub - _SLOPE_STEP, 0.0)
-        b0 = np.clip(ub - _BEND_STEP, 0.0, 1.0 - 2 * _BEND_STEP)
-        v = law.value(np.stack([ub, hi, lo, b0, b0 + _BEND_STEP, b0 + 2 * _BEND_STEP]))
-        energy = float(np.sum(self.bw * v[0]))
-        slope = self.bw * (v[1] - v[2]) / (hi - lo)
-        bend = (v[5] - 2.0 * v[4] + v[3]) / _BEND_STEP**2
-        return energy, slope, bend
+    def _boundary(self, u: np.ndarray, law: DissipationLaw) -> float:
+        """Boundary energy: the arclength-weighted law on the outer row."""
+        return float(np.sum(self.bw * law.value(u[-1])))
+
+    def _one_sided(
+        self, u: np.ndarray, g: np.ndarray, law: DissipationLaw
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The energy's one-sided partial derivatives at every node of u,
+        down = g + bw theta'(u-) and up = g + bw theta'(u+) (g is the
+        Dirichlet gradient, the law term is on the outer row only), and the
+        outer row's law curvature.  The box [0, 1] counts as an infinite
+        slope outside it: down is -inf where u = 0, up is +inf where u = 1."""
+        left, right, bend = law.jet(u[-1])
+        down, up = g.copy(), g.copy()
+        down[-1] += self.bw * left
+        up[-1] += self.bw * right
+        down[u <= 0.0] = -np.inf
+        up[u >= 1.0] = np.inf
+        return down, up, bend
 
     def residual(self, u: np.ndarray, law: DissipationLaw) -> float:
         """Largest first-order energy decrease per unit move of any one node
@@ -333,31 +343,15 @@ class Assembly:
         `perfbench/workloads.stationarity_residual` checks the same
         condition with two differences: at a cusp this uses the exact
         infinite slope where the benchmark uses a 1e-7 secant, and at a
-        concave kink this counts both directions of descent.  The solver
-        reports this value but still stops on the energy decrease."""
-        g = self.dirichlet(u)[1]
-        left, right, _ = law.jet(u[-1])
-        down, up = g.copy(), -g
-        down[-1] += self.bw * left
-        up[-1] -= self.bw * right
-        down, up = np.where(u > 0.0, down, 0.0), np.where(u < 1.0, up, 0.0)
-        return max(float(np.max(down[1:])), float(np.max(up[1:])), 0.0)
-
-    # -- total energy ------------------------------------------------------
-
-    def evaluate(self, u: np.ndarray, law: DissipationLaw) -> Tuple[float, np.ndarray, np.ndarray]:
-        """Energy at u, its gradient (zero on the pinned inner row) and the
-        law's second difference on the outer row (see `_boundary`)."""
-        e_dir, grad = self.dirichlet(u)
-        e_bd, slope, bend = self._boundary(u, law)
-        grad[-1] += slope
-        grad[0] = 0.0
-        return e_dir + e_bd, grad, bend
+        concave kink this counts both directions of descent.  `solve_state`
+        stops on this value."""
+        down, up, _ = self._one_sided(u, self.dirichlet(u)[1], law)
+        return _largest_descent(down, up)
 
     # -- shape sensitivity -------------------------------------------------
 
     def shape_gradient(self, u: np.ndarray, law: DissipationLaw) -> Tuple[np.ndarray, np.ndarray]:
-        """Gradient of the energy `evaluate(u, law)[0]` with respect to the
+        """Gradient of the energy `breakdown(u, law).total` with respect to the
         Fourier coefficients of the inner and of the outer boundary, at
         fixed nodal values u.
 
@@ -417,36 +411,96 @@ class Assembly:
         trace = float(np.sum(self.bw * u[-1]) / np.sum(self.bw))
         return EnergyBreakdown(
             dirichlet=self.dirichlet(u)[0],
-            boundary=self._boundary(u, law)[0],
+            boundary=self._boundary(u, law),
             penalty=0.0,
             trace=trace,
         )
 
 
-def _project_gradient(g: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Zero, in place, the gradient components that push against an active
-    clamp."""
-    g[(u <= 0.0) & (g > 0.0)] = 0.0
-    g[(u >= 1.0) & (g < 0.0)] = 0.0
-    return g
+def _largest_descent(down: np.ndarray, up: np.ndarray) -> float:
+    """`Assembly.residual` from the one-sided slopes of `Assembly._one_sided`."""
+    return max(float(np.max(down[1:])), -float(np.min(up[1:])), 0.0)
+
+
+class _ModeSolver:
+    """Inverse of the theta-average of the Newton operator with Q dropped,
+    the preconditioner of `solve_state`.  Averaged over theta the operator
+    is circulant in theta, so in each rFFT mode k rows 1..n_s-1 form one
+    symmetric tridiagonal system: couplings -pe_i, diagonal
+    pe_{i-1} + pe_i + ce_i (2 - 2 cos(2 pi k / n_theta)) (no pe_i on the
+    outer row), where pe = 2 mean(_Pe)/ds^2 and ce = 2 mean(_Ce)/dt^2 per
+    row.  The Thomas pivots of all modes are computed once per assembly;
+    only the outer one depends on the law's curvature.  On concentric
+    circles without a law term this is the exact inverse."""
+
+    def __init__(self, asm: Assembly):
+        n_t = asm.mesh.n_theta
+        pe = 2.0 * np.mean(asm._Pe, axis=1) / asm.ds**2
+        ce = 2.0 * np.mean(asm._Ce[1:], axis=1) / asm.dt**2
+        wave = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(n_t // 2 + 1) / n_t)
+        diag = (pe + np.append(pe[1:], 0.0))[:, None] + ce[:, None] * wave
+        self.off = -pe[1:]
+        self.sup = np.empty_like(diag)
+        self.piv = diag.copy()
+        for i in range(1, len(diag)):
+            self.sup[i - 1] = self.off[i - 1] / self.piv[i - 1]
+            self.piv[i] -= self.off[i - 1] * self.sup[i - 1]
+        self.outer = self.piv[-1].copy()
+
+    def set_curvature(self, c: float) -> None:
+        """Add c to the outer row's diagonal."""
+        self.piv[-1] = self.outer + c
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        x = np.fft.rfft(r[1:], axis=1)
+        x[0] /= self.piv[0]
+        for i in range(1, len(x)):
+            x[i] = (x[i] - self.off[i - 1] * x[i - 1]) / self.piv[i]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] -= self.sup[i] * x[i + 1]
+        z = np.zeros_like(r)
+        z[1:] = np.fft.irfft(x, n=r.shape[1], axis=1)
+        return z
 
 
 def solve_state(
     pair: StarPair,
     law: DissipationLaw,
     mesh: Optional[Mesh] = None,
-    tol: float = 1e-10,
+    tol: float = 1e-9,
     max_iters: int = 20000,
     u0: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """Minimize the discrete insulation energy over admissible temperatures.
 
-    Starts from the constant 1 state (or a caller-supplied warm start),
-    iterates projected Polak-Ribiere conjugate gradients with steps sized by
-    the exact quadratic curvature along the search direction plus an Armijo
-    backtracking guard, and stops once the relative energy decrease falls
-    below `tol` on consecutive iterations.  Clamping keeps nodal values in
-    [0, 1]; the inner row stays pinned at 1.
+    Projected Newton (Bertsekas 1982) in its primal-dual active-set reading
+    (Hintermueller, Ito & Kunisch 2002), on nodal values in [0, 1] with the
+    inner row pinned at 1.  It starts from the constant 1 state, or from a
+    caller's warm start with values below 1e-12 snapped to 0, and reads the
+    law only through `value`, `jet` and `breakpoints`:
+
+    - A node on a clamp, or an outer node on a law breakpoint, is held where
+      its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.
+    - On the free nodes the Newton system is the Dirichlet Hessian plus the
+      law's curvature, clipped at 0, on the outer row; it is solved by
+      preconditioned CG (`_ModeSolver`) to the relative accuracy
+      min(0.1, sqrt(residual)).  A free node whose step points to a side
+      where the energy rises does not move.
+    - Each outer node stops at the first breakpoint it reaches and interior
+      nodes are clipped to [0, 1].  Armijo backtracking guards the energy;
+      a full step is doubled while the energy keeps falling, and a step
+      whose predicted decrease is at rounding level is taken as it is.
+    - At a stationary point, single-node moves of the outer row to every
+      breakpoint and to the Dirichlet-only minimizer are tried with exact
+      law values; the improving ones are applied (all at once, or the best
+      alone) and Newton resumes.
+
+    It stops when `Assembly.residual` is at most `tol` (absolute), or at
+    most the rounding floor of the gradient, 4 eps (max _Pe/ds^2 +
+    max _Ce/dt^2), where that is larger; `SolveResult.residual` reports the
+    value.  `iterations` counts Newton steps; `ConvergenceError` is raised
+    after `max_iters` of them.  For a convex law the minimizer is unique;
+    for a nonconvex one the result is a local minimum.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -458,70 +512,111 @@ def solve_state(
     else:
         if u0.shape != (n_s, n_t):
             raise MeshMismatchError("warm start has the wrong shape")
-        u = np.clip(u0, 0.0, 1.0).copy()
+        u = np.clip(u0, 0.0, 1.0)
+        u[u < 1e-12] = 0.0
     u[0] = 1.0
+    stop = max(tol, _FLOOR * (np.max(asm._Pe) / asm.ds**2 + np.max(asm._Ce) / asm.dt**2))
+    breaks = law.breakpoints
+    # Diagonal of the Dirichlet Hessian on the outer row.
+    diag = 2.0 * asm._Pe[-1] / asm.ds**2 + 2.0 * (asm._Ce[-1] + np.roll(asm._Ce[-1], 1)) / asm.dt**2
+    precond = _ModeSolver(asm)
 
-    energy, g, bend = asm.evaluate(u, law)
-    g = _project_gradient(g, u)
-    d = -g
-    gg = float(np.sum(g * g))
-    stagnant = 0
-    iterations = 0
-    converged = gg == 0.0
-    while not converged and iterations < max_iters:
-        iterations += 1
-        gd = float(np.sum(g * d))
-        if gd >= 0.0:
-            d = -g
-            gd = -gg
-            if gd == 0.0:
-                converged = True
+    def energy(v: np.ndarray) -> Tuple[float, np.ndarray]:
+        e_dir, grad = asm.dirichlet(v)
+        return e_dir + asm._boundary(v, law), grad
+
+    e, g = energy(u)
+    steps = 0
+    while True:
+        down, up, bend = asm._one_sided(u, g, law)
+        residual = _largest_descent(down, up)
+        rounding = _ROUNDING * abs(e)
+        if residual <= stop:
+            # Escape test: the best single-node move of each outer node.
+            ub, gb = u[-1], g[-1]
+            cand = np.vstack([np.broadcast_to(breaks[:, None], (breaks.size, n_t)),
+                              np.clip(ub - gb / diag, 0.0, 1.0)])
+            move = cand - ub
+            gain = gb * move + 0.5 * diag * move**2 + asm.bw * (law.value(cand) - law.value(ub))
+            best = np.argmin(gain, axis=0)
+            cols = np.arange(n_t)
+            better = gain[best, cols] < -rounding
+            if not np.any(better):
                 break
-        # d is zero on the pinned inner row, so <d, A d> needs no masking.
-        curv = float(np.sum(d * asm.dirichlet(d)[1]))
-        curv += float(np.sum(asm.bw * bend * d[-1] ** 2))
-        if curv > 0.0:
-            alpha = -gd / curv
-        else:
-            alpha = 0.25 / max(float(np.max(np.abs(d))), 1e-30)
-        accepted = False
-        for _ in range(60):
-            u_new = np.clip(u + alpha * d, 0.0, 1.0)
-            u_new[0] = 1.0
-            e_new, g_new, bend_new = asm.evaluate(u_new, law)
-            if e_new <= energy + 1e-4 * alpha * gd:
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if np.array_equal(d, -g):
-                converged = True  # no descent along steepest direction
-                break
-            d = -g
+            v = u.copy()
+            v[-1] = np.where(better, cand[best, cols], ub)
+            e_v, g_v = energy(v)
+            if not e_v < e - rounding:
+                j = int(np.argmin(gain[best, cols]))
+                v = u.copy()
+                v[-1, j] = cand[best[j], j]
+                e_v, g_v = energy(v)
+            u, e, g = v, e_v, g_v
             continue
-        decrease = energy - e_new
-        u, energy, bend = u_new, e_new, bend_new
-        g_new = _project_gradient(g_new, u)
-        gg_new = float(np.sum(g_new * g_new))
-        beta = max(0.0, float(np.sum(g_new * (g_new - g))) / gg) if gg > 0 else 0.0
-        d = -g_new + beta * d
-        g, gg = g_new, gg_new
-        if decrease <= tol * (abs(energy) + 1e-300):
-            stagnant += 1
-            if stagnant >= 2:
-                converged = True
-        else:
-            stagnant = 0
-    if not converged:
-        raise ConvergenceError(
-            f"state solver did not meet tol={tol} within {max_iters} iterations"
-        )
+        if steps == max_iters:
+            raise ConvergenceError(f"state solver did not reach residual {stop:.3g} in {max_iters} steps")
+        steps += 1
+        free = ~((down < 0.0) & (up > 0.0))
+        free[0] = False
+        # Each free node's slope on its steeper descending side, or 0.
+        slope = np.where((up < 0.0) & (-up >= down), up, np.where(down > 0.0, down, 0.0))
+        curv = asm.bw * np.where(np.isfinite(bend), np.maximum(bend, 0.0), 0.0)
+        precond.set_curvature(float(np.mean(curv)))
+        mask = free.astype(float)
+        # Preconditioned CG on the free nodes, from d = 0.
+        d, p, rz = np.zeros_like(u), np.zeros_like(u), 1.0
+        r = -slope * mask
+        target = min(0.1, math.sqrt(residual)) * float(np.linalg.norm(r))
+        for _ in range(r.size):
+            if float(np.linalg.norm(r)) <= target:
+                break
+            z = precond(r) * mask
+            rz, rz_old = float(np.sum(r * z)), rz
+            p = z + (rz / rz_old) * p
+            hp = asm.dirichlet(p)[1]
+            hp[-1] += curv * p[-1]
+            hp *= mask
+            a = rz / float(np.sum(p * hp))
+            d += a * p
+            r -= a * hp
+        d[(down != up) & (((d < 0.0) & (down < 0.0)) | ((d > 0.0) & (up > 0.0)))] = 0.0
+        ub = u[-1]
+        hi = breaks[np.minimum(np.searchsorted(breaks, ub, "right"), breaks.size - 1)]
+        lo = breaks[np.maximum(np.searchsorted(breaks, ub, "left") - 1, 0)]
+
+        def trial(t: float) -> Tuple[np.ndarray, float]:
+            """The projected point at step t and its predicted decrease."""
+            v = np.clip(u + t * d, 0.0, 1.0)
+            v[-1] = np.clip(ub + t * d[-1], lo, hi)
+            v[0] = 1.0
+            move = v - u
+            return v, -float(np.sum(np.where(move > 0.0, up, np.where(move < 0.0, down, 0.0)) * move))
+
+        t = 1.0
+        v, predicted = trial(t)
+        e_v, g_v = energy(v)
+        while not (predicted <= rounding or e_v <= e - _ARMIJO * predicted):
+            t *= 0.5
+            v, predicted = trial(t)
+            e_v, g_v = energy(v)
+        if t == 1.0 and predicted > rounding:
+            # Slow detachment: a concave piece's curvature is clipped to 0,
+            # so the full step can fall short; double it while E falls.
+            while True:
+                t *= 2.0
+                w = trial(t)[0]
+                e_w, g_w = energy(w)
+                if not e_w < e_v:
+                    break
+                v, e_v, g_v = w, e_w, g_w
+        u, e, g = v, e_v, g_v
+
     field_obj = ScalarField(values=u, mesh=mesh, pair=pair)
     return SolveResult(
         field=field_obj,
         energy=asm.breakdown(u, law),
-        iterations=iterations,
-        residual=asm.residual(u, law),
+        iterations=steps,
+        residual=residual,
     )
 
 

@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -66,6 +67,8 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 SWEEP_COLUMNS = ("value", "total", *(f.name for f in fields(EnergyBreakdown)))
+# `solve --tol` defaults to the library's tolerance.
+_SOLVE_TOL = inspect.signature(solve_state).parameters["tol"].default
 
 
 def _parse_law(text: str) -> DissipationLaw:
@@ -336,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--law", required=True)
     p.add_argument("--mesh", default=None)
-    p.add_argument("--tol", type=_finite_float, default=1e-10)
+    p.add_argument("--tol", type=_finite_float, default=_SOLVE_TOL,
+                   help="absolute tolerance on the solve's residual (default %(default)g)")
     p.add_argument("--out-field", default=None)
     p.set_defaults(func=_cmd_solve)
 

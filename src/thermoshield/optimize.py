@@ -63,7 +63,6 @@ _BACKTRACK = 0.5
 _STEP_MIN = 1e-10
 _VOLUME_TOL = 1e-8
 _GRAD_TOL = 1e-6
-_SOLVER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ class _Descent:
     def objective(self, x: np.ndarray, warm: Optional[np.ndarray]) -> Tuple[float, SolveResult]:
         n = self.ncoef
         pair = StarPair(FourierShape(x[:n]), FourierShape(x[n:]))
-        res = solve_state(pair, self.law, self.opts.mesh, _SOLVER_TOL, u0=warm)
+        res = solve_state(pair, self.law, self.opts.mesh, u0=warm)
         return res.energy.total + self.penalty(x), res
 
     def gradient(self, x: np.ndarray, res: SolveResult) -> np.ndarray:

@@ -134,7 +134,7 @@ class TestSolverInvariants:
         )
         assert np.all(interior <= stacks.max(axis=0) + 1e-6)
         assert np.all(interior >= stacks.min(axis=0) - 1e-6)
-        g = Assembly(pair, res.field.mesh).evaluate(u, Convection(1.0))[1]
+        g = Assembly(pair, res.field.mesh).dirichlet(u)[1]
         assert np.abs(g[1:-1]).max() < 1e-6
 
     def test_rotational_equivariance(self):
@@ -178,6 +178,26 @@ class TestResidual:
         # The bound of the benchmark's stationarity check.
         assert 0.0 <= res.residual <= 3e-5
         assert res.residual == Assembly(self.PAIR, self.MESH).residual(res.field.values, law)
+
+    # Energies that the conjugate-gradient solver replaced by projected
+    # Newton returned at its default tol; it stopped on the energy decrease.
+    @pytest.mark.parametrize(
+        "law, mesh, cg_energy",
+        [
+            (Convection(1.0), Mesh(33, 128), 5.284580200475132),
+            (Convection(1.0), Mesh(64, 256), 5.284465517850524),
+            (Radiation(1.0), Mesh(33, 128), 7.07007370587097),
+            (Radiation(1.0), Mesh(64, 256), 7.069864776457557),
+        ],
+    )
+    def test_energy_no_higher_than_cg(self, law, mesh, cg_energy):
+        assert solve_state(self.PAIR, law, mesh).energy.total <= cg_energy * (1.0 + 1e-12)
+
+    def test_kinked_law_converges(self):
+        # The conjugate-gradient solver ran out of 5 000 iterations here.
+        law = Tabulated([(0, 0), (0.4, 0.2), (1, 1.4)])
+        res = solve_state(self.PAIR, law, self.MESH, max_iters=200)
+        assert res.residual <= 1e-9
 
     def test_raised_node_reads_unstationary(self):
         law = Convection(1.0)

@@ -2,7 +2,7 @@
 
 `Assembly.shape_gradient` differentiates the discrete energy with respect to
 the Fourier coefficients of both boundaries at fixed nodal values.  It is
-checked against central differences of the `Assembly.evaluate` energy at a
+checked against central differences of the `Assembly.breakdown` energy at a
 fixed field for drawn pairs, fields and nonsmooth laws, and, at a solved
 field, against central differences of the solved energy (the envelope
 theorem).
@@ -46,8 +46,8 @@ def test_matches_differences_at_fixed_field(pair, mesh_field, law):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        ep = Assembly(_split(xp, n), mesh).evaluate(u, law)[0]
-        em = Assembly(_split(xm, n), mesh).evaluate(u, law)[0]
+        ep = Assembly(_split(xp, n), mesh).breakdown(u, law).total
+        em = Assembly(_split(xm, n), mesh).breakdown(u, law).total
         fd[i] = (ep - em) / (2.0 * h)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(fd))
 
