@@ -67,8 +67,9 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 SWEEP_COLUMNS = ("value", "total", *(f.name for f in fields(EnergyBreakdown)))
-# `solve --tol` defaults to the library's tolerance.
+# `solve --tol` and the `optimize` options default to the library's values.
 _SOLVE_TOL = inspect.signature(solve_state).parameters["tol"].default
+_OPTIMIZE_DEFAULTS = OptimizeOptions()
 
 
 def _parse_law(text: str) -> DissipationLaw:
@@ -192,7 +193,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     init = _parse_pair(args.init)
     opts = OptimizeOptions(
         fourier_order=args.order,
-        mesh=_parse_mesh(args.mesh) if args.mesh else OptimizeOptions().mesh,
+        mesh=_parse_mesh(args.mesh) if args.mesh else _OPTIMIZE_DEFAULTS.mesh,
         max_outer_iters=args.max_iters,
     )
     if args.mode == "constrained":
@@ -350,9 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=_finite_float, default=None)
     p.add_argument("--lambda", dest="lam", type=_finite_float, default=None)
     p.add_argument("--init", required=True)
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=int, default=_OPTIMIZE_DEFAULTS.fourier_order)
     p.add_argument("--mesh", default=None)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--max-iters", type=int, default=_OPTIMIZE_DEFAULTS.max_outer_iters)
     p.add_argument("--trace", default=None)
     p.set_defaults(func=_cmd_optimize)
 

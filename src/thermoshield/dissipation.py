@@ -124,8 +124,13 @@ def _power_jet(c: float, alpha: float, u: np.ndarray) -> Tuple[np.ndarray, np.nd
     """The jet of c u^alpha; a linear term's curvature is 0, also at 0."""
     if c == 0.0 or alpha == 1.0:
         return np.full_like(u, c), np.full_like(u, c), np.zeros_like(u)
-    slope = c * alpha * np.power(u, alpha - 1.0)
-    return slope, slope, c * alpha * (alpha - 1.0) * np.power(u, alpha - 2.0)
+    with np.errstate(invalid="ignore"):
+        slope = c * alpha * np.power(u, alpha - 1.0)
+        bend = c * alpha * (alpha - 1.0) * np.power(u, alpha - 2.0)
+    # A denormal c can round a coefficient to 0, and 0 * inf (a power at
+    # u = 0) is NaN: the limit there is the infinity of the coefficient's sign.
+    slope = np.where(np.isnan(slope), np.inf, slope)
+    return slope, slope, np.where(np.isnan(bend), math.copysign(np.inf, alpha - 1.0), bend)
 
 
 @dataclass(frozen=True)
@@ -250,21 +255,10 @@ class Tabulated(DissipationLaw):
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         us, vs = self._us, self._vs
-        x = np.atleast_1d(u)
-        idx = np.searchsorted(us, x, side="left")
-        out = np.empty_like(x)
-        # Exact hits take the first knot at that abscissa: the left limit.
-        exact = (idx < len(us)) & (us[np.minimum(idx, len(us) - 1)] == x)
-        out[exact] = vs[np.minimum(idx, len(us) - 1)][exact]
-        beyond = idx >= len(us)
-        out[beyond & ~exact] = vs[-1]
-        mid = ~exact & ~beyond
-        if np.any(mid):
-            hi = idx[mid]
-            lo = hi - 1
-            frac = (x[mid] - us[lo]) / (us[hi] - us[lo])  # us[lo] < x < us[hi]
-            out[mid] = vs[lo] + frac * (vs[hi] - vs[lo])
-        return out.reshape(np.shape(u))
+        # np.interp takes the last knot of a duplicated abscissa; an exact hit
+        # takes the first, the left limit.
+        first = np.minimum(np.searchsorted(us, u, side="left"), len(us) - 1)
+        return np.where(us[first] == u, vs[first], np.interp(u, us, vs))
 
     def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         us, vs, du = self._us, self._vs, np.diff(self._us)

@@ -15,14 +15,14 @@ boundary's first Fourier mode at zero.
 
 When the outer boundary collapses onto the inner one the parametric solver
 bottoms out at the minimum gap; the touching configuration is then scored
-analytically (boundary dissipation of the unit ball at full temperature)
-and the smaller energy is reported with the collapse flag set.
+as the radial energy of the bare unit ball (`general_radial_energy` at
+R = 1) and the smaller energy is reported with the collapse flag set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field as dc_field, fields
+from dataclasses import astuple, dataclass, field as dc_field, fields, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -41,7 +41,7 @@ from .annulus import (
     solve_state,
 )
 from .dissipation import DissipationLaw
-from .radial import EnergyBreakdown
+from .radial import EnergyBreakdown, general_radial_energy
 
 __all__ = [
     "OptimizeOptions",
@@ -157,7 +157,7 @@ class _Descent:
         self.M = M
         m = opts.fourier_order
         self.ncoef = 2 * m + 1
-        inner = project_inner_volume(init.inner.with_order(m))
+        inner = init.inner.with_order(m)
         outer = init.outer.with_order(m)
         if M is not None and outer.area() > M * (1.0 + 1e-12):
             raise ValueError(
@@ -166,8 +166,6 @@ class _Descent:
         self.x = np.concatenate([np.array(inner.coeffs), np.array(outer.coeffs)])
 
     def penalty(self, x: np.ndarray) -> float:
-        if self.lam == 0.0:
-            return 0.0
         n = self.ncoef
         return self.lam * (_area_from_coeffs(x[n:]) - _area_from_coeffs(x[:n]))
 
@@ -178,15 +176,12 @@ class _Descent:
         return res.energy.total + self.penalty(x), res
 
     def gradient(self, x: np.ndarray, res: SolveResult) -> np.ndarray:
-        """Gradient of the objective at x, given the state solved there."""
-        n = self.ncoef
+        """Gradient of the objective at x, given the state solved there.  The
+        penalty's inner-area term is left out: it lies along the inner
+        area's gradient, which `project_direction` removes."""
         solved = res.field
         g_in, g_out = Assembly(solved.pair, solved.mesh).shape_gradient(solved.values, self.law)
-        g = np.concatenate([g_in, g_out])
-        if self.lam != 0.0:
-            g[:n] -= self.lam * _area_grad(x[:n])
-            g[n:] += self.lam * _area_grad(x[n:])
-        return g
+        return np.concatenate([g_in, g_out + self.lam * _area_grad(x[self.ncoef :])])
 
     def project_direction(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Remove the direction components that violate the volume
@@ -255,13 +250,14 @@ def _run(descent: _Descent) -> OptimizeResult:
 
     record(0, energy, res, x, 0.0)
     alpha_prev = _STEP_INIT
-    collapsed = res.field.pair.gap <= _COLLAPSE_GAP
     stall = 0
     iterations = 0
-    for it in range(1, opts.max_outer_iters + 1):
-        if collapsed:
+    while True:
+        # The one collapse test: every exit further down leaves res as it is here.
+        collapsed = res.field.pair.gap <= _COLLAPSE_GAP
+        if collapsed or stall >= _STALL_LIMIT or iterations == opts.max_outer_iters:
             break
-        iterations = it
+        iterations += 1
         g = descent.gradient(x, res)
         d = descent.project_direction(x, -g)
         norm = float(np.linalg.norm(d))
@@ -286,35 +282,18 @@ def _run(descent: _Descent) -> OptimizeResult:
         decrease = energy - e_new
         x, energy, res = x_new, e_new, res_new
         alpha_prev = alpha
-        record(it, energy, res, x, alpha)
-        if res.field.pair.gap <= _COLLAPSE_GAP:
-            collapsed = True
-        if decrease < _STALL_DECREASE * max(1.0, abs(energy)):
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                break
-        else:
-            stall = 0
+        record(iterations, energy, res, x, alpha)
+        stall = stall + 1 if decrease < _STALL_DECREASE * max(1.0, abs(energy)) else 0
 
     pair = res.field.pair
-    breakdown = EnergyBreakdown(
-        dirichlet=res.energy.dirichlet,
-        boundary=res.energy.boundary,
-        penalty=descent.penalty(x),
-        trace=res.energy.trace,
-    )
+    breakdown = replace(res.energy, penalty=descent.penalty(x))
     flat_compared = False
     solved_field: Optional[ScalarField] = res.field
     if collapsed:
-        # Touching configuration scored analytically: the unit-area ball at
-        # full temperature, no shell, no penalty.
-        flat_total = descent.law.value(1.0) * 2.0 * math.pi
-        if flat_total < breakdown.total:
-            breakdown = EnergyBreakdown(
-                dirichlet=0.0, boundary=flat_total, penalty=0.0, trace=1.0
-            )
-            flat_compared = True
-            solved_field = None
+        # Touching configuration: the bare unit-area ball, no shell, no penalty.
+        flat = general_radial_energy(2, descent.law, 1.0)
+        if flat.total < breakdown.total:
+            breakdown, flat_compared, solved_field = flat, True, None
     return OptimizeResult(
         pair=pair,
         energy=breakdown,

@@ -5,11 +5,13 @@ import math
 
 import pytest
 
+from thermoshield.annulus import FourierShape
 from thermoshield.cli import (
     EXIT_BAD_INPUT,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
+    SWEEP_COLUMNS,
     run,
 )
 
@@ -96,6 +98,19 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert run(["sweep", "--spec", spec, "--out", out]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            '{"axis":"beta","lo":1.0,"hi":2.0,"count":3,"scale":"cubic","R":2.0}',
+            '{"axis":"volume","lo":1.0,"hi":2.0,"count":3,"law":{"type":"convection","beta":1}}',
+            '{"axis":"M","lo":1.0,"hi":20.0,"count":3,"law":{"type":"convection","beta":1}}',
+        ],
+        ids=["unknown-scale", "unknown-axis", "M-below-inner-ball"],
+    )
+    def test_bad_sweep_spec(self, capsys, tmp_path, spec):
+        out = str(tmp_path / "x.csv")
+        assert run(["sweep", "--spec", spec, "--out", out]) == EXIT_BAD_INPUT
+
     def test_nonconvergence_exit(self, capsys, monkeypatch):
         import thermoshield.cli as cli
         from thermoshield.annulus import ConvergenceError
@@ -128,6 +143,14 @@ class TestSweep:
         from thermoshield.radial import convection_energy
 
         assert row[1] == pytest.approx(convection_energy(2, row[0], 2.0).total, rel=1e-7)
+
+    def test_log_gamma_sweep(self, capsys, tmp_path):
+        out = str(tmp_path / "sweep.csv")
+        spec = '{"axis":"gamma","lo":0.1,"hi":10.0,"count":3,"scale":"log","R":2.0}'
+        assert run(["sweep", "--spec", spec, "--out", out]) == EXIT_OK
+        lines = open(out).read().splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        assert [float(line.split(",")[0]) for line in lines[1:]] == pytest.approx([0.1, 1.0, 10.0])
 
     def test_radius_sweep_under_radiation(self, capsys, tmp_path):
         out = str(tmp_path / "sweep.csv")
@@ -193,6 +216,15 @@ class TestSolveAndOptimize:
         lines = open(trace).read().splitlines()
         assert lines[0].startswith("iter,energy")
         assert len(lines) >= 2
+
+    def test_optimize_penalized(self, capsys):
+        init = '{"inner":[1.0,0.0,0.0,0.04,0.0],"outer":[2.0,0.0,0.0,0.08,0.0]}'
+        argv = ["optimize", "--mode", "penalized", "--law", CONV1, "--lambda", "0.1", "--init",
+                init, "--order", "2", "--mesh", "9,32", "--max-iters", "2"]
+        code, data = run_json(capsys, argv)
+        assert code == EXIT_OK
+        outer_area = FourierShape(data["pair"]["outer"]).area()
+        assert data["energy"]["penalty"] == pytest.approx(0.1 * (outer_area - math.pi), rel=1e-12)
 
     def test_optimize_requires_budget_or_weight(self, capsys):
         init = '{"inner":[1.0],"outer":[2.0]}'

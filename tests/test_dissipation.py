@@ -169,6 +169,14 @@ class TestDerivative:
         left, right, _ = Power(1.0, 0.5).jet(0.0)
         assert right == math.inf and left == math.inf
 
+    @pytest.mark.parametrize("law", [Power(5e-324, 0.5), SurfaceCost(1.0, 5e-324, 0.5)])
+    def test_denormal_coefficient_cusp(self, law):
+        # c alpha rounds to 0 here; the cusp keeps its infinite slope and
+        # the concave curvature's -inf, as with a normal coefficient.
+        left, right, bend = law.jet([0.0])
+        assert left[0] == right[0] == math.inf
+        assert bend[0] == -math.inf
+
     def test_linear_constant(self):
         left, right, bend = Linear(3.0).jet(np.array([0.0, 1.0]))
         assert np.all(left == 3.0) and np.all(right == 3.0)

@@ -5,7 +5,8 @@ the Fourier coefficients of both boundaries at fixed nodal values.  It is
 checked against central differences of the `Assembly.breakdown` energy at a
 fixed field for drawn pairs, fields and nonsmooth laws, and, at a solved
 field, against central differences of the solved energy (the envelope
-theorem).
+theorem).  The dilation identity pins it to rounding: the gradient's
+component along the coefficients themselves is the boundary term.
 """
 
 import numpy as np
@@ -74,3 +75,17 @@ def test_matches_differences_of_solved_energy(law):
         em = solve_state(_split(xm, n), law, mesh, tol, u0=u).energy.total
         fd = (ep - em) / (2.0 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5)
+
+
+@given(pair=pairs(), mesh_field=fields(), law=LAWS)
+def test_dilation_identity(pair, mesh_field, law):
+    # Scaling both shapes by t leaves the Dirichlet weights P, Q, C as they
+    # are and scales the arclength weights bw by t, so at fixed nodal values
+    # E(t x) = D + t B and, by Euler's identity, x . dE/dx = B exactly.  The
+    # bound is relative to the summed magnitudes: across a thin gap the inner
+    # and outer terms are large and cancel.
+    mesh, u = mesh_field
+    asm = Assembly(pair, mesh)
+    x, _ = _coeffs(pair)
+    terms = x * np.concatenate(asm.shape_gradient(u, law))
+    assert abs(np.sum(terms) - asm.breakdown(u, law).boundary) <= 1e-12 * np.sum(np.abs(terms))
