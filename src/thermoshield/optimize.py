@@ -8,8 +8,11 @@ a minimum over nodal values whose admissible set does not depend on the
 shape, so by the envelope theorem (Danskin) its gradient is the partial
 shape derivative of the discrete energy at the solved field.  Each step is
 projected back onto the constraints by exact coefficient scaling, and the
-line-search solves start warm from the current field.  Descent is monotone
-by backtracking.  The energy does not change when both boundaries are
+line-search solves start warm from the current field.  Descent is monotone:
+the first trial step expects the last accepted decrease again at the
+current slope (the exact gradient along the step), and a rejected step
+backtracks to the minimizer of the quadratic through the two energies and
+that slope.  The energy does not change when both boundaries are
 translated together; that gauge is fixed linearly, by keeping the inner
 boundary's first Fourier mode at zero.
 
@@ -57,8 +60,15 @@ __all__ = [
 _COLLAPSE_GAP = 2.0 * GAP_MIN
 _STALL_DECREASE = 1e-10
 _STALL_LIMIT = 3
-# Backtracking: first trial step, reduction factor, smallest step tried.
+# Line search (Nocedal & Wright, Numerical Optimization, 3.5).  The first
+# trial expects the last accepted decrease again, at the current slope, and
+# is capped at _STEP_INIT.  An energy rejection backtracks to the quadratic
+# interpolant's minimizer, kept within [_BACKTRACK_MIN, _BACKTRACK] times
+# the rejected step; a GeometryError halves it.  Steps below _STEP_MIN end
+# the descent.
 _STEP_INIT = 0.25
+_STEP_FROM_DECREASE = 2.02
+_BACKTRACK_MIN = 0.1
 _BACKTRACK = 0.5
 _STEP_MIN = 1e-10
 _VOLUME_TOL = 1e-8
@@ -72,8 +82,9 @@ class OptimizeOptions:
     fourier_order caps the boundary modes (at most 16) and max_outer_iters
     the accepted steps.  The mesh is deliberately coarser than the solver
     default: every line-search trial is a full state solve.  The step rule
-    (backtracking by halves from 0.25 down to 1e-10 along the normalized
-    projected gradient) and the tolerances are fixed.
+    (along the normalized projected gradient, a first trial from the last
+    accepted decrease capped at 0.25, quadratic backtracking on the exact
+    slope, down to 1e-10) and the tolerances are fixed.
     """
 
     fourier_order: int = 4
@@ -249,7 +260,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         )
 
     record(0, energy, res, x, 0.0)
-    alpha_prev = _STEP_INIT
+    decrease = math.inf  # no step yet: the first trial is _STEP_INIT
     stall = 0
     iterations = 0
     while True:
@@ -264,7 +275,10 @@ def _run(descent: _Descent) -> OptimizeResult:
         if norm < _GRAD_TOL:
             break
         d /= norm
-        alpha = min(_STEP_INIT, 4.0 * alpha_prev)
+        slope = float(np.dot(g, d))
+        if slope >= 0.0:
+            slope = -norm
+        alpha = min(_STEP_INIT, _STEP_FROM_DECREASE * decrease / -slope)
         accepted = False
         while alpha >= _STEP_MIN:
             try:
@@ -276,12 +290,14 @@ def _run(descent: _Descent) -> OptimizeResult:
             if e_new < energy - 1e-12 * max(1.0, abs(energy)):
                 accepted = True
                 break
-            alpha *= _BACKTRACK
+            # Minimizer of the quadratic through E0, the slope and E(alpha).
+            above_tangent = e_new - energy - slope * alpha
+            trial = -slope * alpha * alpha / (2.0 * above_tangent) if above_tangent > 0.0 else alpha
+            alpha = min(max(trial, _BACKTRACK_MIN * alpha), _BACKTRACK * alpha)
         if not accepted:
             break
         decrease = energy - e_new
         x, energy, res = x_new, e_new, res_new
-        alpha_prev = alpha
         record(iterations, energy, res, x, alpha)
         stall = stall + 1 if decrease < _STALL_DECREASE * max(1.0, abs(energy)) else 0
 

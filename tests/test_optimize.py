@@ -6,9 +6,11 @@ runs use coarse meshes and low mode counts to pin the structural contracts.
 
 import math
 
+import numpy as np
 import pytest
 
-from thermoshield.annulus import FourierShape, Mesh, StarPair
+from thermoshield import optimize
+from thermoshield.annulus import GAP_MIN, FourierShape, GeometryError, Mesh, StarPair, solve_state
 from thermoshield.dissipation import Convection
 from thermoshield.optimize import (
     OptimizeOptions,
@@ -123,6 +125,76 @@ class TestDescentContracts:
         assert len(lines) == len(res.trace) + 1
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(res.trace[0].energy)
+
+
+class TestLineSearch:
+    def test_solves_per_step(self, monkeypatch):
+        """The first trial is usually accepted: at most two solves per outer
+        iteration, plus the initial solve and one spare."""
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return solve_state(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "solve_state", counted)
+        runs = (
+            lambda: optimize_constrained(Convection(1.0), 9 * math.pi, quick_init(2.4), QUICK),
+            lambda: optimize_penalized(Convection(1.0), 0.1, quick_init(1.8), QUICK),
+        )
+        for run in runs:
+            solves.clear()
+            res = run()
+            assert res.iterations > 0
+            assert len(solves) <= 2 * res.iterations + 2
+
+    @pytest.mark.parametrize("lam, M, r_out", [(0.0, 9 * math.pi, 2.4), (0.1, None, 1.8)])
+    def test_slope_matches_projected_differences(self, lam, M, r_out):
+        """g.d is the derivative of the objective along the projected path
+        x + h d, the slope the quadratic backtracking interpolates."""
+        descent = optimize._Descent(Convection(1.0), quick_init(r_out), QUICK, lam=lam, M=M)
+        x = descent.project_point(descent.x)
+        _, res = descent.objective(x, None)
+        if M is not None:
+            assert res.field.pair.outer.area() < M - 1.0  # the budget is inactive
+        g = descent.gradient(x, res)
+        d = descent.project_direction(x, -g)
+        d /= np.linalg.norm(d)
+        slope = float(np.dot(g, d))
+        h = 1e-3
+        e_plus, _ = descent.objective(descent.project_point(x + h * d), res.field.values)
+        e_minus, _ = descent.objective(descent.project_point(x - h * d), res.field.values)
+        assert slope < -1e-2  # not stationary
+        assert (e_plus - e_minus) / (2 * h) == pytest.approx(slope, rel=1e-5)
+
+    def test_geometry_error_halves_and_descends(self, monkeypatch):
+        """From a thin gap the first trial step crosses the minimum gap; the
+        search halves past it and every accepted step still descends."""
+        rejected = []
+        objective = optimize._Descent.objective
+
+        def watched(self, x, warm):
+            try:
+                return objective(self, x, warm)
+            except GeometryError:
+                rejected.append(x)
+                raise
+
+        monkeypatch.setattr(optimize._Descent, "objective", watched)
+        init = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.004, 0.0]),
+            FourierShape([1.01, 0.0, 0.0, 0.008, 0.0]),
+        )
+        M = 4 * math.pi
+        res = optimize_constrained(Convection(1.0), M, init, QUICK)
+        assert rejected
+        energies = [row.energy for row in res.trace]
+        assert len(energies) > 2
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+        for row in res.trace:
+            assert abs(row.inner_area - math.pi) < 1e-8
+            assert row.outer_area <= M + 1e-8
+        assert res.pair.gap >= GAP_MIN
 
 
 class TestOptions:
