@@ -492,8 +492,8 @@ def solve_state(
       whose predicted decrease is at rounding level is taken as it is.
     - At a stationary point, single-node moves of the outer row to every
       breakpoint and to the Dirichlet-only minimizer are tried with exact
-      law values; the improving ones are applied (all at once, or the best
-      alone) and Newton resumes.
+      law values; the improving ones are applied all at once and Newton
+      resumes, or the solve stops if together they do not lower the energy.
 
     It stops when `Assembly.residual` is at most `tol` (absolute), or at
     most the rounding floor of the gradient, 4 eps (max _Pe/ds^2 +
@@ -547,10 +547,7 @@ def solve_state(
             v[-1] = np.where(better, cand[best, cols], ub)
             e_v, g_v = energy(v)
             if not e_v < e - rounding:
-                j = int(np.argmin(gain[best, cols]))
-                v = u.copy()
-                v[-1, j] = cand[best[j], j]
-                e_v, g_v = energy(v)
+                break
             u, e, g = v, e_v, g_v
             continue
         if steps == max_iters:

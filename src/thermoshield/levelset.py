@@ -23,15 +23,14 @@ is piecewise quadratic in the level), so it needs no level count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .annulus import Assembly, ScalarField, StarPair, _require_same_pair, _write_csv
-from .dissipation import Convection, DissipationLaw, _require_finite, unit_ball_volume
-from .radial import gradient_ratio
+from .dissipation import Convection, DissipationLaw, unit_ball_volume
+from .radial import _check_params, gradient_ratio
 
 __all__ = [
     "LevelDecomposition",
@@ -79,12 +78,7 @@ class RadialReference:
     R: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, numbers.Integral) or self.n < 2:
-            raise ValueError(f"n must be an integer of at least 2, got {self.n!r}")
-        if not _require_finite("beta", self.beta) > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
-        if not _require_finite("R", self.R) >= 1.0:
-            raise ValueError(f"R must be at least 1, got {self.R!r}")
+        _check_params(self.n, self.beta, R=self.R)
 
 
 @dataclass(frozen=True)

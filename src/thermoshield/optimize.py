@@ -43,7 +43,7 @@ from .annulus import (
     _write_csv,
     solve_state,
 )
-from .dissipation import DissipationLaw
+from .dissipation import DissipationLaw, _require_finite
 from .radial import EnergyBreakdown, general_radial_energy
 
 __all__ = [
@@ -332,7 +332,7 @@ def optimize_constrained(
     the outer budget is enforced by scaling back whenever a step exceeds it,
     and every accepted step strictly decreases the solved energy.
     """
-    if M <= math.pi:
+    if _require_finite("M", M) <= math.pi:
         raise ValueError("outer budget M must exceed the inner area pi")
     opts = opts or OptimizeOptions()
     return _run(_Descent(law, init, opts, lam=0.0, M=M))
@@ -342,7 +342,7 @@ def optimize_penalized(
     law: DissipationLaw, lam: float, init: StarPair, opts: Optional[OptimizeOptions] = None
 ) -> OptimizeResult:
     """Minimize solved energy plus lam * (insulation area), inner area pi."""
-    if lam <= 0.0:
+    if _require_finite("lam", lam) <= 0.0:
         raise ValueError("penalization weight must be positive")
     opts = opts or OptimizeOptions()
     return _run(_Descent(law, init, opts, lam=lam, M=None))

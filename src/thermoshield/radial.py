@@ -14,12 +14,13 @@ monotonicity test.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .dissipation import DissipationLaw, unit_ball_volume
+from .dissipation import DissipationLaw, _require_finite, unit_ball_volume
 
 __all__ = [
     "EnergyBreakdown",
@@ -132,18 +133,26 @@ def phi_prime(n: int, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]
     return float(out) if np.ndim(rho) == 0 else out
 
 
-def _check_dim(n: int) -> None:
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+def _check_params(
+    n: int, beta: Optional[float] = None, lam: Optional[float] = None, **radii: float
+) -> None:
+    """ValueError naming the first bad parameter: n must be an integer of at
+    least 2, beta finite and positive, lam finite and nonnegative, and each
+    radius (passed by its name) finite and at least 1."""
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    if beta is not None and not _require_finite("beta", beta) > 0.0:
+        raise ValueError(f"beta must be positive, got {beta!r}")
+    if lam is not None and not _require_finite("lam", lam) >= 0.0:
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+    for name, R in radii.items():
+        if not _require_finite(name, R) >= 1.0:
+            raise ValueError(f"{name} must be at least 1, got {R!r}")
 
 
 def convection_energy(n: int, beta: float, R: float) -> EnergyBreakdown:
     """Energy of the ball pair (unit ball, ball of radius R) for theta = beta u^2."""
-    _check_dim(n)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if R < 1.0:
-        raise ValueError("outer radius must be at least 1")
+    _check_params(n, beta, R=R)
     per1 = n * unit_ball_volume(n)
     denom = phi_prime(n, R) + beta * (phi(n, R) - phi(n, 1.0))
     trace = phi_prime(n, R) / denom
@@ -156,7 +165,7 @@ def convection_state(
     n: int, beta: float, R: float, rho: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """Radial temperature of the convection ball pair at radius rho in [0, R]."""
-    _check_dim(n)
+    _check_params(n, beta, R=R)
     r = np.asarray(rho, dtype=float)
     if np.any(r < 0.0) or np.any(r > R * (1.0 + 1e-12)):
         raise ValueError("rho must lie in [0, R]")
@@ -170,6 +179,7 @@ def gradient_ratio(
     n: int, beta: float, R: float, rho: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """|grad u|/u of the convection state at radius rho in [1, R]."""
+    _check_params(n, beta, R=R)
     r = np.asarray(rho, dtype=float)
     numer = beta * phi_prime(n, r)
     denom = phi_prime(n, R) + beta * (phi(n, R) - phi(n, r))
@@ -184,8 +194,8 @@ def gradient_ratio_max(n: int, beta: float, R: float) -> float:
     The maximum is at most beta exactly when no smaller outer ball has
     lower energy, which makes this a cheap monotonicity certificate.
     """
-    _check_dim(n)
-    if R <= 1.0:
+    _check_params(n, beta, R=R)
+    if R == 1.0:
         raise ValueError("R must exceed 1")
     rho = np.linspace(1.0, R, 4096)
     return float(np.max(gradient_ratio(n, beta, R, rho)))
@@ -214,16 +224,32 @@ def _zoom_min(
     return pts[rows, j], vals[rows, j]
 
 
-def _trace_min(
-    law: DissipationLaw, stiff: np.ndarray, per_R: np.ndarray
+def _refine(
+    f: Callable[[np.ndarray], np.ndarray],
+    grid: np.ndarray,
+    k: np.ndarray,
+    e_grid: np.ndarray,
+    tol: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Refine the two cells of `grid` around each row's grid argmin k with
+    `_zoom_min`; returns (argmin, min) per row.  The grid point, of value
+    e_grid, is kept only where it is strictly lower, so ties go to the zoom.
+    """
+    lo = grid[np.maximum(k - 1, 0)]
+    hi = grid[np.minimum(k + 1, grid.size - 1)]
+    x, e = _zoom_min(f, lo, hi, tol)
+    keep = e_grid < e
+    return np.where(keep, grid[k], x), np.where(keep, e_grid, e)
+
+
+def _trace_min(law: DissipationLaw, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
     """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row.
 
     theta is evaluated once on the trace grid and shared by every row; the
-    grid scan runs _BLOCK rows at a time in two reused buffers.  The
-    bracket around each row's grid argmin is then refined for all rows at
-    once.  The grid argmin and the ends l = 0 (where theta may jump) and
-    l = 1 stay candidates.  Returns (trace, energy) per row.
+    grid scan runs _BLOCK rows at a time in two reused buffers.  The grid
+    holds both ends, l = 0 (where theta may jump) and l = 1, so no end
+    needs a candidate of its own; `_refine` finishes all rows at once.
+    Returns the minimizing trace per row.
     """
     theta = np.asarray(law.value(_TRACE_GRID))
     k = np.empty(stiff.size, dtype=np.intp)
@@ -240,30 +266,32 @@ def _trace_min(
     def energy(l: np.ndarray) -> np.ndarray:
         return stiff[:, None] * (1.0 - l) ** 2 + per_R[:, None] * law.value(l)
 
-    lo = _TRACE_GRID[np.maximum(k - 1, 0)]
-    hi = _TRACE_GRID[np.minimum(k + 1, _TRACE_GRID.size - 1)]
-    l_ref, e_ref = _zoom_min(energy, lo, hi, 1e-12)
-    ls = np.stack([l_ref, _TRACE_GRID[k], np.zeros_like(l_ref), np.ones_like(l_ref)], axis=1)
-    es = np.stack([e_ref, e_grid, stiff + per_R * theta[0], per_R * theta[-1]], axis=1)
-    pick = np.argmin(es, axis=1)
-    rows = np.arange(stiff.size)
-    return ls[rows, pick], es[rows, pick]
+    return _refine(energy, _TRACE_GRID, k, e_grid, 1e-12)[0]
 
 
-def _shell_coeffs(n: int, R: Union[float, np.ndarray]) -> Tuple:
-    """(stiff, per_R) of the trace energy for outer radii R > 1."""
-    per1 = n * unit_ball_volume(n)
-    return per1 / (phi(n, R) - phi(n, 1.0)), per1 * R ** (n - 1)
+def _shell_energy(n: int, law: DissipationLaw, R: np.ndarray, lam: float) -> Tuple:
+    """(dirichlet, boundary, penalty, trace) arrays of the minimal shell
+    energy at each outer radius in R (all at least 1); rows at R = 1 are
+    the bare ball."""
+    w = unit_ball_volume(n)
+    per1 = n * w
+    dirichlet = np.zeros(R.shape)
+    boundary = np.full(R.shape, per1 * law.value(1.0))
+    trace = np.ones(R.shape)
+    shell = R > 1.0
+    if np.any(shell):
+        stiff = per1 / (phi(n, R[shell]) - phi(n, 1.0))
+        per_R = per1 * R[shell] ** (n - 1)
+        trace[shell] = l = _trace_min(law, stiff, per_R)
+        dirichlet[shell] = stiff * (1.0 - l) ** 2
+        boundary[shell] = per_R * law.value(l)
+    return dirichlet, boundary, lam * w * (R**n - 1.0), trace
 
 
 def _radial_totals(n: int, law: DissipationLaw, R: np.ndarray, lam: float) -> np.ndarray:
-    """Total shell energy at each outer radius in R (all at least 1)."""
-    w = unit_ball_volume(n)
-    out = np.full(R.shape, n * w * law.value(1.0))
-    shell = R > 1.0
-    if np.any(shell):
-        _, out[shell] = _trace_min(law, *_shell_coeffs(n, R[shell]))
-    return out + lam * w * (R**n - 1.0)
+    """Total shell energy at each outer radius in the array R (all at least 1)."""
+    dirichlet, boundary, penalty, _ = _shell_energy(n, law, R, lam)
+    return dirichlet + boundary + penalty
 
 
 def general_radial_energy(
@@ -276,30 +304,13 @@ def general_radial_energy(
     the boundary term Per(B_R) theta(l).  The trace is found by a global
     scan of a 4096-point grid, then the bracket around the grid minimum is
     refined by 33-point zoom grids to 1e-12 relative width.  The global
-    scan comes first because theta may be discontinuous or nonconvex, and
-    the jump branch at l = 0 is compared explicitly.
+    scan comes first because theta may be discontinuous or nonconvex; the
+    grid holds l = 0, where theta may jump, and l = 1, so neither end is a
+    separate candidate.  R = 1 gives the bare ball.
     """
-    _check_dim(n)
-    if R < 1.0:
-        raise ValueError("outer radius must be at least 1")
-    if lam < 0.0:
-        raise ValueError("penalization weight must be nonnegative")
-    w = unit_ball_volume(n)
-    per1 = n * w
-    penalty = lam * w * (R**n - 1.0)
-    if R == 1.0:
-        return EnergyBreakdown(
-            dirichlet=0.0, boundary=per1 * law.value(1.0), penalty=penalty, trace=1.0
-        )
-    stiff, per_R = _shell_coeffs(n, R)
-    trace, _ = _trace_min(law, np.array([stiff]), np.array([per_R]))
-    l_star = float(trace[0])
-    return EnergyBreakdown(
-        dirichlet=stiff * (1.0 - l_star) ** 2,
-        boundary=per_R * law.value(l_star),
-        penalty=penalty,
-        trace=l_star,
-    )
+    _check_params(n, lam=lam, R=R)
+    parts = _shell_energy(n, law, np.array([R], dtype=float), lam)
+    return EnergyBreakdown(*(float(x[0]) for x in parts))
 
 
 def threshold_radius(n: int, beta: float) -> Optional[float]:
@@ -309,9 +320,7 @@ def threshold_radius(n: int, beta: float) -> Optional[float]:
     In 2D that regime is 0 < beta < 1; for n >= 3 it is n-2 < beta < n-1.
     Outside it, None is returned.
     """
-    _check_dim(n)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    _check_params(n, beta)
     if n == 2:
         if not beta < 1.0:
             return None
@@ -344,11 +353,7 @@ def classify_regime(n: int, beta: float, R_max: float) -> RegimeReport:
     tie (within 1e-9) both radii are optimal and the bare ball is reported
     with the tie flag set.
     """
-    _check_dim(n)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if R_max < 1.0:
-        raise ValueError("R_max must be at least 1")
+    _check_params(n, beta, R_max=R_max)
     crit = max(1.0, (n - 1) / beta)
     threshold = None
     tie = False
@@ -387,44 +392,29 @@ def best_radius(
     any minimizer can afford.  The scan is log-spaced in R - 1 with the
     bare ball included and evaluates all 512 radii in one batched pass;
     the bracket around its minimum is refined by 33-radius zoom rounds to
-    1e-13 relative width, each round one batch.  The bare ball and R_max
-    stay candidates.  This reports the best concentric pair; for general
-    laws no claim is made against non-spherical competitors.
+    1e-13 relative width, each round one batch.  The scan holds the bare
+    ball and R_max, so neither is a separate candidate.  This reports the
+    best concentric pair; for general laws no claim is made against
+    non-spherical competitors.
     """
-    _check_dim(n)
-    w = unit_ball_volume(n)
-    if not math.isfinite(R_max):
-        if lam <= 0.0:
-            raise ValueError("R_max must be finite for the constrained problem")
-        bare = n * w * law.value(1.0)
+    _check_params(n, lam=lam)
+    if R_max == math.inf and lam > 0.0:
+        bare = _shell_energy(n, law, np.ones(1), 0.0)[1][0]
+        w = unit_ball_volume(n)
         hi = 2.0
         while lam * w * (hi**n - 1.0) <= bare:
             hi *= 2.0
         R_max = hi
-    if R_max < 1.0:
-        raise ValueError("R_max must be at least 1")
+    _check_params(n, R_max=R_max)
     if R_max == 1.0:
         return BestRadius(1.0, general_radial_energy(n, law, 1.0, lam))
     radii = np.concatenate(
         [[1.0], 1.0 + np.geomspace((R_max - 1.0) * 1e-6, R_max - 1.0, 511)]
     )
     vals = _radial_totals(n, law, radii, lam)
-    k = int(np.argmin(vals))
-    lo = radii[max(k - 1, 0)]
-    hi = radii[min(k + 1, radii.size - 1)]
-    R_ref, e_ref = _zoom_min(
-        lambda R: _radial_totals(n, law, R.ravel(), lam).reshape(R.shape),
-        np.array([lo]),
-        np.array([hi]),
-        1e-13,
-    )
-    candidates = [
-        (float(R_ref[0]), float(e_ref[0])),
-        (float(radii[k]), float(vals[k])),
-        (1.0, float(vals[0])),
-        (float(R_max), float(vals[-1])),
-    ]
-    R_star, _ = min(candidates, key=lambda t: t[1])
+    k = np.argmin(vals, keepdims=True)
+    R_ref, _ = _refine(lambda R: _radial_totals(n, law, R, lam), radii, k, vals[k], 1e-13)
+    R_star = float(R_ref[0])
     return BestRadius(R_star, general_radial_energy(n, law, R_star, lam))
 
 
@@ -437,7 +427,7 @@ def perturbation_expansion(n: int, law: DissipationLaw, eps: float) -> Perturbat
     ((n-1) theta(1) - theta'(1)^2/4) Per(B_1) is negative exactly when the
     flatness criterion fails, in which case a thin shell beats no shell.
     """
-    _check_dim(n)
+    _check_params(n)
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
     d1 = float(law.jet(1.0)[0])

@@ -14,6 +14,8 @@ from thermoshield.cli import (
     SWEEP_COLUMNS,
     run,
 )
+from thermoshield.dissipation import law_from_json
+from thermoshield.radial import best_radius
 
 CONV1 = '{"type":"convection","beta":1}'
 
@@ -157,6 +159,18 @@ class TestSweep:
         spec = '{"axis":"R","lo":1.5,"hi":3.0,"count":4,"law":{"type":"radiation","gamma":1.0}}'
         assert run(["sweep", "--spec", spec, "--out", out]) == EXIT_OK
         assert len(open(out).read().splitlines()) == 5
+
+    def test_lambda_sweep_uses_best_radius(self, capsys, tmp_path):
+        out = str(tmp_path / "lambda.csv")
+        law = {"type": "surface_cost", "c1": 0.3, "c2": 1.0, "alpha": 0.9}
+        spec = {"axis": "lambda", "lo": 0.05, "hi": 0.5, "count": 3, "scale": "log", "law": law}
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", out]) == EXIT_OK
+        lines = open(out).read().splitlines()
+        assert lines[0] == ",".join(SWEEP_COLUMNS)
+        assert len(lines) == 4
+        for line in lines[1:]:
+            lam, total = (float(v) for v in line.split(",")[:2])
+            assert total == best_radius(2, law_from_json(law), math.inf, lam).energy.total
 
     def test_m_sweep_uses_best_radius(self, capsys, tmp_path):
         out = str(tmp_path / "m.csv")

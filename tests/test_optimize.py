@@ -31,6 +31,10 @@ def quick_init(r_out=2.0, amp=0.08):
     )
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a state solve ran")
+
+
 class TestAreaAndProjection:
     def test_constant_shapes(self):
         assert FourierShape.circle(1.0).area() == pytest.approx(math.pi, rel=1e-12)
@@ -76,6 +80,18 @@ class TestDescentContracts:
     def test_penalized_requires_positive_weight(self):
         with pytest.raises(ValueError):
             optimize_penalized(Convection(1.0), 0.0, quick_init(), QUICK)
+
+    @pytest.mark.parametrize("M", [math.nan, math.inf])
+    def test_budget_must_be_finite_before_any_solve(self, monkeypatch, M):
+        monkeypatch.setattr(optimize, "solve_state", _no_solve)
+        with pytest.raises(ValueError, match="^M must"):
+            optimize_constrained(Convection(1.0), M, quick_init(), QUICK)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_weight_must_be_finite_before_any_solve(self, monkeypatch, lam):
+        monkeypatch.setattr(optimize, "solve_state", _no_solve)
+        with pytest.raises(ValueError, match="^lam must"):
+            optimize_penalized(Convection(1.0), lam, quick_init(), QUICK)
 
     def test_translation_gauge_zeroes_inner_first_mode(self):
         init = StarPair(

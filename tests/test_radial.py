@@ -12,13 +12,16 @@ from thermoshield.dissipation import (
     SurfaceCost,
     unit_ball_volume,
 )
+from thermoshield.levelset import RadialReference
 from thermoshield.radial import (
+    EnergyBreakdown,
     _radial_totals,
     best_radius,
     classify_regime,
     convection_energy,
     convection_state,
     general_radial_energy,
+    gradient_ratio,
     gradient_ratio_max,
     perturbation_expansion,
     phi,
@@ -213,6 +216,13 @@ class TestBestRadius:
     def test_bare_ball_optimum(self):
         assert best_radius(2, Convection(0.5), 3.0).R_star == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_unit_budget_is_the_bare_ball(self, lam):
+        law = Radiation(1.0)
+        br = best_radius(2, law, 1.0, lam)
+        assert br.R_star == 1.0
+        assert br.energy == EnergyBreakdown(0.0, 2 * math.pi * law.value(1.0), 0.0, 1.0)
+
     def test_penalized_stationarity(self):
         br = best_radius(2, Convection(1.0), math.inf, 0.1)
         R = br.R_star
@@ -320,3 +330,38 @@ class TestEnergyMonotonicityPivot:
                 else:
                     hi = mid
             assert 0.5 * (lo + hi) == pytest.approx(crit, abs=1e-6)
+
+
+CONV = Convection(1.0)
+# (function, arguments, the parameter the error must name), one or more per
+# caller of the shared parameter check.
+REJECTED = [
+    (convection_energy, (1, 1.0, 2.0), "n"),
+    (convection_energy, (2, 0.0, 2.0), "beta"),
+    (convection_energy, (2, 1.0, math.inf), "R"),
+    (convection_state, (2, -1.0, 2.0, 1.5), "beta"),
+    (convection_state, (2, 1.0, 0.5, 0.4), "R"),
+    (gradient_ratio, (2, 1.0, math.nan, 1.5), "R"),
+    (gradient_ratio_max, (2, -1.0, 2.0), "beta"),
+    (gradient_ratio_max, (2, 1.0, 1.0), "R"),
+    (general_radial_energy, (2.5, CONV, 2.0), "n"),
+    (general_radial_energy, (2, CONV, 2.0, math.nan), "lam"),
+    (general_radial_energy, (2, CONV, 2.0, -1.0), "lam"),
+    (threshold_radius, (2, math.nan), "beta"),
+    (threshold_radius, (2.0, 0.5), "n"),
+    (classify_regime, (2, 1.0, math.nan), "R_max"),
+    (classify_regime, (2, 1.0, 0.5), "R_max"),
+    (best_radius, (2, CONV, math.nan, 0.1), "R_max"),
+    (best_radius, (2, CONV, math.inf, 0.0), "R_max"),
+    (best_radius, (2, CONV, 2.0, math.inf), "lam"),
+    (perturbation_expansion, (1, CONV, 1e-3), "n"),
+    (RadialReference, (2, math.inf, 2.0), "beta"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, name", REJECTED, ids=[f"{f.__name__}-{name}" for f, _, name in REJECTED]
+)
+def test_invalid_parameter_is_named(func, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        func(*args)
