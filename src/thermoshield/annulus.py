@@ -21,9 +21,10 @@ represent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +49,12 @@ __all__ = [
 ]
 
 GAP_MIN = 1e-3
-# Angles at which a pair's positivity and gap are checked.
-_CHECK_THETA = np.arange(1024) * (2.0 * math.pi / 1024)
+# Number of uniform angles at which a pair's positivity and gap are checked.
+_CHECK_N = 1024
+# Default absolute tolerance on the state solver's residual, and default
+# budget of Newton steps.
+_SOLVE_TOL = 1e-9
+_MAX_ITERS = 20000
 # Rounding floor of the state solver's residual, per unit of the largest
 # Dirichlet stiffness; the relative size of a rounding-level energy change;
 # and the Armijo constant.
@@ -92,6 +97,26 @@ def _fourier_basis(theta: np.ndarray, order: int) -> Tuple[np.ndarray, np.ndarra
     return basis, deriv
 
 
+@functools.lru_cache(maxsize=64)
+def _uniform_basis(n: int, order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`_fourier_basis` on the n uniform angles 2 pi j / n, built once per
+    (n, order) and read-only."""
+    bases = _fourier_basis(np.arange(n) * (2.0 * math.pi / n), order)
+    for b in bases:
+        b.setflags(write=False)
+    return bases
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """a at the next angle, periodically: np.roll(a, -1, axis=-1), faster."""
+    return np.concatenate((a[..., 1:], a[..., :1]), axis=-1)
+
+
+def _prev(a: np.ndarray) -> np.ndarray:
+    """a at the previous angle, periodically: np.roll(a, 1, axis=-1), faster."""
+    return np.concatenate((a[..., -1:], a[..., :-1]), axis=-1)
+
+
 @dataclass(frozen=True)
 class FourierShape:
     """Star-shaped boundary r(theta) = a0 + sum_k (a_k cos k theta + b_k sin k theta).
@@ -124,17 +149,18 @@ class FourierShape:
         out[:take] = self._arr[:take]
         return FourierShape(out)
 
-    def _jet(self, theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """r(theta) and r'(theta) from one basis evaluation; reductions, not
-        matrix products (see `Assembly.shape_gradient`)."""
-        basis, deriv = _fourier_basis(np.asarray(theta, dtype=float), self.order)
+    def _jet(self, bases: Tuple[np.ndarray, np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """r and r' from a basis of this shape's order and its derivative
+        (`_fourier_basis`); reductions, not matrix products (see
+        `Assembly.shape_gradient`)."""
+        basis, deriv = bases
         return np.sum(basis * self._arr, axis=-1), np.sum(deriv * self._arr, axis=-1)
 
     def radius(self, theta: np.ndarray) -> np.ndarray:
-        return self._jet(theta)[0]
+        return self._jet(_fourier_basis(np.asarray(theta, dtype=float), self.order))[0]
 
     def radius_deriv(self, theta: np.ndarray) -> np.ndarray:
-        return self._jet(theta)[1]
+        return self._jet(_fourier_basis(np.asarray(theta, dtype=float), self.order))[1]
 
     def area(self) -> float:
         """Enclosed area (1/2) int r^2 dtheta in closed form."""
@@ -164,7 +190,7 @@ class StarPair:
     def __post_init__(self) -> None:
         # One basis of the larger order serves both shapes: a shape of lower
         # order reads its leading columns, the same sums as `radius`.
-        basis = _fourier_basis(_CHECK_THETA, max(self.inner.order, self.outer.order))[0]
+        basis = _uniform_basis(_CHECK_N, max(self.inner.order, self.outer.order))[0]
         rk, ro = (
             np.sum(basis[:, : shape._arr.size] * shape._arr, axis=-1)
             for shape in (self.inner, self.outer)
@@ -248,8 +274,8 @@ class Assembly:
         self.dt = 2.0 * math.pi / n_t
         theta = np.arange(n_t) * self.dt
         self.theta = theta
-        rk, rkp = pair.inner._jet(theta)
-        ro, rop = pair.outer._jet(theta)
+        rk, rkp = pair.inner._jet(_uniform_basis(n_t, pair.inner.order))
+        ro, rop = pair.outer._jet(_uniform_basis(n_t, pair.outer.order))
         self._rkp = rkp
         self._rop = rop
         g = ro - rk
@@ -266,7 +292,7 @@ class Assembly:
         mu[0] = mu[-1] = 1.0
         self._mu = mu
         self._Pe = 2.0 * (P[:-1] + P[1:])
-        self._Ce = (C + np.roll(C, -1, axis=1)) * mu[:, None]
+        self._Ce = (C + _next(C)) * mu[:, None]
         # Outer boundary arclength weights for the dissipation integral.
         self.bw = np.sqrt(ro**2 + rop**2) * self.dt
         # Radial stretch r_O - r_K of the polar map, per angle.
@@ -283,8 +309,8 @@ class Assembly:
         """Radial and angular edge differences US, UT of u and their sums
         V, W over the two angular and the two radial edges at each node."""
         US = np.diff(u, axis=0) / self.ds
-        UT = (np.roll(u, -1, axis=1) - u) / self.dt
-        V = UT + np.roll(UT, 1, axis=1)
+        UT = (_next(u) - u) / self.dt
+        V = UT + _prev(UT)
         W = np.zeros_like(u)
         W[:-1] += US
         W[1:] += US
@@ -298,12 +324,12 @@ class Assembly:
         US, UT, V, W = self._edges(u)
         FS = 2.0 * self._Pe * US + self.Q[:-1] * V[:-1] + self.Q[1:] * V[1:]
         QW = self.Q * W
-        FT = 2.0 * self._Ce * UT + QW + np.roll(QW, -1, axis=1)
+        FT = 2.0 * self._Ce * UT + QW + _next(QW)
         energy = 0.5 * (float(np.sum(US * FS)) + float(np.sum(UT * FT)))
         grad = np.zeros_like(u)
         grad[1:] += FS / self.ds
         grad[:-1] -= FS / self.ds
-        grad += (np.roll(FT, 1, axis=1) - FT) / self.dt
+        grad += (_prev(FT) - FT) / self.dt
         return energy, grad
 
     def dirichlet_grad(self, u: np.ndarray) -> np.ndarray:
@@ -378,7 +404,7 @@ class Assembly:
         EP[:-1] += 2.0 * US2
         EP[1:] += 2.0 * US2
         UT2 = UT * UT
-        EC = self._mu[:, None] * (UT2 + np.roll(UT2, 1, axis=1))
+        EC = self._mu[:, None] * (UT2 + _prev(UT2))
         EQ = W * V
         # Partial derivatives of the energy in rho, g and a at every node.
         inv = 1.0 / rho
@@ -403,23 +429,35 @@ class Assembly:
         )
         grads = []
         for shape, d_r, d_rp in sensitivities:
-            basis, deriv = _fourier_basis(self.theta, shape.order)
+            basis, deriv = _uniform_basis(self.mesh.n_theta, shape.order)
             grads.append(np.sum(d_r[:, None] * basis + d_rp[:, None] * deriv, axis=0))
         return grads[0], grads[1]
 
-    def breakdown(self, u: np.ndarray, law: DissipationLaw) -> EnergyBreakdown:
+    def breakdown(
+        self, u: np.ndarray, law: DissipationLaw, parts: Optional[Tuple[float, float]] = None
+    ) -> EnergyBreakdown:
+        """The energy of u; `parts`, its Dirichlet and boundary terms if known."""
+        dirichlet, boundary = parts or (self.dirichlet(u)[0], self._boundary(u, law))
         trace = float(np.sum(self.bw * u[-1]) / np.sum(self.bw))
-        return EnergyBreakdown(
-            dirichlet=self.dirichlet(u)[0],
-            boundary=self._boundary(u, law),
-            penalty=0.0,
-            trace=trace,
-        )
+        return EnergyBreakdown(dirichlet=dirichlet, boundary=boundary, penalty=0.0, trace=trace)
 
 
 def _largest_descent(down: np.ndarray, up: np.ndarray) -> float:
     """`Assembly.residual` from the one-sided slopes of `Assembly._one_sided`."""
     return max(float(np.max(down[1:])), -float(np.min(up[1:])), 0.0)
+
+
+def _scan_levels(c: np.ndarray) -> List[np.ndarray]:
+    """Coefficients of the log-depth prefix scan (Kogge & Stone 1973) of
+    y_i = f_i + c_i y_{i-1} along the first axis, c_0 = 0: level k adds them
+    times y[:-s] to y[s:], s = 2^k, and row i's is then the product of c
+    over the 2^(k+1) rows ending at i (`_ModeSolver.__call__`)."""
+    levels, s = [], 1
+    while s < len(c):
+        levels.append(c[s:])
+        c = np.concatenate((c[:s], c[s:] * c[:-s]))
+        s *= 2
+    return levels
 
 
 class _ModeSolver:
@@ -429,35 +467,43 @@ class _ModeSolver:
     symmetric tridiagonal system: couplings -pe_i, diagonal
     pe_{i-1} + pe_i + ce_i (2 - 2 cos(2 pi k / n_theta)) (no pe_i on the
     outer row), where pe = 2 mean(_Pe)/ds^2 and ce = 2 mean(_Ce)/dt^2 per
-    row.  The Thomas pivots of all modes are computed once per assembly;
-    only the outer one depends on the law's curvature.  On concentric
-    circles without a law term this is the exact inverse."""
+    row.  On concentric circles without a law term this is the exact
+    inverse.  Thomas' pivots and the coefficients of both sweeps, as scans
+    (`_scan_levels`) over the rows below the outer one, are computed once per
+    assembly; the outer row, whose pivot holds the law's curvature, is one
+    more update."""
 
     def __init__(self, asm: Assembly):
         n_t = asm.mesh.n_theta
         pe = 2.0 * np.mean(asm._Pe, axis=1) / asm.ds**2
         ce = 2.0 * np.mean(asm._Ce[1:], axis=1) / asm.dt**2
         wave = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(n_t // 2 + 1) / n_t)
-        diag = (pe + np.append(pe[1:], 0.0))[:, None] + ce[:, None] * wave
-        self.off = -pe[1:]
-        self.sup = np.empty_like(diag)
-        self.piv = diag.copy()
-        for i in range(1, len(diag)):
-            self.sup[i - 1] = self.off[i - 1] / self.piv[i - 1]
-            self.piv[i] -= self.off[i - 1] * self.sup[i - 1]
-        self.outer = self.piv[-1].copy()
+        piv = (pe + np.append(pe[1:], 0.0))[:, None] + ce[:, None] * wave
+        off = -pe[1:, None]
+        for i in range(1, len(piv)):
+            piv[i] -= off[i - 1] * (off[i - 1] / piv[i - 1])
+        sup = off / piv[:-1]
+        zero = np.zeros_like(piv[:1])
+        self.piv, self.outer, self.off, self.sup = piv[:-1], piv[-1], off[-1], sup[-1]
+        self.forward = _scan_levels(np.concatenate((zero, -off[:-1] / piv[1:-1])))
+        # The backward sweep runs from the outer row down: its levels in row order.
+        self.backward = [a[::-1].copy() for a in _scan_levels(np.concatenate((zero, -sup[-2::-1])))]
+        self.last = self.outer
 
     def set_curvature(self, c: float) -> None:
         """Add c to the outer row's diagonal."""
-        self.piv[-1] = self.outer + c
+        self.last = self.outer + c
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         x = np.fft.rfft(r[1:], axis=1)
-        x[0] /= self.piv[0]
-        for i in range(1, len(x)):
-            x[i] = (x[i] - self.off[i - 1] * x[i - 1]) / self.piv[i]
-        for i in range(len(x) - 2, -1, -1):
-            x[i] -= self.sup[i] * x[i + 1]
+        y = x[:-1]
+        y /= self.piv
+        for k, a in enumerate(self.forward):
+            y[1 << k :] += a * y[: -(1 << k)]
+        x[-1] = (x[-1] - self.off * y[-1]) / self.last
+        y[-1] -= self.sup * x[-1]
+        for k, a in enumerate(self.backward):
+            y[: -(1 << k)] += a * y[1 << k :]
         z = np.zeros_like(r)
         z[1:] = np.fft.irfft(x, n=r.shape[1], axis=1)
         return z
@@ -467,8 +513,8 @@ def solve_state(
     pair: StarPair,
     law: DissipationLaw,
     mesh: Optional[Mesh] = None,
-    tol: float = 1e-9,
-    max_iters: int = 20000,
+    tol: float = _SOLVE_TOL,
+    max_iters: int = _MAX_ITERS,
     u0: Optional[np.ndarray] = None,
 ) -> SolveResult:
     """Minimize the discrete insulation energy over admissible temperatures.
@@ -477,7 +523,7 @@ def solve_state(
     (Hintermueller, Ito & Kunisch 2002), on nodal values in [0, 1] with the
     inner row pinned at 1.  It starts from the constant 1 state, or from a
     caller's warm start with values below 1e-12 snapped to 0, and reads the
-    law only through `value`, `jet` and `breakpoints`:
+    law only through `value`, `jet`, `breakpoints` and `convex`:
 
     - A node on a clamp, or an outer node on a law breakpoint, is held where
       its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.
@@ -487,10 +533,14 @@ def solve_state(
       min(0.1, sqrt(residual)).  A free node whose step points to a side
       where the energy rises does not move.
     - Each outer node stops at the first breakpoint it reaches and interior
-      nodes are clipped to [0, 1].  Armijo backtracking guards the energy;
-      a full step is doubled while the energy keeps falling, and a step
-      whose predicted decrease is at rounding level is taken as it is.
-    - At a stationary point, single-node moves of the outer row to every
+      nodes are clipped to [0, 1].  Armijo backtracking guards the energy,
+      and a step whose predicted decrease is at rounding level is taken as
+      it is.
+    - A convex law (`DissipationLaw.convex`) makes the energy convex, and
+      the solve stops at its stationary point.  For a nonconvex law a full
+      step is doubled while the energy falls (a concave piece's curvature
+      is clipped to 0, so the step can fall short of detaching a node), and
+      at a stationary point single-node moves of the outer row to every
       breakpoint and to the Dirichlet-only minimizer are tried with exact
       law values; the improving ones are applied all at once and Newton
       resumes, or the solve stops if together they do not lower the energy.
@@ -502,10 +552,21 @@ def solve_state(
     after `max_iters` of them.  For a convex law the minimizer is unique;
     for a nonconvex one the result is a local minimum.
     """
+    return _solve(Assembly(pair, mesh or Mesh()), law, u0, tol, max_iters)
+
+
+def _solve(
+    asm: Assembly,
+    law: DissipationLaw,
+    u0: Optional[np.ndarray] = None,
+    tol: float = _SOLVE_TOL,
+    max_iters: int = _MAX_ITERS,
+) -> SolveResult:
+    """`solve_state` on the assembly of its pair and mesh, for a caller that
+    keeps the assembly (the optimizer takes its shape gradient there)."""
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    mesh = mesh or Mesh()
-    asm = Assembly(pair, mesh)
+    pair, mesh = asm.pair, asm.mesh
     n_s, n_t = mesh.n_s, mesh.n_theta
     if u0 is None:
         u = np.ones((n_s, n_t))
@@ -517,21 +578,26 @@ def solve_state(
     u[0] = 1.0
     stop = max(tol, _FLOOR * (np.max(asm._Pe) / asm.ds**2 + np.max(asm._Ce) / asm.dt**2))
     breaks = law.breakpoints
+    convex = law.convex
     # Diagonal of the Dirichlet Hessian on the outer row.
-    diag = 2.0 * asm._Pe[-1] / asm.ds**2 + 2.0 * (asm._Ce[-1] + np.roll(asm._Ce[-1], 1)) / asm.dt**2
+    diag = 2.0 * asm._Pe[-1] / asm.ds**2 + 2.0 * (asm._Ce[-1] + _prev(asm._Ce[-1])) / asm.dt**2
     precond = _ModeSolver(asm)
 
-    def energy(v: np.ndarray) -> Tuple[float, np.ndarray]:
+    def energy(v: np.ndarray) -> Tuple[float, np.ndarray, Tuple[float, float]]:
+        """The energy of v, its Dirichlet gradient, and its two terms."""
         e_dir, grad = asm.dirichlet(v)
-        return e_dir + asm._boundary(v, law), grad
+        e_bnd = asm._boundary(v, law)
+        return e_dir + e_bnd, grad, (e_dir, e_bnd)
 
-    e, g = energy(u)
+    e, g, parts = energy(u)
     steps = 0
     while True:
         down, up, bend = asm._one_sided(u, g, law)
         residual = _largest_descent(down, up)
         rounding = _ROUNDING * abs(e)
         if residual <= stop:
+            if convex:
+                break
             # Escape test: the best single-node move of each outer node.
             ub, gb = u[-1], g[-1]
             cand = np.vstack([np.broadcast_to(breaks[:, None], (breaks.size, n_t)),
@@ -545,10 +611,10 @@ def solve_state(
                 break
             v = u.copy()
             v[-1] = np.where(better, cand[best, cols], ub)
-            e_v, g_v = energy(v)
+            e_v, g_v, p_v = energy(v)
             if not e_v < e - rounding:
                 break
-            u, e, g = v, e_v, g_v
+            u, e, g, parts = v, e_v, g_v, p_v
             continue
         if steps == max_iters:
             raise ConvergenceError(f"state solver did not reach residual {stop:.3g} in {max_iters} steps")
@@ -560,12 +626,13 @@ def solve_state(
         curv = asm.bw * np.where(np.isfinite(bend), np.maximum(bend, 0.0), 0.0)
         precond.set_curvature(float(np.mean(curv)))
         mask = free.astype(float)
-        # Preconditioned CG on the free nodes, from d = 0.
+        # Preconditioned CG on the free nodes, from d = 0.  Squared norms are
+        # reductions: np.linalg.norm calls BLAS, whose threads spin after it.
         d, p, rz = np.zeros_like(u), np.zeros_like(u), 1.0
         r = -slope * mask
-        target = min(0.1, math.sqrt(residual)) * float(np.linalg.norm(r))
+        target = min(0.01, residual) * float(np.sum(r * r))
         for _ in range(r.size):
-            if float(np.linalg.norm(r)) <= target:
+            if float(np.sum(r * r)) <= target:
                 break
             z = precond(r) * mask
             rz, rz_old = float(np.sum(r * z)), rz
@@ -591,27 +658,26 @@ def solve_state(
 
         t = 1.0
         v, predicted = trial(t)
-        e_v, g_v = energy(v)
+        e_v, g_v, p_v = energy(v)
         while not (predicted <= rounding or e_v <= e - _ARMIJO * predicted):
             t *= 0.5
             v, predicted = trial(t)
-            e_v, g_v = energy(v)
-        if t == 1.0 and predicted > rounding:
-            # Slow detachment: a concave piece's curvature is clipped to 0,
-            # so the full step can fall short; double it while E falls.
+            e_v, g_v, p_v = energy(v)
+        if not convex and t == 1.0 and predicted > rounding:
+            # Slow detachment: double the full step while E falls.
             while True:
                 t *= 2.0
                 w = trial(t)[0]
-                e_w, g_w = energy(w)
+                e_w, g_w, p_w = energy(w)
                 if not e_w < e_v:
                     break
-                v, e_v, g_v = w, e_w, g_w
-        u, e, g = v, e_v, g_v
+                v, e_v, g_v, p_v = w, e_w, g_w, p_w
+        u, e, g, parts = v, e_v, g_v, p_v
 
     field_obj = ScalarField(values=u, mesh=mesh, pair=pair)
     return SolveResult(
         field=field_obj,
-        energy=asm.breakdown(u, law),
+        energy=asm.breakdown(u, law, parts),
         iterations=steps,
         residual=residual,
     )

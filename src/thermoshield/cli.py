@@ -10,7 +10,6 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import sys
@@ -26,6 +25,7 @@ from .annulus import (
     Mesh,
     ScalarField,
     StarPair,
+    _SOLVE_TOL,
     _write_csv,
     dump_field,
     solve_state,
@@ -68,7 +68,6 @@ EXIT_NO_CONVERGENCE = 3
 
 SWEEP_COLUMNS = ("value", "total", *(f.name for f in fields(EnergyBreakdown)))
 # `solve --tol` and the `optimize` options default to the library's values.
-_SOLVE_TOL = inspect.signature(solve_state).parameters["tol"].default
 _OPTIMIZE_DEFAULTS = OptimizeOptions()
 
 

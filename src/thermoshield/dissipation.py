@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,23 @@ def _require_finite(name: str, value: object) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= _FLOAT_MAX:
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _check_params(
+    n: int, beta: Optional[float] = None, lam: Optional[float] = None, **radii: float
+) -> None:
+    """ValueError naming the first bad parameter: n must be an integer of at
+    least 2, beta finite and positive, lam finite and nonnegative, and each
+    radius (passed by its name) finite and at least 1."""
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    if beta is not None and not _require_finite("beta", beta) > 0.0:
+        raise ValueError(f"beta must be positive, got {beta!r}")
+    if lam is not None and not _require_finite("lam", lam) >= 0.0:
+        raise ValueError(f"lam must be nonnegative, got {lam!r}")
+    for name, R in radii.items():
+        if not _require_finite(name, R) >= 1.0:
+            raise ValueError(f"{name} must be at least 1, got {R!r}")
 
 
 def _check_domain(u: np.ndarray) -> np.ndarray:
@@ -119,6 +136,9 @@ class DissipationLaw:
         """Sorted points where the law may jump or kink: 0 and 1 here."""
         return np.array([0.0, 1.0])
 
+    # Whether theta is convex on [0, 1]; then so is the discrete energy.
+    convex = False
+
 
 def _power_jet(c: float, alpha: float, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The jet of c u^alpha; a linear term's curvature is 0, also at 0."""
@@ -138,6 +158,7 @@ class Convection(DissipationLaw):
     """theta(u) = beta * u**2, the Robin/Newton-cooling law."""
 
     beta: float
+    convex = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.beta * u * u
@@ -156,6 +177,7 @@ class Radiation(DissipationLaw):
     """
 
     gamma: float
+    convex = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         g = self.gamma
@@ -172,6 +194,7 @@ class Linear(DissipationLaw):
     """theta(u) = c * u, a constant heat flux per unit temperature."""
 
     c: float
+    convex = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * u
@@ -186,6 +209,10 @@ class Power(DissipationLaw):
 
     c: float
     alpha: float
+
+    @property
+    def convex(self) -> bool:
+        return self.alpha >= 1.0
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * np.power(u, self.alpha)
@@ -281,6 +308,13 @@ class Tabulated(DissipationLaw):
         kink = np.isinf(right) | (np.abs(right - left) > noise)
         return np.concatenate([[0.0], x[1:-1][kink], [1.0]])
 
+    @property
+    def convex(self) -> bool:
+        """Nondecreasing chord slopes and no jump: below 1, every breakpoint's
+        right slope is finite and at least its left one."""
+        left, right, _ = self.jet(self.breakpoints[:-1])
+        return bool(np.all(np.isfinite(right) & (right >= left)))
+
 
 @dataclass(frozen=True)
 class FlatCriterion:
@@ -311,8 +345,7 @@ def hyp_theta_inf(law: DissipationLaw) -> float:
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in dimension n via the half-integer recurrence."""
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
+    _check_params(n)
     vol = 1.0 if n % 2 == 0 else 2.0
     for k in range(2 + n % 2, n + 1, 2):
         vol *= 2.0 * math.pi / k
@@ -331,8 +364,7 @@ def volume_bound(law: DissipationLaw, n: int, c_n: float = 1.0) -> float:
     near zero, the integral diverges and +inf is returned (any budget is
     then admissible).  c_n is a dimensional constant left to the caller.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_params(n)
     if c_n <= 0:
         raise ValueError("c_n must be positive")
     ratio = hyp_theta_inf(law)
@@ -367,8 +399,7 @@ def volume_bound(law: DissipationLaw, n: int, c_n: float = 1.0) -> float:
 def flat_criterion(law: DissipationLaw, n: int) -> FlatCriterion:
     """Test theta'(1)^2/theta(1) < 4(n-1), under which no insulation is
     optimal for volume budgets close to the bare body."""
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_params(n)
     d1 = float(law.jet(1.0)[0])
     t1 = law.value(1.0)
     ratio = d1 * d1 / t1 if t1 > 0.0 else 0.0

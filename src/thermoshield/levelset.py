@@ -29,8 +29,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .annulus import Assembly, ScalarField, StarPair, _require_same_pair, _write_csv
-from .dissipation import Convection, DissipationLaw, unit_ball_volume
-from .radial import _check_params, gradient_ratio
+from .dissipation import Convection, DissipationLaw, _check_params, _require_finite, unit_ball_volume
+from .radial import gradient_ratio
 
 __all__ = [
     "LevelDecomposition",
@@ -453,10 +453,9 @@ def high_cutoff_bound(law: DissipationLaw, n: int, M: float, C_n: float = 1.0) -
     just below their maximum without raising the relaxed energy; it requires
     the volume excess M - omega_n to be small.  C_n is caller-supplied.
     """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
+    _check_params(n)
     w = unit_ball_volume(n)
-    if M < w:
+    if _require_finite("M", M) < w:
         raise ValueError("M must be at least the unit ball volume")
     deltas = np.arange(1, 4096) / 4096
     theta1 = law.value(1.0)

@@ -40,8 +40,8 @@ from .annulus import (
     SolveResult,
     StarPair,
     _area_from_coeffs,
+    _solve,
     _write_csv,
-    solve_state,
 )
 from .dissipation import DissipationLaw, _require_finite
 from .radial import EnergyBreakdown, general_radial_energy
@@ -180,18 +180,22 @@ class _Descent:
         n = self.ncoef
         return self.lam * (_area_from_coeffs(x[n:]) - _area_from_coeffs(x[:n]))
 
-    def objective(self, x: np.ndarray, warm: Optional[np.ndarray]) -> Tuple[float, SolveResult]:
+    def objective(
+        self, x: np.ndarray, warm: Optional[np.ndarray]
+    ) -> Tuple[float, SolveResult, Assembly]:
+        """The objective at x, the state solved there and the assembly it was
+        solved on, which `gradient` reuses."""
         n = self.ncoef
         pair = StarPair(FourierShape(x[:n]), FourierShape(x[n:]))
-        res = solve_state(pair, self.law, self.opts.mesh, u0=warm)
-        return res.energy.total + self.penalty(x), res
+        asm = Assembly(pair, self.opts.mesh)
+        res = _solve(asm, self.law, warm)
+        return res.energy.total + self.penalty(x), res, asm
 
-    def gradient(self, x: np.ndarray, res: SolveResult) -> np.ndarray:
-        """Gradient of the objective at x, given the state solved there.  The
-        penalty's inner-area term is left out: it lies along the inner
-        area's gradient, which `project_direction` removes."""
-        solved = res.field
-        g_in, g_out = Assembly(solved.pair, solved.mesh).shape_gradient(solved.values, self.law)
+    def gradient(self, x: np.ndarray, res: SolveResult, asm: Assembly) -> np.ndarray:
+        """Gradient of the objective at x, given the state solved there and
+        its assembly.  The penalty's inner-area term is left out: it lies
+        along the inner area's gradient, which `project_direction` removes."""
+        g_in, g_out = asm.shape_gradient(res.field.values, self.law)
         return np.concatenate([g_in, g_out + self.lam * _area_grad(x[self.ncoef :])])
 
     def project_direction(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -240,7 +244,7 @@ class _Descent:
 def _run(descent: _Descent) -> OptimizeResult:
     opts = descent.opts
     x = descent.project_point(descent.x)
-    energy, res = descent.objective(x, None)
+    energy, res, asm = descent.objective(x, None)
     trace: List[TraceRow] = []
 
     def record(it: int, e: float, res: SolveResult, x: np.ndarray, step: float) -> None:
@@ -269,7 +273,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         if collapsed or stall >= _STALL_LIMIT or iterations == opts.max_outer_iters:
             break
         iterations += 1
-        g = descent.gradient(x, res)
+        g = descent.gradient(x, res, asm)
         d = descent.project_direction(x, -g)
         norm = float(np.linalg.norm(d))
         if norm < _GRAD_TOL:
@@ -283,7 +287,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         while alpha >= _STEP_MIN:
             try:
                 x_new = descent.project_point(x + alpha * d)
-                e_new, res_new = descent.objective(x_new, res.field.values)
+                e_new, res_new, asm_new = descent.objective(x_new, res.field.values)
             except GeometryError:
                 alpha *= _BACKTRACK
                 continue
@@ -297,7 +301,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         if not accepted:
             break
         decrease = energy - e_new
-        x, energy, res = x_new, e_new, res_new
+        x, energy, res, asm = x_new, e_new, res_new, asm_new
         record(iterations, energy, res, x, alpha)
         stall = stall + 1 if decrease < _STALL_DECREASE * max(1.0, abs(energy)) else 0
 

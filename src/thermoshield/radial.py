@@ -14,13 +14,12 @@ monotonicity test.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .dissipation import DissipationLaw, _require_finite, unit_ball_volume
+from .dissipation import DissipationLaw, _check_params, unit_ball_volume
 
 __all__ = [
     "EnergyBreakdown",
@@ -131,23 +130,6 @@ def phi_prime(n: int, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]
         raise ValueError("phi_prime requires rho > 0")
     out = r ** (1 - n)
     return float(out) if np.ndim(rho) == 0 else out
-
-
-def _check_params(
-    n: int, beta: Optional[float] = None, lam: Optional[float] = None, **radii: float
-) -> None:
-    """ValueError naming the first bad parameter: n must be an integer of at
-    least 2, beta finite and positive, lam finite and nonnegative, and each
-    radius (passed by its name) finite and at least 1."""
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
-    if beta is not None and not _require_finite("beta", beta) > 0.0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    if lam is not None and not _require_finite("lam", lam) >= 0.0:
-        raise ValueError(f"lam must be nonnegative, got {lam!r}")
-    for name, R in radii.items():
-        if not _require_finite(name, R) >= 1.0:
-            raise ValueError(f"{name} must be at least 1, got {R!r}")
 
 
 def convection_energy(n: int, beta: float, R: float) -> EnergyBreakdown:

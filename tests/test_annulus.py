@@ -14,6 +14,9 @@ from thermoshield.annulus import (
     MeshMismatchError,
     ScalarField,
     StarPair,
+    _fourier_basis,
+    _ModeSolver,
+    _uniform_basis,
     dump_field,
     energy_of,
     load_field,
@@ -215,6 +218,55 @@ class TestResidual:
         inner = float(np.max(np.where(g > 0.0, g * (u[1:-1] > 0.0), -g * (u[1:-1] < 1.0))))
         assert asm.residual(u, Power(1.0, 0.5)) == inner
         assert asm.residual(u, Convection(1.0)) > inner
+
+    def test_doubling_detaches_surface_cost(self):
+        # Under the surface-cost jump the clipped Newton model cannot see the
+        # gain of detaching the outer row; doubling the full step finds it.
+        # Without doubling this solve stops attached, at energy 12.4694
+        # (36% higher) and a residual as small: only the energy tells.
+        res = solve_state(self.PAIR, SurfaceCost(0.3, 1.0, 0.9), Mesh(17, 64))
+        assert res.energy.total == pytest.approx(9.161618945733837, rel=1e-9)
+        assert np.all(res.field.values[-1] == 0.0)
+
+
+class TestModeSolver:
+    """The preconditioner against a dense solve of each rFFT mode's
+    tridiagonal system, as its docstring states it."""
+
+    @pytest.mark.parametrize("n_s, n_t", [(9, 32), (33, 128)])
+    @pytest.mark.parametrize("curvature", [0.0, 2.5])
+    def test_matches_dense_mode_solves(self, n_s, n_t, curvature):
+        asm = Assembly(perturbed_pair(), Mesh(n_s, n_t))
+        solver = _ModeSolver(asm)
+        solver.set_curvature(curvature)
+        r = np.random.default_rng(n_s).standard_normal((n_s, n_t))
+        pe = 2.0 * np.mean(asm._Pe, axis=1) / asm.ds**2
+        ce = 2.0 * np.mean(asm._Ce[1:], axis=1) / asm.dt**2
+        rhs = np.fft.rfft(r[1:], axis=1)
+        x = np.empty_like(rhs)
+        for k in range(rhs.shape[1]):
+            wave = 2.0 - 2.0 * math.cos(2.0 * math.pi * k / n_t)
+            A = np.diag(pe + np.append(pe[1:], 0.0) + ce * wave)
+            A -= np.diag(pe[1:], 1) + np.diag(pe[1:], -1)
+            A[-1, -1] += curvature
+            x[:, k] = np.linalg.solve(A, rhs[:, k])
+        expected = np.fft.irfft(x, n=n_t, axis=1)
+        got = solver(r)
+        assert np.all(got[0] == 0.0)
+        assert np.max(np.abs(got[1:] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+class TestUniformBasis:
+    @pytest.mark.parametrize("n, order", [(32, 0), (128, 3), (1024, 16)])
+    def test_read_only_and_equal_to_fourier_basis(self, n, order):
+        cached = _uniform_basis(n, order)
+        fresh = _fourier_basis(np.arange(n) * (2.0 * math.pi / n), order)
+        assert _uniform_basis(n, order) is cached
+        for a, b in zip(cached, fresh):
+            assert not a.flags.writeable
+            assert np.array_equal(a, b)
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
 
 
 class TestScaleField:

@@ -242,6 +242,31 @@ class TestBreakpoints:
         assert np.array_equal(reg.breakpoints, [k for k, _ in reg.knots])
 
 
+class TestConvex:
+    @pytest.mark.parametrize(
+        "law, convex",
+        [
+            (Convection(1.0), True),
+            (Radiation(0.25), True),
+            (Linear(2.0), True),
+            (Power(1.0, 1.0), True),
+            (Power(1.0, 3.0), True),
+            (Power(1.5, 0.7), False),
+            (SurfaceCost(2.0, 0.0, 1.0), False),
+            (SurfaceCost(0.3, 1.0, 2.0), False),
+            (Tabulated([(0, 0), (0.4, 0.2), (1, 1.4)]), True),
+            (Tabulated([(0, 0), (0.2, 0.1), (0.5, 0.25), (1, 1)]), True),
+            (Tabulated([(0, 0), (0.25, 0.1), (0.5, 0.1), (1, 2.0)]), False),
+            (Tabulated([(0, 0), (0.5, 1.0)]), False),
+            (Tabulated([(0, 0), (0.3, 0.1), (0.3, 0.5), (1, 1)]), False),
+            (Tabulated([(0, 0), (0, 0.5), (1, 1.5)]), False),
+            (epsilon_regularize(Linear(1.0), 0.1), False),
+        ],
+    )
+    def test_per_class(self, law, convex):
+        assert law.convex is convex
+
+
 class TestHypThetaInf:
     def test_convection_exactly_one_ninth(self):
         # (s/3)^2 / s^2 is 1/9 at every grid point.
@@ -421,6 +446,22 @@ class TestJson:
             law_from_json({"type": "radiation"})
         with pytest.raises(ValueError, match="'knots'"):
             law_from_json({"type": "tabulated"})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: unit_ball_volume(2.5),
+        lambda: unit_ball_volume(1),
+        lambda: volume_bound(Radiation(1.0), 2.5),
+        lambda: flat_criterion(Radiation(1.0), 2.5),
+        lambda: flat_criterion(Radiation(1.0), 1),
+    ],
+    ids=["ball-fraction", "ball-one", "volume-bound-fraction", "flat-fraction", "flat-one"],
+)
+def test_dimension_must_be_an_integer_of_at_least_two(call):
+    with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+        call()
 
 
 def test_unit_ball_volumes():

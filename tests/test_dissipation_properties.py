@@ -90,3 +90,17 @@ def test_jets_match_difference_quotients(law, drawn):
     tol = 16 * EPS * (np.abs(below) + 2.0 * np.abs(mid) + np.abs(above)) / h**2
     assert np.all(second >= ends.min(axis=0) - tol - 1e-9 * np.abs(ends).max(axis=0))
     assert np.all(second <= ends.max(axis=0) + tol + 1e-9 * np.abs(ends).max(axis=0))
+
+
+@given(law=LAWS)
+def test_convex_is_midpoint_convexity(law):
+    # Midpoint convexity on all pairs of a grid that holds each breakpoint
+    # and two points just above it: every nonconvex law here fails it by
+    # far more than rounding.  A jump fails by half its height at the pair
+    # around it, and Power with alpha <= 0.95 by 1.7% of theta(1) at (0, 1).
+    b = law.breakpoints
+    u = np.unique(np.concatenate([np.linspace(0.0, 1.0, 65), b, b + 1e-6, b + 2e-6]))
+    u = u[u <= 1.0]
+    a, b = u[:, None], u[None, :]
+    excess = _values(law, (a + b) / 2) - (_values(law, a) + _values(law, b)) / 2
+    assert law.convex == bool(np.max(excess) <= 1e-12 * max(1.0, law.value(1.0)))

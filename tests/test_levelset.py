@@ -16,7 +16,7 @@ from thermoshield.annulus import (
     energy_of,
     solve_state,
 )
-from thermoshield.dissipation import Convection, SurfaceCost, Tabulated, unit_ball_volume
+from thermoshield.dissipation import Convection, Radiation, SurfaceCost, Tabulated, unit_ball_volume
 from thermoshield.levelset import (
     DegenerateFieldError,
     RadialReference,
@@ -337,6 +337,14 @@ class TestHighCutoff:
     def test_below_unit_volume_rejected(self):
         with pytest.raises(ValueError):
             high_cutoff_bound(Convection(1.0), 2, 1.0)
+
+    def test_nan_budget_rejected(self):
+        with pytest.raises(ValueError, match="M must be a finite real number"):
+            high_cutoff_bound(Radiation(1.0), 2, math.nan)
+
+    def test_fractional_dimension_rejected(self):
+        with pytest.raises(ValueError, match="n must be an integer of at least 2"):
+            high_cutoff_bound(Radiation(1.0), 2.5, 10.0)
 
 
 class TestLevelsCsv:

@@ -9,8 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from thermoshield import optimize
-from thermoshield.annulus import GAP_MIN, FourierShape, GeometryError, Mesh, StarPair, solve_state
+from thermoshield import annulus, optimize
+from thermoshield.annulus import GAP_MIN, FourierShape, GeometryError, Mesh, StarPair, _solve
 from thermoshield.dissipation import Convection
 from thermoshield.optimize import (
     OptimizeOptions,
@@ -83,13 +83,13 @@ class TestDescentContracts:
 
     @pytest.mark.parametrize("M", [math.nan, math.inf])
     def test_budget_must_be_finite_before_any_solve(self, monkeypatch, M):
-        monkeypatch.setattr(optimize, "solve_state", _no_solve)
+        monkeypatch.setattr(optimize, "_solve", _no_solve)
         with pytest.raises(ValueError, match="^M must"):
             optimize_constrained(Convection(1.0), M, quick_init(), QUICK)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_weight_must_be_finite_before_any_solve(self, monkeypatch, lam):
-        monkeypatch.setattr(optimize, "solve_state", _no_solve)
+        monkeypatch.setattr(optimize, "_solve", _no_solve)
         with pytest.raises(ValueError, match="^lam must"):
             optimize_penalized(Convection(1.0), lam, quick_init(), QUICK)
 
@@ -151,9 +151,9 @@ class TestLineSearch:
 
         def counted(*args, **kwargs):
             solves.append(1)
-            return solve_state(*args, **kwargs)
+            return _solve(*args, **kwargs)
 
-        monkeypatch.setattr(optimize, "solve_state", counted)
+        monkeypatch.setattr(optimize, "_solve", counted)
         runs = (
             lambda: optimize_constrained(Convection(1.0), 9 * math.pi, quick_init(2.4), QUICK),
             lambda: optimize_penalized(Convection(1.0), 0.1, quick_init(1.8), QUICK),
@@ -164,22 +164,41 @@ class TestLineSearch:
             assert res.iterations > 0
             assert len(solves) <= 2 * res.iterations + 2
 
+    def test_one_assembly_per_solve(self, monkeypatch):
+        """The shape gradient reuses the assembly its state was solved on."""
+        built, solves = [], []
+        init = annulus.Assembly.__init__
+
+        def counted_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(1)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(annulus.Assembly, "__init__", counted_init)
+        monkeypatch.setattr(optimize, "_solve", counted_solve)
+        res = optimize_penalized(Convection(1.0), 0.1, quick_init(1.8), QUICK)
+        assert res.iterations > 0
+        assert len(built) == len(solves)
+
     @pytest.mark.parametrize("lam, M, r_out", [(0.0, 9 * math.pi, 2.4), (0.1, None, 1.8)])
     def test_slope_matches_projected_differences(self, lam, M, r_out):
         """g.d is the derivative of the objective along the projected path
         x + h d, the slope the quadratic backtracking interpolates."""
         descent = optimize._Descent(Convection(1.0), quick_init(r_out), QUICK, lam=lam, M=M)
         x = descent.project_point(descent.x)
-        _, res = descent.objective(x, None)
+        _, res, asm = descent.objective(x, None)
         if M is not None:
             assert res.field.pair.outer.area() < M - 1.0  # the budget is inactive
-        g = descent.gradient(x, res)
+        g = descent.gradient(x, res, asm)
         d = descent.project_direction(x, -g)
         d /= np.linalg.norm(d)
         slope = float(np.dot(g, d))
         h = 1e-3
-        e_plus, _ = descent.objective(descent.project_point(x + h * d), res.field.values)
-        e_minus, _ = descent.objective(descent.project_point(x - h * d), res.field.values)
+        e_plus = descent.objective(descent.project_point(x + h * d), res.field.values)[0]
+        e_minus = descent.objective(descent.project_point(x - h * d), res.field.values)[0]
         assert slope < -1e-2  # not stationary
         assert (e_plus - e_minus) / (2 * h) == pytest.approx(slope, rel=1e-5)
 
