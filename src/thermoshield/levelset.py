@@ -14,10 +14,14 @@ crack-admitting energy, and evaluates the high-cutoff feasibility bound.
 All lengths and areas come from splitting each mesh cell into two triangles
 with linear interpolation: contours are chords, partial areas are exact for
 the linear interpolant, consistent first order with the bilinear field.  One
-clipping kernel gives the per-level lengths, areas, density integrals and
-truncated Dirichlet energies.  The superlevel-area function used for area
-matching is exact for the linear interpolant at all node values at once (it
-is piecewise quadratic in the level), so it needs no level count.
+clipping kernel gives the lengths, areas, density integrals and truncated
+Dirichlet energies of all levels in one pass: with each triangle's vertex
+values sorted, the levels that cut it form one range, the triangles wholly
+above a level are a suffix sum, and only the cut (triangle, level) pairs
+are clipped, in blocks of a fixed number of pairs.  The superlevel-area
+function used for area matching is exact for the linear interpolant at all
+node values at once (it is piecewise quadratic in the level), so it needs
+no level count.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .annulus import Assembly, ScalarField, StarPair, _require_same_pair, _write_csv
+from .annulus import Assembly, ScalarField, StarPair, _next, _prev, _require_same_pair, _write_csv
 from .dissipation import Convection, DissipationLaw, _check_params, _require_finite, unit_ball_volume
 from .radial import gradient_ratio
 
@@ -107,6 +111,11 @@ class HighCutoffReport:
 # a jump: its curvature would swamp the running sums.
 _JUMP_WIDTH = 1e-7
 
+# Cut (triangle, level) pairs that `_Triangulation.superlevels` clips at
+# once: its temporaries stay this size even when every triangle crosses
+# every level.
+_PAIR_BLOCK = 4096
+
 
 class _Triangulation:
     """Triangle split of the annulus mesh with per-triangle vertex data of
@@ -129,8 +138,9 @@ class _Triangulation:
         (00, 10, 11) and (00, 11, 01) per cell, flattened."""
         a00 = nodal[:-1]
         a10 = nodal[1:]
-        a01 = np.roll(nodal, -1, axis=1)[:-1]
-        a11 = np.roll(nodal, -1, axis=1)[1:]
+        nxt = _next(nodal)
+        a01 = nxt[:-1]
+        a11 = nxt[1:]
         return np.concatenate(
             [np.stack([a00, a10, a11], -1), np.stack([a00, a11, a01], -1)]
         ).reshape(-1, 3)
@@ -149,60 +159,94 @@ class _Triangulation:
         gy = (ux1 * du2 - ux2 * du1) / det
         return gx * gx + gy * gy
 
-    def superlevel(
-        self, t: float, density: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None
-    ):
-        """(weighted area, contour length, density line integral, density^2
-        weighted-area integral) of {u > t} for the linear interpolant.
+    def superlevels(
+        self, levels: np.ndarray, density: Optional[np.ndarray] = None, weights: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Rows (weighted area, contour length, density line integral,
+        density^2 weighted-area integral) of {u > t} for the linear
+        interpolant, one per entry t of the sorted array `levels`.
 
         Each triangle counts with its weight (by default its area) times the
         share of its area above t, which is exact.  Density integrals use
-        vertex-mean values over the clipped polygon and the chord endpoints.
-        """
-        d = self.vu - t
-        pos = d > 0.0
-        npos = pos.sum(axis=1)
-        cut = np.flatnonzero((npos == 1) | (npos == 2))
-        full = npos == 3
-        # The lone vertex on its side of t comes first, the other two follow
-        # in cyclic order; `above` if that side is above t.
-        above = npos[cut] == 1
-        lone = np.argmax(pos[cut] == above[:, None], axis=1)
-        corners = (lone[:, None] + np.arange(3)) % 3
-        rows = cut[:, None]
-        da, db, dc = d[rows, corners].T
-        del d, pos, npos  # full-size; the density integrals below make more
-        tau_b = da / (da - db)
-        tau_c = da / (da - dc)
-        ax, bx, cx = self.vx[rows, corners].T
-        ay, by, cy = self.vy[rows, corners].T
-        seg = np.hypot(tau_b * (bx - ax) - tau_c * (cx - ax), tau_b * (by - ay) - tau_c * (cy - ay))
-        corner = tau_b * tau_c
-        w = self.tri_area if weights is None else weights
-        part = w[cut] * np.where(above, corner, 1.0 - corner)
-        area = float(np.sum(w[full])) + float(np.sum(part))
-        line = float(np.sum(seg))
-        if density is None:
-            return area, line, 0.0, 0.0
-        full_sq = np.mean(density[full] ** 2, axis=1)
-        phi_area = float(np.sum(w[full] * full_sq))
-        fa, fb, fc = density[rows, corners].T
-        fpb = fa + tau_b * (fb - fa)
-        fpc = fa + tau_c * (fc - fa)
-        phi_line = float(np.sum(seg * 0.5 * (fpb + fpc)))
-        # The part above t is the corner at the lone vertex or the
-        # quadrilateral opposite it.
-        mean_sq = np.where(
-            above,
-            (fa * fa + fpb * fpb + fpc * fpc) / 3.0,
-            (fb * fb + fc * fc + fpb * fpb + fpc * fpc) / 4.0,
-        )
-        phi_area += float(np.sum(part * mean_sq))
-        return area, line, phi_line, phi_area
+        vertex-mean values over the clipped polygon and the chord endpoints;
+        `density` holds per-triangle vertex values, as `attach` gives them.
 
-    def outer_above(self, t: float, weights: np.ndarray) -> float:
-        """Sum of the outer-row nodal weights where u > t."""
-        return float(np.sum(weights[self.values[-1] > t]))
+        With sorted vertex values a <= b <= c, t cuts a triangle iff
+        a <= t < c, so the levels that cut it are one contiguous range; the
+        lone vertex on its side of t is c, above t, when b <= t, and a
+        otherwise.  Below that range the triangle counts whole: those sums
+        are suffix sums over each triangle's first cut level.  Only the cut
+        (triangle, level) pairs are clipped, `_PAIR_BLOCK` at a time.
+        """
+        n = len(levels)
+        w = self.tri_area if weights is None else weights
+        u, x, y = self.vu.ravel(), self.vx.ravel(), self.vy.ravel()
+        # Flat indices of each triangle's lowest vertex (the first of equal
+        # lowest ones), its highest (the last of equal highest ones) and the
+        # third, which lies between them.
+        v0, v1, v2 = self.vu.T
+        low = np.where(v1 < v0, np.where(v2 < v1, 2, 1), np.where(v2 < v0, 2, 0))
+        high = np.where(v2 >= np.maximum(v0, v1), 2, np.where(v1 >= v0, 1, 0))
+        base = 3 * np.arange(len(v0))
+        low, mid, high = base + low, base + 3 - low - high, base + high
+        first = np.searchsorted(levels, u[low], side="left")
+        stop = np.searchsorted(levels, u[high], side="left")
+        whole = [w]
+        if density is not None:
+            fa, fb, fc = density.T
+            whole.append(w * ((fa * fa + fb * fb + fc * fc) / 3.0))
+        rows = np.zeros((n, 4))
+        for col, each in zip((0, 3), whole):
+            rows[:, col] = np.cumsum(np.bincount(first, weights=each, minlength=n + 1)[::-1])[-2::-1]
+        cut = np.flatnonzero(stop > first)
+        count = (stop - first)[cut]
+        end = np.cumsum(count)
+        total = int(end[-1]) if len(cut) else 0
+        # Pair p is level offset + p of the cut triangle whose pair range
+        # holds p.
+        offset = first[cut] - (end - count)
+        for p0 in range(0, total, _PAIR_BLOCK):
+            p = np.arange(p0, min(p0 + _PAIR_BLOCK, total))
+            i = np.searchsorted(end, p, side="right")
+            tri = cut[i]
+            k = offset[i] + p
+            t = levels[k]
+            lo, hi, m = low[tri], high[tri], mid[tri]
+            above = u[m] <= t
+            # The lone vertex, the middle one and the other end; swapping
+            # the last two would only negate the chord.
+            corners = (np.where(above, hi, lo), m, np.where(above, lo, hi))
+            da, db, dc = (u[c] - t for c in corners)
+            tau_b = da / (da - db)
+            tau_c = da / (da - dc)
+            ax, bx, cx = (x[c] for c in corners)
+            ay, by, cy = (y[c] for c in corners)
+            seg = np.hypot(tau_b * (bx - ax) - tau_c * (cx - ax), tau_b * (by - ay) - tau_c * (cy - ay))
+            corner = tau_b * tau_c
+            part = w[tri] * np.where(above, corner, 1.0 - corner)
+            rows[:, 0] += np.bincount(k, weights=part, minlength=n)
+            rows[:, 1] += np.bincount(k, weights=seg, minlength=n)
+            if density is None:
+                continue
+            fa, fb, fc = (density.ravel()[c] for c in corners)
+            fpb = fa + tau_b * (fb - fa)
+            fpc = fa + tau_c * (fc - fa)
+            rows[:, 2] += np.bincount(k, weights=seg * 0.5 * (fpb + fpc), minlength=n)
+            # The part above t is the corner at the lone vertex or the
+            # quadrilateral opposite it.
+            mean_sq = np.where(
+                above,
+                (fa * fa + fpb * fpb + fpc * fpc) / 3.0,
+                (fb * fb + fc * fc + fpb * fpb + fpc * fpc) / 4.0,
+            )
+            rows[:, 3] += np.bincount(k, weights=part * mean_sq, minlength=n)
+        return rows
+
+    def outer_sums(self, levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sum of the outer-row nodal weights where u > t, at each level t."""
+        order = np.argsort(self.values[-1])
+        above = np.append(np.cumsum(weights[order][::-1])[::-1], 0.0)
+        return above[np.searchsorted(self.values[-1][order], levels, side="right")]
 
     def superlevel_areas(self, t: np.ndarray) -> np.ndarray:
         """Area of {u > t} for the linear interpolant, at every entry of t.
@@ -286,12 +330,11 @@ def _decompose(tri: _Triangulation, n_levels: int, density: Optional[np.ndarray]
     density values."""
     levels = (np.arange(n_levels) + 0.5) / n_levels
     dens = tri.attach(density) if density is not None else None
-    per_level = np.array([tri.superlevel(float(t), dens) for t in levels]).reshape(-1, 4)
-    area, interior, dline, darea = per_level.T
+    area, interior, dline, darea = tri.superlevels(levels, dens).T
     return LevelDecomposition(
         levels=levels,
         interior_length=interior,
-        exterior_length=np.array([tri.outer_above(t, tri.bw) for t in levels]),
+        exterior_length=tri.outer_sums(levels, tri.bw),
         area=area,
         density_line=dline if dens is not None else None,
         density_sq_area=darea if dens is not None else None,
@@ -338,7 +381,7 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     us[1:-1] = (u[2:] - u[:-2]) / (2 * ds)
     us[0] = (-1.5 * u[0] + 2.0 * u[1] - 0.5 * u[2]) / ds
     us[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3]) / ds
-    ut = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2 * dt)
+    ut = (_next(u) - _prev(u)) / (2 * dt)
     g = asm.g[None, :]
     q = asm._slope() / g
     u_rho = us / g
@@ -429,12 +472,8 @@ def truncation_scan(
     dirich_each = tri.gradient_sq() * tri.tri_area
     boundary_each = tri.bw * np.asarray(law.value(np.clip(field.values[-1], 0.0, 1.0)))
     thresholds = np.arange(n_thresholds) / n_thresholds
-    energies = np.empty(n_thresholds)
-    for k, t in enumerate(thresholds):
-        dirich, line = tri.superlevel(float(t), weights=dirich_each)[:2]
-        crack = float(law.value(float(t))) * line
-        boundary = tri.outer_above(t, boundary_each)
-        energies[k] = dirich + crack + boundary
+    dirich, line = tri.superlevels(thresholds, weights=dirich_each)[:, :2].T
+    energies = dirich + law.value(thresholds) * line + tri.outer_sums(thresholds, boundary_each)
     reference = float(energies[0])
     k_best = int(np.argmin(energies))
     best = float(energies[k_best])
