@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -58,7 +59,7 @@ _MAX_ITERS = 20000
 # Rounding floor of the state solver's residual, per unit of the largest
 # Dirichlet stiffness; the relative size of a rounding-level energy change;
 # and the Armijo constant.
-_FLOOR = 4.0 * np.finfo(float).eps
+_FLOOR = 2.0 * np.finfo(float).eps
 _ROUNDING = 1e3 * np.finfo(float).eps
 _ARMIJO = 1e-4
 
@@ -230,6 +231,8 @@ class Mesh:
     n_theta: int = 256
 
     def __post_init__(self) -> None:
+        if not all(isinstance(n, numbers.Integral) for n in (self.n_s, self.n_theta)):
+            raise ValueError(f"n_s and n_theta must be integers: {self.n_s!r}, {self.n_theta!r}")
         if self.n_s < 3 or self.n_theta < 8:
             raise ValueError("mesh too coarse")
 
@@ -282,17 +285,20 @@ class Assembly:
         s = np.linspace(0.0, 1.0, n_s)[:, None]
         self.s = s[:, 0]
         rho = rk[None, :] + s * g[None, :]
-        q = self._slope() / g[None, :]
-        w = rho * g[None, :] * self.ds * self.dt
         self.rho = rho
-        P = 0.25 * w * (1.0 / g[None, :] ** 2 + q**2 / rho**2)
-        self.Q = -0.5 * w * q / rho**2
-        C = 0.25 * w / rho**2
+        a = self._slope()
+        # The stencil's weights with the grid steps folded in: the edge
+        # stiffnesses pe = 4 (P_i + P_i+1)/ds^2 and ce = 2 mu (C_j + C_j+1)/dt^2
+        # and the cross weight q = Q/(ds dt), with P, C and Q the node
+        # weights of `shape_gradient`.
+        kp = rho / g[None, :] + a * a / (g[None, :] * rho)
+        kc = g[None, :] / rho
         mu = np.full(n_s, 2.0)
         mu[0] = mu[-1] = 1.0
         self._mu = mu
-        self._Pe = 2.0 * (P[:-1] + P[1:])
-        self._Ce = (C + _next(C)) * mu[:, None]
+        self._pe = (self.dt / self.ds) * (kp[:-1] + kp[1:])
+        self._ce = (0.5 * self.ds / self.dt) * (kc + _next(kc)) * mu[:, None]
+        self._q = -0.5 * a / rho
         # Outer boundary arclength weights for the dissipation integral.
         self.bw = np.sqrt(ro**2 + rop**2) * self.dt
         # Radial stretch r_O - r_K of the polar map, per angle.
@@ -306,35 +312,51 @@ class Assembly:
     # -- Dirichlet term ----------------------------------------------------
 
     def _edges(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Radial and angular edge differences US, UT of u and their sums
+        """Radial and angular edge differences DS, DT of u and their sums
         V, W over the two angular and the two radial edges at each node."""
-        US = np.diff(u, axis=0) / self.ds
-        UT = (_next(u) - u) / self.dt
-        V = UT + _prev(UT)
-        W = np.zeros_like(u)
-        W[:-1] += US
-        W[1:] += US
-        return US, UT, V, W
+        DS = np.diff(u, axis=0)
+        DT = _next(u)
+        DT -= u
+        V = _prev(DT)
+        V += DT
+        W = np.empty_like(u)
+        W[0], W[-1] = DS[0], DS[-1]
+        np.add(DS[:-1], DS[1:], out=W[1:-1])
+        return DS, DT, V, W
+
+    def _stencil(self, u: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Edge differences DS, DT of u, the fluxes FS, FT (the Dirichlet
+        energy's partials in DS and DT) and their divergence, the energy's
+        gradient.  In place where it can be: at 64x256 every new array
+        costs page faults."""
+        DS, DT, V, W = self._edges(u)
+        V *= self._q
+        W *= self._q
+        FS = self._pe * DS
+        FS += V[:-1]
+        FS += V[1:]
+        FT = self._ce * DT
+        FT += W
+        FT += _next(W)
+        grad = _prev(FT)
+        grad -= FT
+        grad[1:] += FS
+        grad[:-1] -= FS
+        return DS, DT, FS, FT, grad
 
     def dirichlet(self, u: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Dirichlet energy of u and its nodal gradient.  The fluxes FS, FT
-        are the energy's partials in the edge differences, so the energy is
-        (US.FS + UT.FT)/2: exactly 0 on a constant field, unlike <u, grad>/2
-        on a nearly constant one.  The gradient is the fluxes' divergence."""
-        US, UT, V, W = self._edges(u)
-        FS = 2.0 * self._Pe * US + self.Q[:-1] * V[:-1] + self.Q[1:] * V[1:]
-        QW = self.Q * W
-        FT = 2.0 * self._Ce * UT + QW + _next(QW)
-        energy = 0.5 * (float(np.sum(US * FS)) + float(np.sum(UT * FT)))
-        grad = np.zeros_like(u)
-        grad[1:] += FS / self.ds
-        grad[:-1] -= FS / self.ds
-        grad += (_prev(FT) - FT) / self.dt
-        return energy, grad
+        """Dirichlet energy of u and its nodal gradient.  The energy is
+        (DS.FS + DT.FT)/2 (`_stencil`): exactly 0 on a constant field,
+        unlike <u, grad>/2 on a nearly constant one."""
+        DS, DT, FS, FT, grad = self._stencil(u)
+        DS *= FS
+        DT *= FT
+        return 0.5 * (float(np.sum(DS)) + float(np.sum(DT))), grad
 
     def dirichlet_grad(self, u: np.ndarray) -> np.ndarray:
-        """Gradient of the Dirichlet energy: `dirichlet(u)[1]`."""
-        return self.dirichlet(u)[1]
+        """Gradient of the Dirichlet energy, `dirichlet(u)[1]`, without the
+        energy's reductions."""
+        return self._stencil(u)[-1]
 
     # -- boundary term -----------------------------------------------------
 
@@ -394,27 +416,27 @@ class Assembly:
         depend on the shape, so at the solved field this is the gradient
         of the solved energy (envelope theorem).
         """
-        c = self.ds * self.dt
         s = self.s[:, None]
         rho, g = self.rho, self.g[None, :]
         a = self._slope()
-        US, UT, V, W = self._edges(u)
-        US2 = US * US
+        # c times the squares and products of the edge slopes.
+        DS, DT, V, W = self._edges(u)
+        DS2 = (self.dt / self.ds) * DS * DS
         EP = np.zeros_like(u)
-        EP[:-1] += 2.0 * US2
-        EP[1:] += 2.0 * US2
-        UT2 = UT * UT
-        EC = self._mu[:, None] * (UT2 + _prev(UT2))
+        EP[:-1] += 2.0 * DS2
+        EP[1:] += 2.0 * DS2
+        DT2 = (self.ds / self.dt) * DT * DT
+        EC = self._mu[:, None] * (DT2 + _prev(DT2))
         EQ = W * V
         # Partial derivatives of the energy in rho, g and a at every node.
         inv = 1.0 / rho
-        e_rho = c * (
+        e_rho = (
             0.25 * EP * (1.0 / g - a * a * inv * inv / g)
             + 0.5 * EQ * a * inv * inv
             - 0.25 * EC * g * inv * inv
         )
-        e_g = c * (-0.25 * EP * (rho / g + a * a * inv / g) / g + 0.25 * EC * inv)
-        e_a = c * (0.5 * EP * a * inv / g - 0.5 * EQ * inv)
+        e_g = -0.25 * EP * (rho / g + a * a * inv / g) / g + 0.25 * EC * inv
+        e_a = 0.5 * EP * a * inv / g - 0.5 * EQ * inv
         # Sums over the rows; reductions rather than matrix products, which
         # would map the BLAS work buffers into every optimizing process.
         rho_out = np.sum(s * e_rho, axis=0)
@@ -466,17 +488,19 @@ class _ModeSolver:
     is circulant in theta, so in each rFFT mode k rows 1..n_s-1 form one
     symmetric tridiagonal system: couplings -pe_i, diagonal
     pe_{i-1} + pe_i + ce_i (2 - 2 cos(2 pi k / n_theta)) (no pe_i on the
-    outer row), where pe = 2 mean(_Pe)/ds^2 and ce = 2 mean(_Ce)/dt^2 per
-    row.  On concentric circles without a law term this is the exact
-    inverse.  Thomas' pivots and the coefficients of both sweeps, as scans
+    outer row), where pe = mean(_pe) and ce = mean(_ce) per row.  On
+    concentric circles without a law term this is the exact inverse.
+    Thomas' pivots and the coefficients of both sweeps, as scans
     (`_scan_levels`) over the rows below the outer one, are computed once per
     assembly; the outer row, whose pivot holds the law's curvature, is one
-    more update."""
+    more update.  With the whole outer row held (`hold_outer`) its unknown
+    is 0, and rows 1..n_s-2 solve their Dirichlet system with the same
+    pivots."""
 
     def __init__(self, asm: Assembly):
         n_t = asm.mesh.n_theta
-        pe = 2.0 * np.mean(asm._Pe, axis=1) / asm.ds**2
-        ce = 2.0 * np.mean(asm._Ce[1:], axis=1) / asm.dt**2
+        pe = np.mean(asm._pe, axis=1)
+        ce = np.mean(asm._ce[1:], axis=1)
         wave = 2.0 - 2.0 * np.cos(2.0 * math.pi * np.arange(n_t // 2 + 1) / n_t)
         piv = (pe + np.append(pe[1:], 0.0))[:, None] + ce[:, None] * wave
         off = -pe[1:, None]
@@ -488,11 +512,15 @@ class _ModeSolver:
         self.forward = _scan_levels(np.concatenate((zero, -off[:-1] / piv[1:-1])))
         # The backward sweep runs from the outer row down: its levels in row order.
         self.backward = [a[::-1].copy() for a in _scan_levels(np.concatenate((zero, -sup[-2::-1])))]
-        self.last = self.outer
+        self.last: Optional[np.ndarray] = self.outer
 
     def set_curvature(self, c: float) -> None:
-        """Add c to the outer row's diagonal."""
+        """Free the outer row and add c to its diagonal."""
         self.last = self.outer + c
+
+    def hold_outer(self) -> None:
+        """Hold the whole outer row at 0 until the next `set_curvature`."""
+        self.last = None
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         x = np.fft.rfft(r[1:], axis=1)
@@ -500,7 +528,7 @@ class _ModeSolver:
         y /= self.piv
         for k, a in enumerate(self.forward):
             y[1 << k :] += a * y[: -(1 << k)]
-        x[-1] = (x[-1] - self.off * y[-1]) / self.last
+        x[-1] = 0.0 if self.last is None else (x[-1] - self.off * y[-1]) / self.last
         y[-1] -= self.sup * x[-1]
         for k, a in enumerate(self.backward):
             y[: -(1 << k)] += a * y[1 << k :]
@@ -530,7 +558,9 @@ def solve_state(
     - On the free nodes the Newton system is the Dirichlet Hessian plus the
       law's curvature, clipped at 0, on the outer row; it is solved by
       preconditioned CG (`_ModeSolver`) to the relative accuracy
-      min(0.1, sqrt(residual)).  A free node whose step points to a side
+      min(0.1, sqrt(residual)).  At a step where every outer node is held,
+      the preconditioner holds the outer row too and solves the Dirichlet
+      system of the rows below it.  A free node whose step points to a side
       where the energy rises does not move.
     - Each outer node stops at the first breakpoint it reaches and interior
       nodes are clipped to [0, 1].  Armijo backtracking guards the energy,
@@ -546,11 +576,13 @@ def solve_state(
       resumes, or the solve stops if together they do not lower the energy.
 
     It stops when `Assembly.residual` is at most `tol` (absolute), or at
-    most the rounding floor of the gradient, 4 eps (max _Pe/ds^2 +
-    max _Ce/dt^2), where that is larger; `SolveResult.residual` reports the
+    most the rounding floor of the gradient, 2 eps (max _pe + max _ce),
+    where that is larger; `SolveResult.residual` reports the
     value.  `iterations` counts Newton steps; `ConvergenceError` is raised
     after `max_iters` of them.  For a convex law the minimizer is unique;
-    for a nonconvex one the result is a local minimum.
+    for a nonconvex one the result is a local minimum.  A `tol` that is not
+    finite and positive, a `max_iters` that is not an integer of at least 0
+    or a non-finite `u0` raises a `ValueError` that names it.
     """
     return _solve(Assembly(pair, mesh or Mesh()), law, u0, tol, max_iters)
 
@@ -564,8 +596,10 @@ def _solve(
 ) -> SolveResult:
     """`solve_state` on the assembly of its pair and mesh, for a caller that
     keeps the assembly (the optimizer takes its shape gradient there)."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if _require_finite("tol", tol) <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not isinstance(max_iters, numbers.Integral) or max_iters < 0:
+        raise ValueError(f"max_iters must be an integer of at least 0, got {max_iters!r}")
     pair, mesh = asm.pair, asm.mesh
     n_s, n_t = mesh.n_s, mesh.n_theta
     if u0 is None:
@@ -573,14 +607,16 @@ def _solve(
     else:
         if u0.shape != (n_s, n_t):
             raise MeshMismatchError("warm start has the wrong shape")
+        if not np.all(np.isfinite(u0)):
+            raise ValueError("warm start u0 has a NaN or infinite value")
         u = np.clip(u0, 0.0, 1.0)
         u[u < 1e-12] = 0.0
     u[0] = 1.0
-    stop = max(tol, _FLOOR * (np.max(asm._Pe) / asm.ds**2 + np.max(asm._Ce) / asm.dt**2))
+    stop = max(tol, _FLOOR * (np.max(asm._pe) + np.max(asm._ce)))
     breaks = law.breakpoints
     convex = law.convex
     # Diagonal of the Dirichlet Hessian on the outer row.
-    diag = 2.0 * asm._Pe[-1] / asm.ds**2 + 2.0 * (asm._Ce[-1] + _prev(asm._Ce[-1])) / asm.dt**2
+    diag = asm._pe[-1] + asm._ce[-1] + _prev(asm._ce[-1])
     precond = _ModeSolver(asm)
 
     def energy(v: np.ndarray) -> Tuple[float, np.ndarray, Tuple[float, float]]:
@@ -624,7 +660,10 @@ def _solve(
         # Each free node's slope on its steeper descending side, or 0.
         slope = np.where((up < 0.0) & (-up >= down), up, np.where(down > 0.0, down, 0.0))
         curv = asm.bw * np.where(np.isfinite(bend), np.maximum(bend, 0.0), 0.0)
-        precond.set_curvature(float(np.mean(curv)))
+        if np.any(free[-1]):
+            precond.set_curvature(float(np.mean(curv)))
+        else:
+            precond.hold_outer()
         mask = free.astype(float)
         # Preconditioned CG on the free nodes, from d = 0.  Squared norms are
         # reductions: np.linalg.norm calls BLAS, whose threads spin after it.
@@ -637,7 +676,7 @@ def _solve(
             z = precond(r) * mask
             rz, rz_old = float(np.sum(r * z)), rz
             p = z + (rz / rz_old) * p
-            hp = asm.dirichlet(p)[1]
+            hp = asm.dirichlet_grad(p)
             hp[-1] += curv * p[-1]
             hp *= mask
             a = rz / float(np.sum(p * hp))

@@ -76,6 +76,20 @@ class TestStarPair:
         StarPair.circles(1.0, 1.0 + 1e-3)
 
 
+class TestMesh:
+    @pytest.mark.parametrize("n_s, n_theta", [(9.5, 32), (9, 32.0), ("9", 32), (None, 32)])
+    def test_non_integer_size_rejected(self, n_s, n_theta):
+        with pytest.raises(ValueError, match="must be integers"):
+            Mesh(n_s, n_theta)
+
+    def test_numpy_integers_accepted(self):
+        assert Mesh(np.int64(9), np.int32(32)) == Mesh(9, 32)
+
+    def test_too_coarse(self):
+        with pytest.raises(ValueError, match="coarse"):
+            Mesh(2, 32)
+
+
 class TestSolveAccuracy:
     def test_circles_match_radial_oracle(self):
         res = solve_state(StarPair.circles(1.0, 2.0), Convection(1.0), Mesh(64, 256))
@@ -168,6 +182,29 @@ class TestSolverInvariants:
                 perturbed_pair(), Convection(1.0), Mesh(33, 128), u0=np.ones((5, 5))
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_warm_start_rejected(self, bad):
+        # A NaN energy never passes the Armijo test, whose halvings no
+        # budget bounds, so the check comes before the Newton loop.
+        u0 = np.full((9, 32), 0.5)
+        u0[4, 7] = bad
+        with pytest.raises(ValueError, match="u0"):
+            solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), max_iters=5, u0=u0)
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-9, "1e-9"])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), tol=tol, max_iters=5)
+
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, None])
+    def test_bad_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), max_iters=max_iters)
+
+    def test_zero_max_iters_allowed(self):
+        with pytest.raises(ConvergenceError):
+            solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), max_iters=0)
+
 
 class TestResidual:
     PAIR = StarPair(FourierShape([1, 0, 0, 0.05, 0]), FourierShape([2, 0, 0, 0, 0.12]))
@@ -228,32 +265,69 @@ class TestResidual:
         assert res.energy.total == pytest.approx(9.161618945733837, rel=1e-9)
         assert np.all(res.field.values[-1] == 0.0)
 
+    @pytest.mark.parametrize(
+        "law, mesh, energy, most",
+        [
+            (Tabulated([(0, 0), (0.4, 0.2), (1, 1.4)]), Mesh(33, 128), 5.8200111398923475, 30),
+            (SurfaceCost(0.3, 1.0, 0.9), Mesh(17, 64), 9.161618945733837, 20),
+        ],
+    )
+    def test_held_outer_row_preconditioned_as_dirichlet(self, monkeypatch, law, mesh, energy, most):
+        # Both solves end with the whole outer row held (at the kink, or at
+        # 0 after detaching); a preconditioner that kept treating it as a
+        # free row took 66 and 43 applications.
+        calls = []
+        apply = _ModeSolver.__call__
+
+        def counted(self, r):
+            calls.append(r.shape)
+            return apply(self, r)
+
+        monkeypatch.setattr(_ModeSolver, "__call__", counted)
+        res = solve_state(self.PAIR, law, mesh)
+        assert len(calls) <= most
+        assert res.energy.total == pytest.approx(energy, rel=1e-12)
+
 
 class TestModeSolver:
     """The preconditioner against a dense solve of each rFFT mode's
-    tridiagonal system, as its docstring states it."""
+    tridiagonal system, as its docstring states it; with the outer row held
+    (curvature None), against the system with the outer row removed."""
 
     @pytest.mark.parametrize("n_s, n_t", [(9, 32), (33, 128)])
-    @pytest.mark.parametrize("curvature", [0.0, 2.5])
+    @pytest.mark.parametrize("curvature", [0.0, 2.5, None])
     def test_matches_dense_mode_solves(self, n_s, n_t, curvature):
         asm = Assembly(perturbed_pair(), Mesh(n_s, n_t))
         solver = _ModeSolver(asm)
-        solver.set_curvature(curvature)
+        if curvature is None:
+            solver.hold_outer()
+        else:
+            solver.set_curvature(curvature)
+        rows = n_s - 1 if curvature is None else n_s
         r = np.random.default_rng(n_s).standard_normal((n_s, n_t))
-        pe = 2.0 * np.mean(asm._Pe, axis=1) / asm.ds**2
-        ce = 2.0 * np.mean(asm._Ce[1:], axis=1) / asm.dt**2
+        pe = np.mean(asm._pe, axis=1)
+        ce = np.mean(asm._ce[1:], axis=1)
         rhs = np.fft.rfft(r[1:], axis=1)
-        x = np.empty_like(rhs)
+        x = np.zeros_like(rhs)
         for k in range(rhs.shape[1]):
             wave = 2.0 - 2.0 * math.cos(2.0 * math.pi * k / n_t)
             A = np.diag(pe + np.append(pe[1:], 0.0) + ce * wave)
             A -= np.diag(pe[1:], 1) + np.diag(pe[1:], -1)
-            A[-1, -1] += curvature
-            x[:, k] = np.linalg.solve(A, rhs[:, k])
+            A[-1, -1] += curvature or 0.0
+            x[: rows - 1, k] = np.linalg.solve(A[: rows - 1, : rows - 1], rhs[: rows - 1, k])
         expected = np.fft.irfft(x, n=n_t, axis=1)
         got = solver(r)
         assert np.all(got[0] == 0.0)
+        assert np.all(got[rows:] == 0.0)
         assert np.max(np.abs(got[1:] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_curvature_frees_a_held_row(self):
+        asm = Assembly(perturbed_pair(), Mesh(9, 32))
+        r = np.random.default_rng(0).standard_normal((9, 32))
+        free, solver = _ModeSolver(asm), _ModeSolver(asm)
+        solver.hold_outer()
+        solver.set_curvature(0.0)
+        assert np.array_equal(solver(r), free(r))
 
 
 class TestUniformBasis:

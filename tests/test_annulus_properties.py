@@ -27,13 +27,14 @@ CONVEX_LAWS = st.one_of(st.builds(Convection, pos(0.05, 5.0)), st.builds(Radiati
 
 
 def _three_term_energy(asm, u):
-    """Dirichlet energy as the sum of its radial, angular and cross terms."""
-    US = np.diff(u, axis=0) / asm.ds
-    UT = (np.roll(u, -1, axis=1) - u) / asm.dt
-    V = UT + np.roll(UT, 1, axis=1)
-    e_rad = np.sum(asm._Pe * US * US)
-    e_ang = np.sum(asm._Ce * UT * UT)
-    e_cross = np.sum(US * (asm.Q[:-1] * V[:-1] + asm.Q[1:] * V[1:]))
+    """Dirichlet energy as the sum of its radial, angular and cross terms,
+    from the stencil's edge stiffnesses and cross weight."""
+    DS = np.diff(u, axis=0)
+    DT = np.roll(u, -1, axis=1) - u
+    V = DT + np.roll(DT, 1, axis=1)
+    e_rad = 0.5 * np.sum(asm._pe * DS * DS)
+    e_ang = 0.5 * np.sum(asm._ce * DT * DT)
+    e_cross = np.sum(DS * (asm._q[:-1] * V[:-1] + asm._q[1:] * V[1:]))
     return float(e_rad + e_ang + e_cross)
 
 
@@ -46,6 +47,13 @@ def test_energy_matches_three_term_form(pair, mesh_field, offset, log_scale):
     asm = Assembly(pair, mesh)
     reference = _three_term_energy(asm, u)
     assert abs(asm.dirichlet(u)[0] - reference) <= 1e-13 * reference
+
+
+@given(pair=pairs(), mesh_field=fields())
+def test_gradient_alone_is_the_gradient(pair, mesh_field):
+    mesh, u = mesh_field
+    asm = Assembly(pair, mesh)
+    assert np.array_equal(asm.dirichlet_grad(u), asm.dirichlet(u)[1])
 
 
 @given(pair=pairs(), mesh_field=fields(), c=pos(-2.0, 2.0))
