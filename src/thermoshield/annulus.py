@@ -30,7 +30,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .dissipation import DissipationLaw, _require_finite
-from .radial import EnergyBreakdown
+from .radial import EnergyBreakdown, _trace_min
 
 __all__ = [
     "GAP_MIN",
@@ -537,6 +537,16 @@ class _ModeSolver:
         return z
 
 
+def _radial_start(asm: Assembly, law: DissipationLaw) -> np.ndarray:
+    """The harmonic profile 1 - (1 - l) log(rho/r_K)/log(r_O/r_K) at every
+    node, with l the trace of the best concentric shell (`radial._trace_min`)
+    at the pair's mean log(r_O/r_K) and mean arclength per radian."""
+    ratio = np.log(asm.rho[-1] / asm.rho[0])
+    stiff, per_r = 1.0 / np.mean(ratio), np.mean(asm.bw) / asm.dt
+    l = _trace_min(law, np.array([stiff]), np.array([per_r]))[0]
+    return 1.0 - (1.0 - l) * np.log(asm.rho / asm.rho[0]) / ratio
+
+
 def solve_state(
     pair: StarPair,
     law: DissipationLaw,
@@ -549,9 +559,10 @@ def solve_state(
 
     Projected Newton (Bertsekas 1982) in its primal-dual active-set reading
     (Hintermueller, Ito & Kunisch 2002), on nodal values in [0, 1] with the
-    inner row pinned at 1.  It starts from the constant 1 state, or from a
-    caller's warm start with values below 1e-12 snapped to 0, and reads the
-    law only through `value`, `jet`, `breakpoints` and `convex`:
+    inner row pinned at 1.  It starts from the harmonic profile of the best
+    concentric shell (`_radial_start`), or from a caller's warm start (an
+    array or nested list) with values below 1e-12 snapped to 0, and reads
+    the law only through `value`, `jet`, `breakpoints` and `convex`:
 
     - A node on a clamp, or an outer node on a law breakpoint, is held where
       its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.
@@ -579,7 +590,8 @@ def solve_state(
     most the rounding floor of the gradient, 2 eps (max _pe + max _ce),
     where that is larger; `SolveResult.residual` reports the
     value.  `iterations` counts Newton steps; `ConvergenceError` is raised
-    after `max_iters` of them.  For a convex law the minimizer is unique;
+    after `max_iters` of them, or when the energy is not finite or Armijo
+    backtracking underflows.  For a convex law the minimizer is unique;
     for a nonconvex one the result is a local minimum.  A `tol` that is not
     finite and positive, a `max_iters` that is not an integer of at least 0
     or a non-finite `u0` raises a `ValueError` that names it.
@@ -603,8 +615,9 @@ def _solve(
     pair, mesh = asm.pair, asm.mesh
     n_s, n_t = mesh.n_s, mesh.n_theta
     if u0 is None:
-        u = np.ones((n_s, n_t))
+        u = _radial_start(asm, law)
     else:
+        u0 = np.asarray(u0, dtype=float)
         if u0.shape != (n_s, n_t):
             raise MeshMismatchError("warm start has the wrong shape")
         if not np.all(np.isfinite(u0)):
@@ -628,6 +641,8 @@ def _solve(
     e, g, parts = energy(u)
     steps = 0
     while True:
+        if not math.isfinite(e):
+            raise ConvergenceError(f"state solver reached a non-finite energy {e!r}")
         down, up, bend = asm._one_sided(u, g, law)
         residual = _largest_descent(down, up)
         rounding = _ROUNDING * abs(e)
@@ -700,6 +715,8 @@ def _solve(
         e_v, g_v, p_v = energy(v)
         while not (predicted <= rounding or e_v <= e - _ARMIJO * predicted):
             t *= 0.5
+            if t == 0.0:
+                raise ConvergenceError("state solver's Armijo backtracking underflowed")
             v, predicted = trial(t)
             e_v, g_v, p_v = energy(v)
         if not convex and t == 1.0 and predicted > rounding:

@@ -27,6 +27,7 @@ no level count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -466,8 +467,8 @@ def truncation_scan(
     the input energy, so the best scanned energy never exceeds it.  All
     terms use the triangle quadrature so the comparison is exact.
     """
-    if n_thresholds < 1:
-        raise ValueError("n_thresholds must be positive")
+    if not isinstance(n_thresholds, numbers.Integral) or n_thresholds < 1:
+        raise ValueError(f"n_thresholds must be a positive integer, got {n_thresholds!r}")
     tri = _triangulate(field, pair)[1]
     dirich_each = tri.gradient_sq() * tri.tri_area
     boundary_each = tri.bw * np.asarray(law.value(np.clip(field.values[-1], 0.0, 1.0)))

@@ -1,6 +1,8 @@
 """Annulus state solver: geometry, assembly, accuracy, and invariants."""
 
 import math
+import signal
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from thermoshield.annulus import (
     StarPair,
     _fourier_basis,
     _ModeSolver,
+    _radial_start,
     _uniform_basis,
     dump_field,
     energy_of,
@@ -23,7 +26,15 @@ from thermoshield.annulus import (
     scale_field,
     solve_state,
 )
-from thermoshield.dissipation import Convection, Power, Radiation, SurfaceCost, Tabulated
+from thermoshield.dissipation import (
+    Convection,
+    DissipationLaw,
+    Linear,
+    Power,
+    Radiation,
+    SurfaceCost,
+    Tabulated,
+)
 from thermoshield.radial import convection_energy, general_radial_energy
 
 ZERO_LAW = Tabulated([(0, 0), (1, 0)])
@@ -35,6 +46,33 @@ def perturbed_pair(amp_inner=0.05, amp_outer=0.1, mode=2, r_out=2.0):
     inner[2 * mode - 1] = amp_inner
     outer[2 * mode - 1] = amp_outer
     return StarPair(FourierShape(inner), FourierShape(outer))
+
+
+@dataclass(frozen=True)
+class _NanValues(DissipationLaw):
+    """Convection whose values are NaN on (0.3, 0.7): a broken law."""
+
+    convex = True
+
+    def _raw(self, u):
+        return np.where((u > 0.3) & (u < 0.7), np.nan, u * u)
+
+    def _jet(self, u):
+        return 2.0 * u, 2.0 * u, np.full_like(u, 2.0)
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs past 30 s instead of letting it hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the state solve did not stop")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestFourierShape:
@@ -173,8 +211,12 @@ class TestSolverInvariants:
         assert np.all(u[0] == 1.0)
 
     def test_nonconvergence_raises(self):
+        # From the radial start convection converges within 3 steps; from
+        # the constant 1 state it does not.
         with pytest.raises(ConvergenceError):
-            solve_state(perturbed_pair(), Convection(1.0), Mesh(33, 128), max_iters=3)
+            solve_state(
+                perturbed_pair(), Convection(1.0), Mesh(33, 128), max_iters=3, u0=np.ones((33, 128))
+            )
 
     def test_warm_start_shape_checked(self):
         with pytest.raises(MeshMismatchError):
@@ -184,8 +226,8 @@ class TestSolverInvariants:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_warm_start_rejected(self, bad):
-        # A NaN energy never passes the Armijo test, whose halvings no
-        # budget bounds, so the check comes before the Newton loop.
+        # Rejected before the Newton loop, with a ValueError that names u0
+        # rather than a ConvergenceError on the NaN energy.
         u0 = np.full((9, 32), 0.5)
         u0[4, 7] = bad
         with pytest.raises(ValueError, match="u0"):
@@ -204,6 +246,28 @@ class TestSolverInvariants:
     def test_zero_max_iters_allowed(self):
         with pytest.raises(ConvergenceError):
             solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), max_iters=0)
+
+    def test_nested_list_warm_start(self):
+        u0 = np.full((9, 32), 0.5)
+        from_array = solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), u0=u0)
+        from_list = solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), u0=u0.tolist())
+        assert np.array_equal(from_list.field.values, from_array.field.values)
+        with pytest.raises(MeshMismatchError):
+            solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), u0=[[0.5] * 5] * 5)
+
+    def test_non_finite_energy_raises(self, alarm):
+        # Every Armijo test against a NaN energy fails, so without the check
+        # the backtracking would halve the step forever.
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            solve_state(perturbed_pair(), _NanValues(), Mesh(9, 32), u0=np.full((9, 32), 0.5))
+
+    def test_armijo_underflow_raises(self, alarm, monkeypatch):
+        # A NaN Newton direction, here from a broken preconditioner, makes
+        # every trial point NaN: no step passes the Armijo test, and without
+        # the bound the backtracking would keep halving a step of 0.
+        monkeypatch.setattr(_ModeSolver, "__call__", lambda self, r: np.full_like(r, np.nan))
+        with pytest.raises(ConvergenceError, match="underflow"):
+            solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), u0=np.full((9, 32), 0.5))
 
 
 class TestResidual:
@@ -260,8 +324,9 @@ class TestResidual:
         # Under the surface-cost jump the clipped Newton model cannot see the
         # gain of detaching the outer row; doubling the full step finds it.
         # Without doubling this solve stops attached, at energy 12.4694
-        # (36% higher) and a residual as small: only the energy tells.
-        res = solve_state(self.PAIR, SurfaceCost(0.3, 1.0, 0.9), Mesh(17, 64))
+        # (36% higher) and a residual as small: only the energy tells.  The
+        # radial start is detached already, so the solve starts from 1.
+        res = solve_state(self.PAIR, SurfaceCost(0.3, 1.0, 0.9), Mesh(17, 64), u0=np.ones((17, 64)))
         assert res.energy.total == pytest.approx(9.161618945733837, rel=1e-9)
         assert np.all(res.field.values[-1] == 0.0)
 
@@ -287,6 +352,42 @@ class TestResidual:
         res = solve_state(self.PAIR, law, mesh)
         assert len(calls) <= most
         assert res.energy.total == pytest.approx(energy, rel=1e-12)
+
+
+class TestRadialStart:
+    """The cold start: the harmonic profile whose outer trace minimizes the
+    concentric shell energy (`_radial_start`)."""
+
+    LAWS = [
+        Convection(1.0),
+        Radiation(1.0),
+        Linear(0.7),
+        Power(1.0, 0.5),
+        Power(2.0, 1.5),
+        SurfaceCost(0.3, 1.0, 0.9),
+        Tabulated([(0, 0), (0.4, 0.2), (1, 1.4)]),
+    ]
+
+    @pytest.mark.parametrize("R", [1.5, 2.5])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    def test_outer_row_is_the_shell_trace_on_circles(self, law, R):
+        # Both searches compare energy values, which pins a smooth
+        # minimum's trace only to about the square root of the rounding.
+        u = _radial_start(Assembly(StarPair.circles(1.0, R), Mesh(9, 32)), law)
+        assert np.all(u[0] == 1.0)
+        assert np.allclose(u[-1], general_radial_energy(2, law, R).trace, rtol=0.0, atol=1e-7)
+        assert np.all(np.diff(u, axis=0) <= 0.0)
+
+    def test_cusp_solve_detaches(self):
+        # The shell trace under the cusp of Power(1, 0.5) is 0, and the
+        # solve stays detached; from the constant 1 state it ends attached
+        # with trace 0.5, 22% higher.
+        pair, mesh = TestResidual.PAIR, TestResidual.MESH
+        res = solve_state(pair, Power(1.0, 0.5), mesh)
+        assert res.energy.total == pytest.approx(9.160292898147942, rel=1e-9)
+        assert np.all(res.field.values[-1] == 0.0)
+        cold = solve_state(pair, Power(1.0, 0.5), mesh, u0=np.ones((mesh.n_s, mesh.n_theta)))
+        assert cold.energy.total == pytest.approx(11.164419145755764, rel=1e-9)
 
 
 class TestModeSolver:

@@ -9,7 +9,8 @@ checked for the admissible set, for `energy_of` reproducing the reported
 energy and for stationarity, by its own residual and by secant slopes.
 Under convex laws the solved state obeys the discrete maximum principle,
 and rotating a pair by whole angular grid steps rotates the solved state
-with it.
+with it; the radial cold start and the constant 1 start end at the same
+energy.
 """
 
 import math
@@ -18,10 +19,10 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from strategies import NONSMOOTH_LAWS, fields, pairs, pos
+from strategies import NONSMOOTH_LAWS, fields, kinked, pairs, pos
 
 from thermoshield.annulus import Assembly, energy_of, solve_state
-from thermoshield.dissipation import Convection, Radiation
+from thermoshield.dissipation import Convection, Power, Radiation
 
 CONVEX_LAWS = st.one_of(st.builds(Convection, pos(0.05, 5.0)), st.builds(Radiation, pos(0.05, 2.0)))
 
@@ -183,3 +184,15 @@ def test_rotational_equivariance_on_grid_steps(pair, mesh_field, law, data):
     assert abs(e1 - e0) <= 1e-10 * e0
     expected = np.roll(base.field.values, -k, axis=1)
     assert np.max(np.abs(turned.field.values - expected)) <= 2e-5
+
+
+@given(pair=pairs(), mesh_field=fields(max_s=9, max_theta=32),
+       law=st.one_of(CONVEX_LAWS, st.builds(Power, pos(0.1, 3.0), pos(1.0, 3.0)), kinked()))
+def test_cold_start_does_not_move_convex_energies(pair, mesh_field, law):
+    """Under a convex law the discrete minimizer is unique, so the default
+    start (the radial profile) and the constant 1 state end at the same
+    energy."""
+    mesh, _ = mesh_field
+    radial = solve_state(pair, law, mesh).energy.total
+    ones = solve_state(pair, law, mesh, u0=np.ones((mesh.n_s, mesh.n_theta))).energy.total
+    assert abs(radial - ones) <= 1e-9 * ones

@@ -297,6 +297,12 @@ class TestTruncationScan:
         with pytest.raises(ValueError, match="n_thresholds"):
             truncation_scan(res.field, pair, Convection(1.0), 0)
 
+    def test_fractional_threshold_count_rejected(self, solved_circles):
+        # np.arange(2.5) / 2.5 would scan 0, 0.4 and 0.8.
+        pair, res = solved_circles
+        with pytest.raises(ValueError, match="n_thresholds"):
+            truncation_scan(res.field, pair, Convection(1.0), 2.5)
+
 
 class TestHighCutoff:
     def test_no_volume_excess(self):
