@@ -10,6 +10,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -310,7 +311,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `run` only reads it."""
     parser = argparse.ArgumentParser(
         prog="thermoshield",
         description="Thermal-insulation energies, optimization, and verification.",

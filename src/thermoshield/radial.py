@@ -39,17 +39,15 @@ __all__ = [
     "gradient_ratio_max",
 ]
 
-# Trace grid of the global scan and its Dirichlet factor (1 - l)^2.
+# Trace grid of the global scan.
 _TRACE_GRID = np.linspace(0.0, 1.0, 4096)
-_TRACE_GAP2 = (1.0 - _TRACE_GRID) ** 2
-# Radii per block of the grid scan.  Its two (block, grid) arrays take 0.5 MB
-# and are allocated once per scan: the C allocator may map arrays this large
-# afresh on every allocation, and per-block page faults would cost about a
-# fifth of the scan.
-_BLOCK = 8
 # Relative positions of the points of one zoom round, and a cap on rounds.
 _ZOOM = np.linspace(0.0, 1.0, 33)
 _ZOOM_MAX_ROUNDS = 64
+# Cap on the Newton steps of the radius solve, which takes about ten.  Only
+# radii far beyond 1e6 can reach it; a capped solve stops above the root, at
+# a radius whose energy is still that of a real shell.
+_NEWTON_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -183,97 +181,89 @@ def gradient_ratio_max(n: int, beta: float, R: float) -> float:
     return float(np.max(gradient_ratio(n, beta, R, rho)))
 
 
-def _zoom_min(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Refine one bracket per row at once; returns (argmin, min) per row.
+def _trace_search(energy: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Minimize energy(l) over the trace l in [0, 1] for each of its rows;
+    returns the argmin per row.
 
-    Each round evaluates f on a (rows, 33) array of equispaced points, one
-    row per bracket, and keeps the two cells around each row's argmin, so
-    every bracket shrinks sixteenfold until its width is at most
-    tol * (1 + |lo| + |hi|).
+    `energy` maps a (rows, m) array of traces, or one (1, m) row shared by
+    every row, to the (rows, m) energies.  A global scan of the 4096-point
+    trace grid comes first, because theta may be discontinuous or
+    nonconvex; the grid holds l = 0 (where theta may jump) and l = 1, so no
+    end needs a candidate of its own.  Zoom rounds then refine the two grid
+    cells around each row's argmin: each evaluates 33 equispaced points per
+    row and keeps the two cells around their argmin, until every bracket
+    [lo, hi] is at most 1e-12 (1 + |lo| + |hi|) wide.  The grid point is
+    kept only where it is strictly lower, so ties go to the zoom.  The
+    rounds compare energy values, which are flat to rounding within about
+    sqrt(eps) of a smooth minimum, so they pin its argmin only to about
+    1e-8.
     """
-    rows = np.arange(lo.size)
+    vals = energy(_TRACE_GRID[None, :])
+    rows = np.arange(vals.shape[0])
+    k = np.argmin(vals, axis=1)
+    e_grid = vals[rows, k]
+    lo = _TRACE_GRID[np.maximum(k - 1, 0)]
+    hi = _TRACE_GRID[np.minimum(k + 1, _TRACE_GRID.size - 1)]
     last = _ZOOM.size - 1
     for _ in range(_ZOOM_MAX_ROUNDS):
         pts = lo[:, None] + (hi - lo)[:, None] * _ZOOM
-        vals = f(pts)
+        vals = energy(pts)
         j = np.argmin(vals, axis=1)
-        if np.all(hi - lo <= tol * (1.0 + np.abs(lo) + np.abs(hi))):
+        if np.all(hi - lo <= 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))):
             break
         lo = pts[rows, np.maximum(j - 1, 0)]
         hi = pts[rows, np.minimum(j + 1, last)]
-    return pts[rows, j], vals[rows, j]
-
-
-def _refine(
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    k: np.ndarray,
-    e_grid: np.ndarray,
-    tol: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Refine the two cells of `grid` around each row's grid argmin k with
-    `_zoom_min`; returns (argmin, min) per row.  The grid point, of value
-    e_grid, is kept only where it is strictly lower, so ties go to the zoom.
-    """
-    lo = grid[np.maximum(k - 1, 0)]
-    hi = grid[np.minimum(k + 1, grid.size - 1)]
-    x, e = _zoom_min(f, lo, hi, tol)
-    keep = e_grid < e
-    return np.where(keep, grid[k], x), np.where(keep, e_grid, e)
+    return np.where(e_grid < vals[rows, j], _TRACE_GRID[k], pts[rows, j])
 
 
 def _trace_min(law: DissipationLaw, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
-    """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row.
-
-    theta is evaluated once on the trace grid and shared by every row; the
-    grid scan runs _BLOCK rows at a time in two reused buffers.  The grid
-    holds both ends, l = 0 (where theta may jump) and l = 1, so no end
-    needs a candidate of its own; `_refine` finishes all rows at once.
-    Returns the minimizing trace per row.
+    """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row,
+    by `_trace_search`; returns the minimizing trace per row, to about 1e-8.
     """
-    theta = np.asarray(law.value(_TRACE_GRID))
-    k = np.empty(stiff.size, dtype=np.intp)
-    e_grid = np.empty(stiff.size)
-    buf = np.empty((2, min(_BLOCK, stiff.size), _TRACE_GRID.size))
-    for start in range(0, stiff.size, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        vals, tmp = buf[:, : stiff[blk].size]
-        np.multiply.outer(stiff[blk], _TRACE_GAP2, out=vals)
-        vals += np.multiply.outer(per_R[blk], theta, out=tmp)
-        k[blk] = np.argmin(vals, axis=1)
-        e_grid[blk] = vals[np.arange(vals.shape[0]), k[blk]]
 
     def energy(l: np.ndarray) -> np.ndarray:
         return stiff[:, None] * (1.0 - l) ** 2 + per_R[:, None] * law.value(l)
 
-    return _refine(energy, _TRACE_GRID, k, e_grid, 1e-12)[0]
+    return _trace_search(energy)
 
 
-def _shell_energy(n: int, law: DissipationLaw, R: np.ndarray, lam: float) -> Tuple:
-    """(dirichlet, boundary, penalty, trace) arrays of the minimal shell
-    energy at each outer radius in R (all at least 1); rows at R = 1 are
-    the bare ball."""
+def _best_shells(
+    n: int, law: DissipationLaw, l: np.ndarray, lam: float, t_max: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Minimize the shell energy over the outer radius R in [1, e^t_max] at
+    each trace in the array l; returns (log R*, minimal energy) per trace.
+
+    With R = e^t, gap = 1 - l and D = phi(R) - phi(1), the energy
+    per1 (gap^2 / D + R^(n-1) theta(l)) + lam w (R^n - 1) is convex in R and
+    stationary where gap = A(t) B(t), with A = D R^(n-3/2) and
+    B = sqrt((n-1) theta(l) + lam R).  A and B are nonnegative,
+    nondecreasing and convex in t, so their product is too, and Newton's
+    method from above the root falls monotonically onto it.  It starts at
+    gap / B(0), which lies above the root because A >= t, or at t_max if
+    that is lower; a trace whose product at t_max is still below gap keeps
+    t_max, the budget, and l = 1 gets t = 0, the bare ball.
+    """
+    theta = law.value(l)
+    gap = np.maximum(1.0 - l, 0.0)
+    b0 = np.sqrt((n - 1) * theta + lam)
+    t = np.minimum(np.divide(gap, b0, out=np.full_like(gap, t_max), where=b0 > 0.0), t_max)
+    step = np.zeros_like(t)
+    for _ in range(_NEWTON_MAX_STEPS):
+        t = t - step
+        R = np.exp(t)
+        drop = t if n == 2 else -np.expm1((2 - n) * t) / (n - 2)
+        a = drop * R ** (n - 1.5)
+        b2 = (n - 1) * theta + lam * R
+        excess = a * np.sqrt(b2) - gap
+        high = excess > 1e-14 * gap
+        if not np.any(high):
+            break
+        # (A B)' B = A' B^2 + A lam R / 2, with A' = sqrt(R) + (n - 3/2) A.
+        slope_b = (np.sqrt(R) + (n - 1.5) * a) * b2 + 0.5 * lam * R * a
+        step = np.divide(excess * np.sqrt(b2), slope_b, out=np.zeros_like(t), where=high)
+    dirichlet = np.divide(gap**2, drop, out=np.zeros_like(t), where=gap > 0.0)
     w = unit_ball_volume(n)
-    per1 = n * w
-    dirichlet = np.zeros(R.shape)
-    boundary = np.full(R.shape, per1 * law.value(1.0))
-    trace = np.ones(R.shape)
-    shell = R > 1.0
-    if np.any(shell):
-        stiff = per1 / (phi(n, R[shell]) - phi(n, 1.0))
-        per_R = per1 * R[shell] ** (n - 1)
-        trace[shell] = l = _trace_min(law, stiff, per_R)
-        dirichlet[shell] = stiff * (1.0 - l) ** 2
-        boundary[shell] = per_R * law.value(l)
-    return dirichlet, boundary, lam * w * (R**n - 1.0), trace
-
-
-def _radial_totals(n: int, law: DissipationLaw, R: np.ndarray, lam: float) -> np.ndarray:
-    """Total shell energy at each outer radius in the array R (all at least 1)."""
-    dirichlet, boundary, penalty, _ = _shell_energy(n, law, R, lam)
-    return dirichlet + boundary + penalty
+    return t, n * w * (dirichlet + R ** (n - 1) * theta) + lam * w * (R**n - 1.0)
 
 
 def general_radial_energy(
@@ -283,16 +273,23 @@ def general_radial_energy(
 
     The harmonic profile is determined by its outer trace l, so the energy
     is a scalar function of l: a Dirichlet term quadratic in (1 - l) plus
-    the boundary term Per(B_R) theta(l).  The trace is found by a global
-    scan of a 4096-point grid, then the bracket around the grid minimum is
-    refined by 33-point zoom grids to 1e-12 relative width.  The global
-    scan comes first because theta may be discontinuous or nonconvex; the
-    grid holds l = 0, where theta may jump, and l = 1, so neither end is a
-    separate candidate.  R = 1 gives the bare ball.
+    the boundary term Per(B_R) theta(l).  `_trace_search` minimizes it over
+    l by a global grid scan and zoom rounds.  They compare energy values, so
+    they pin a smooth law's trace only to about 1e-8, while the energy is
+    minimal to rounding.  R = 1 gives the bare ball.
     """
     _check_params(n, lam=lam, R=R)
-    parts = _shell_energy(n, law, np.array([R], dtype=float), lam)
-    return EnergyBreakdown(*(float(x[0]) for x in parts))
+    w = unit_ball_volume(n)
+    per1 = n * w
+    r = np.array([R], dtype=float)
+    penalty = float((lam * w * (r**n - 1.0))[0])
+    if R == 1.0:
+        return EnergyBreakdown(0.0, per1 * law.value(1.0), penalty, 1.0)
+    stiff = per1 / (phi(n, r) - phi(n, 1.0))
+    per_R = per1 * r ** (n - 1)
+    l = _trace_min(law, stiff, per_R)
+    dirichlet, boundary = stiff * (1.0 - l) ** 2, per_R * law.value(l)
+    return EnergyBreakdown(float(dirichlet[0]), float(boundary[0]), penalty, float(l[0]))
 
 
 def threshold_radius(n: int, beta: float) -> Optional[float]:
@@ -371,18 +368,20 @@ def best_radius(
 
     For lam > 0 the search bracket may be unbounded: it grows until the
     penalty term alone exceeds the bare-ball energy, which caps the volume
-    any minimizer can afford.  The scan is log-spaced in R - 1 with the
-    bare ball included and evaluates all 512 radii in one batched pass;
-    the bracket around its minimum is refined by 33-radius zoom rounds to
-    1e-13 relative width, each round one batch.  The scan holds the bare
-    ball and R_max, so neither is a separate candidate.  This reports the
-    best concentric pair; for general laws no claim is made against
+    any minimizer can afford.  At a fixed trace l the energy is convex in
+    R, so `_best_shells` solves for its minimizing radius R*(l) in
+    [1, R_max], for every trace at once; l = 1 gives the bare ball.
+    `_trace_search` then minimizes the energy at R*(l) over l, and R_star
+    is R* at that trace.  The search compares energy values, so it pins the
+    trace, and with it an R_star inside (1, R_max), only to about 1e-8; an
+    optimum at the bare ball or the budget is exact.  This reports the best
+    concentric pair; for general laws no claim is made against
     non-spherical competitors.
     """
     _check_params(n, lam=lam)
     if R_max == math.inf and lam > 0.0:
-        bare = _shell_energy(n, law, np.ones(1), 0.0)[1][0]
         w = unit_ball_volume(n)
+        bare = n * w * law.value(1.0)
         hi = 2.0
         while lam * w * (hi**n - 1.0) <= bare:
             hi *= 2.0
@@ -390,13 +389,10 @@ def best_radius(
     _check_params(n, R_max=R_max)
     if R_max == 1.0:
         return BestRadius(1.0, general_radial_energy(n, law, 1.0, lam))
-    radii = np.concatenate(
-        [[1.0], 1.0 + np.geomspace((R_max - 1.0) * 1e-6, R_max - 1.0, 511)]
-    )
-    vals = _radial_totals(n, law, radii, lam)
-    k = np.argmin(vals, keepdims=True)
-    R_ref, _ = _refine(lambda R: _radial_totals(n, law, R, lam), radii, k, vals[k], 1e-13)
-    R_star = float(R_ref[0])
+    t_max = math.log(R_max)
+    l = _trace_search(lambda l: _best_shells(n, law, l, lam, t_max)[1])
+    t = float(_best_shells(n, law, l, lam, t_max)[0][0])
+    R_star = R_max if t == t_max else math.exp(t)
     return BestRadius(R_star, general_radial_energy(n, law, R_star, lam))
 
 

@@ -15,7 +15,6 @@ from thermoshield.dissipation import (
 from thermoshield.levelset import RadialReference
 from thermoshield.radial import (
     EnergyBreakdown,
-    _radial_totals,
     best_radius,
     classify_regime,
     convection_energy,
@@ -229,21 +228,29 @@ class TestBestRadius:
         assert 1.7 <= R <= 2.0
         resid = (R - 1.0) / (R**3 * (1.0 / R + math.log(R)) ** 2) - 0.1
         assert abs(resid) < 1e-6
-        # Grid-scan oracle on the penalized energy, in one batched call of
-        # the kernel behind general_radial_energy.
+        # Grid-scan oracle on the closed-form penalized energy, with
+        # convection_energy(2, 1, R).total = 2 pi / (1/R + log R).
         Rs = np.linspace(1.0, 4.0, 20_001)
-        vals = _radial_totals(2, Convection(1.0), Rs, 0.1)
-        assert br.energy.total <= float(np.min(vals)) + 1e-9
+        vals = 2.0 * math.pi / (1.0 / Rs + np.log(Rs)) + 0.1 * math.pi * (Rs**2 - 1.0)
+        k = int(np.argmin(vals))
+        closed = convection_energy(2, 1.0, float(Rs[k])).total + 0.1 * math.pi * (Rs[k] ** 2 - 1.0)
+        assert vals[k] == pytest.approx(closed, rel=1e-14)
+        assert br.energy.total <= vals[k] + 1e-9
 
     def test_infinite_budget_requires_penalty(self):
         with pytest.raises(ValueError):
             best_radius(2, Convection(1.0), math.inf, 0.0)
 
     def test_agrees_with_regime_classification(self):
-        for beta, r_max in ((0.5, 3.0), (0.5, 6.0), (1.0, 3.0), (2.0, 5.0)):
-            rep = classify_regime(2, beta, r_max)
-            br = best_radius(2, Convection(beta), r_max)
-            assert br.energy.total == pytest.approx(rep.optimal_energy, rel=1e-8)
+        # In 3D, beta = 0.8 and 2.5 are regimes c and a, and beta = 1.2 and
+        # 1.5 are all-or-nothing; beta = 1.5 ties at R_max = 2.
+        cases = [(2, 0.5, 3.0), (2, 0.5, 6.0), (2, 1.0, 3.0), (2, 2.0, 5.0)] + [
+            (3, beta, r_max) for beta in (0.8, 1.2, 1.5, 2.5) for r_max in (1.5, 2.0, 3.0, 6.0, 8.0)
+        ]
+        for n, beta, r_max in cases:
+            rep = classify_regime(n, beta, r_max)
+            br = best_radius(n, Convection(beta), r_max)
+            assert br.energy.total == pytest.approx(rep.optimal_energy, rel=1e-8), (n, beta, r_max)
 
 
 class TestPerturbationExpansion:

@@ -1,4 +1,5 @@
-"""Property tests of the radial trace search and the best-radius search.
+"""Property tests of the radial trace search, the per-trace radius solve
+and the best-radius search.
 
 Laws are drawn from the families whose trace energy is nonsmooth or
 nonconvex: radiation, the surface-cost jump at zero, power laws with
@@ -18,7 +19,7 @@ from thermoshield.dissipation import (
     Tabulated,
     unit_ball_volume,
 )
-from thermoshield.radial import best_radius, general_radial_energy
+from thermoshield.radial import _best_shells, best_radius, general_radial_energy
 
 SCAN = np.linspace(0.0, 1.0, 100_001)
 REL = 1e-9
@@ -96,3 +97,24 @@ def test_best_radius_beats_drawn_radii(n, R_max, law, lam, fracs):
     for R in np.clip(radii, 1.0, R_max):
         total = general_radial_energy(n, law, float(R), lam).total
         assert best.energy.total <= total + REL * abs(total), (R, total, best)
+
+
+@given(
+    n=st.sampled_from((2, 3)),
+    R_max=st.floats(1.0, 6.0, exclude_min=True),
+    law=LAWS,
+    lam=st.one_of(st.just(0.0), _pos(0.0, 2.0)),
+    l=_pos(0.0, 1.0),
+)
+def test_radius_solve_beats_dense_scan(n, R_max, law, lam, l):
+    # The second trace is l = 1, whose best radius is the bare ball.
+    t, energy = _best_shells(n, law, np.array([l, 1.0]), lam, math.log(R_max))
+    assert t[1] == 0.0
+    assert 0.0 <= t[0] <= math.log(R_max)
+    w = unit_ball_volume(n)
+    R = np.linspace(1.0, R_max, 20_001)
+    R = R[R > 1.0]
+    drop = np.log(R) if n == 2 else (1.0 - R ** (2 - n)) / (n - 2)
+    scan = n * w * ((1.0 - l) ** 2 / drop + R ** (n - 1) * law.value(l)) + lam * w * (R**n - 1.0)
+    best = float(np.min(scan))
+    assert energy[0] <= best + 1e-12 * abs(best)
