@@ -66,7 +66,7 @@ def _check_params(
 ) -> None:
     """ValueError naming the first bad parameter: n must be an integer of at
     least 2, beta finite and positive, lam finite and nonnegative, and each
-    radius (passed by its name) finite and at least 1."""
+    radius (passed by its name) at least 1 with a finite n-th power."""
     if not isinstance(n, numbers.Integral) or n < 2:
         raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     if beta is not None and not _require_finite("beta", beta) > 0.0:
@@ -74,8 +74,16 @@ def _check_params(
     if lam is not None and not _require_finite("lam", lam) >= 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam!r}")
     for name, R in radii.items():
-        if not _require_finite(name, R) >= 1.0:
+        r = _require_finite(name, R)
+        if not r >= 1.0:
             raise ValueError(f"{name} must be at least 1, got {R!r}")
+        try:
+            r**n  # a float power raises OverflowError where numpy's gives inf
+        except OverflowError:
+            limit = _FLOAT_MAX ** (1.0 / n)
+            raise ValueError(
+                f"{name} must be below {limit:.6g}, where {name}**{n} overflows, got {R!r}"
+            ) from None
 
 
 def _check_domain(u: np.ndarray) -> np.ndarray:

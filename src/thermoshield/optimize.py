@@ -8,13 +8,20 @@ a minimum over nodal values whose admissible set does not depend on the
 shape, so by the envelope theorem (Danskin) its gradient is the partial
 shape derivative of the discrete energy at the solved field.  Each step is
 projected back onto the constraints by exact coefficient scaling, and the
-line-search solves start warm from the current field.  Descent is monotone:
-the first trial step expects the last accepted decrease again at the
-current slope (the exact gradient along the step), and a rejected step
-backtracks to the minimizer of the quadratic through the two energies and
-that slope.  The energy does not change when both boundaries are
-translated together; that gauge is fixed linearly, by keeping the inner
-boundary's first Fourier mode at zero.
+line-search solves start warm from the current field.
+
+The Fourier coordinates are scaled differently from mode to mode, so the
+direction is quasi-Newton: inverse BFGS on the projected gradient, from
+the accepted projected steps and the changes of the projected gradient.
+The pairs are dropped when the outer budget becomes active or inactive, or
+when their direction does not descend; the step is then steepest descent,
+and a quasi-Newton line search that fails is retried once along steepest
+descent.  Descent is monotone: a rejected step backtracks to the minimizer
+of the quadratic through the two energies and the current slope (the exact
+gradient along the step), and a search ends without a step once its
+predicted decrease is below the acceptance margin.  The energy does not
+change when both boundaries are translated together; that gauge is fixed
+linearly, by keeping the inner boundary's first Fourier mode at zero.
 
 When the outer boundary collapses onto the inner one the parametric solver
 bottoms out at the minimum gap; the touching configuration is then scored
@@ -61,16 +68,18 @@ _COLLAPSE_GAP = 2.0 * GAP_MIN
 _STALL_DECREASE = 1e-10
 _STALL_LIMIT = 3
 # Line search (Nocedal & Wright, Numerical Optimization, 3.5).  The first
-# trial expects the last accepted decrease again, at the current slope, and
-# is capped at _STEP_INIT.  An energy rejection backtracks to the quadratic
-# interpolant's minimizer, kept within [_BACKTRACK_MIN, _BACKTRACK] times
-# the rejected step; a GeometryError halves it.  Steps below _STEP_MIN end
-# the descent.
+# trial is the quasi-Newton step, or on a steepest-descent step the last
+# accepted decrease again at the current slope, capped at _STEP_INIT either
+# way.  An energy rejection backtracks to the quadratic interpolant's
+# minimizer, kept within [_BACKTRACK_MIN, _BACKTRACK] times the rejected
+# step; a GeometryError halves it.  A trial is accepted when it lowers the
+# energy by more than _ACCEPT_MARGIN * max(1, |E|), so the search ends once
+# the predicted decrease -slope * step is that small.
 _STEP_INIT = 0.25
 _STEP_FROM_DECREASE = 2.02
 _BACKTRACK_MIN = 0.1
 _BACKTRACK = 0.5
-_STEP_MIN = 1e-10
+_ACCEPT_MARGIN = 1e-12
 _VOLUME_TOL = 1e-8
 _GRAD_TOL = 1e-6
 
@@ -82,9 +91,10 @@ class OptimizeOptions:
     fourier_order caps the boundary modes (at most 16) and max_outer_iters
     the accepted steps.  The mesh is deliberately coarser than the solver
     default: every line-search trial is a full state solve.  The step rule
-    (along the normalized projected gradient, a first trial from the last
-    accepted decrease capped at 0.25, quadratic backtracking on the exact
-    slope, down to 1e-10) and the tolerances are fixed.
+    (a BFGS direction on the projected gradient, its first trial capped at
+    0.25, quadratic backtracking on the exact slope until the predicted
+    decrease is below the 1e-12 relative acceptance margin) and the
+    tolerances are fixed.
     """
 
     fourier_order: int = 4
@@ -198,6 +208,16 @@ class _Descent:
         g_in, g_out = asm.shape_gradient(res.field.values, self.law)
         return np.concatenate([g_in, g_out + self.lam * _area_grad(x[self.ncoef :])])
 
+    def budget_active(self, x: np.ndarray, d: np.ndarray) -> bool:
+        """Whether x sits on the outer budget and d would raise the outer
+        area: `project_direction` then removes d's outward component."""
+        n = self.ncoef
+        return bool(
+            self.M is not None
+            and _area_from_coeffs(x[n:]) >= self.M - _VOLUME_TOL
+            and np.dot(d[n:], _area_grad(x[n:])) > 0.0
+        )
+
     def project_direction(self, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Remove the direction components that violate the volume
         constraints to first order."""
@@ -206,13 +226,10 @@ class _Descent:
         gin = _area_grad(x[:n])
         nin = gin / np.linalg.norm(gin)
         out[:n] -= np.dot(out[:n], nin) * nin
-        if self.M is not None:
-            aout = _area_from_coeffs(x[n:])
+        if self.budget_active(x, out):
             gout = _area_grad(x[n:])
             nout = gout / np.linalg.norm(gout)
-            push = np.dot(out[n:], nout)
-            if aout >= self.M - _VOLUME_TOL and push > 0.0:
-                out[n:] -= push * nout
+            out[n:] -= np.dot(out[n:], nout) * nout
         return out
 
     def project_point(self, x: np.ndarray) -> np.ndarray:
@@ -241,6 +258,24 @@ class _Descent:
         return out
 
 
+def _inverse_bfgs(pairs: List[Tuple[np.ndarray, np.ndarray, float]], q: np.ndarray) -> np.ndarray:
+    """H q for the inverse BFGS matrix H of the (s, y, 1/sᵀy) pairs, oldest
+    first, by the two-loop recursion (Nocedal & Wright, Algorithm 7.4), with
+    1-D reductions only.  H0 is the identity scaled by sᵀy/yᵀy of the newest
+    pair (7.20); every pair since the last reset is kept."""
+    q = q.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.dot(s, q))
+        q -= a * y
+        alphas.append(a)
+    _, y_new, rho_new = pairs[-1]
+    q /= rho_new * float(np.dot(y_new, y_new))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(np.dot(y, q))) * s
+    return q
+
+
 def _run(descent: _Descent) -> OptimizeResult:
     opts = descent.opts
     x = descent.project_point(descent.x)
@@ -263,10 +298,32 @@ def _run(descent: _Descent) -> OptimizeResult:
             )
         )
 
+    def search(d: np.ndarray, slope: float, alpha: float):
+        """Backtrack along the unit direction d from the first trial alpha;
+        the accepted (alpha, x, energy, solve, assembly), or None once the
+        predicted decrease -slope * alpha cannot pass the acceptance test."""
+        margin = _ACCEPT_MARGIN * max(1.0, abs(energy))
+        while -slope * alpha > margin:
+            try:
+                x_new = descent.project_point(x + alpha * d)
+                e_new, res_new, asm_new = descent.objective(x_new, res.field.values)
+            except GeometryError:
+                alpha *= _BACKTRACK
+                continue
+            if e_new < energy - margin:
+                return alpha, x_new, e_new, res_new, asm_new
+            # Minimizer of the quadratic through E0, the slope and E(alpha).
+            above_tangent = e_new - energy - slope * alpha
+            trial = -slope * alpha * alpha / (2.0 * above_tangent) if above_tangent > 0.0 else alpha
+            alpha = min(max(trial, _BACKTRACK_MIN * alpha), _BACKTRACK * alpha)
+        return None
+
     record(0, energy, res, x, 0.0)
     decrease = math.inf  # no step yet: the first trial is _STEP_INIT
     stall = 0
     iterations = 0
+    pairs: List[Tuple[np.ndarray, np.ndarray, float]] = []
+    s = q_prev = active_prev = None
     while True:
         # The one collapse test: every exit further down leaves res as it is here.
         collapsed = res.field.pair.gap <= _COLLAPSE_GAP
@@ -274,34 +331,44 @@ def _run(descent: _Descent) -> OptimizeResult:
             break
         iterations += 1
         g = descent.gradient(x, res, asm)
-        d = descent.project_direction(x, -g)
-        norm = float(np.linalg.norm(d))
+        q = -descent.project_direction(x, -g)  # the projected gradient
+        norm = float(np.linalg.norm(q))
         if norm < _GRAD_TOL:
             break
-        d /= norm
-        slope = float(np.dot(g, d))
-        if slope >= 0.0:
-            slope = -norm
-        alpha = min(_STEP_INIT, _STEP_FROM_DECREASE * decrease / -slope)
-        accepted = False
-        while alpha >= _STEP_MIN:
-            try:
-                x_new = descent.project_point(x + alpha * d)
-                e_new, res_new, asm_new = descent.objective(x_new, res.field.values)
-            except GeometryError:
-                alpha *= _BACKTRACK
-                continue
-            if e_new < energy - 1e-12 * max(1.0, abs(energy)):
-                accepted = True
+        active = descent.budget_active(x, -g)
+        if active != active_prev:  # also before the first step
+            pairs.clear()
+        else:
+            y = q - q_prev
+            sy = float(np.dot(s, y))
+            if sy > 0.0:
+                pairs.append((s, y, 1.0 / sy))
+        while True:  # the quasi-Newton search, then steepest descent if it fails
+            if pairs:
+                d = descent.project_direction(x, -_inverse_bfgs(pairs, q))
+                if not np.dot(g, d) < 0.0:  # not a descent direction
+                    pairs.clear()
+                    continue
+                length = float(np.linalg.norm(d))
+                d /= length
+                slope = float(np.dot(g, d))
+                alpha = min(_STEP_INIT, length)
+            else:
+                d = -q / norm
+                slope = float(np.dot(g, d))
+                if slope >= 0.0:
+                    slope = -norm
+                alpha = min(_STEP_INIT, _STEP_FROM_DECREASE * decrease / -slope)
+            step = search(d, slope, alpha)
+            if step is not None or not pairs:
                 break
-            # Minimizer of the quadratic through E0, the slope and E(alpha).
-            above_tangent = e_new - energy - slope * alpha
-            trial = -slope * alpha * alpha / (2.0 * above_tangent) if above_tangent > 0.0 else alpha
-            alpha = min(max(trial, _BACKTRACK_MIN * alpha), _BACKTRACK * alpha)
-        if not accepted:
+            pairs.clear()
+        if step is None:
             break
+        alpha, x_new, e_new, res, asm = step
+        s, q_prev, active_prev = x_new - x, q, active
         decrease = energy - e_new
-        x, energy, res, asm = x_new, e_new, res_new, asm_new
+        x, energy = x_new, e_new
         record(iterations, energy, res, x, alpha)
         stall = stall + 1 if decrease < _STALL_DECREASE * max(1.0, abs(energy)) else 0
 
@@ -331,7 +398,7 @@ def optimize_constrained(
 ) -> OptimizeResult:
     """Minimize the insulation energy with inner area pi and outer area <= M.
 
-    Projected gradient descent on the Fourier coefficients of both
+    Projected quasi-Newton descent on the Fourier coefficients of both
     boundaries: the inner volume constraint is an exact scaling projection,
     the outer budget is enforced by scaling back whenever a step exceeds it,
     and every accepted step strictly decreases the solved energy.

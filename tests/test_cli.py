@@ -95,6 +95,15 @@ class TestExitCodes:
     def test_nonfinite_argument(self, capsys):
         assert run(["regime", "--n", "2", "--beta", "nan", "--rmax", "3"]) == EXIT_BAD_INPUT
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("R", ["1e160", "1e200"])
+    def test_radius_whose_power_overflows(self, capsys, R):
+        argv = ["radial", "--n", "2", "--law", '{"type":"radiation","gamma":1}', "--R", R]
+        assert run(argv) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "R must be below" in captured.err
+
     def test_bad_sweep_range(self, capsys, tmp_path):
         spec = '{"axis":"beta","lo":2.0,"hi":1.0,"count":5,"n":2,"R":2.0}'
         out = str(tmp_path / "x.csv")

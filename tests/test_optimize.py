@@ -5,6 +5,7 @@ runs use coarse meshes and low mode counts to pin the structural contracts.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,77 @@ class TestLineSearch:
             res = run()
             assert res.iterations > 0
             assert len(solves) <= 2 * res.iterations + 2
+
+    def test_pairs_dropped_when_budget_switches(self, monkeypatch):
+        """The quasi-Newton pairs span one side of the outer budget: an
+        iteration at which the budget turns active or inactive takes a
+        steepest-descent step, and the next one sees only its pair."""
+        seen = []  # per iteration: [budget active, pairs seen by the BFGS direction]
+        gradient, inverse_bfgs = optimize._Descent.gradient, optimize._inverse_bfgs
+
+        def watched_gradient(self, x, res, asm):
+            g = gradient(self, x, res, asm)
+            seen.append([self.budget_active(x, -g), 0])
+            return g
+
+        def watched_bfgs(pairs, q):
+            seen[-1][1] = len(pairs)
+            return inverse_bfgs(pairs, q)
+
+        monkeypatch.setattr(optimize._Descent, "gradient", watched_gradient)
+        monkeypatch.setattr(optimize, "_inverse_bfgs", watched_bfgs)
+        init = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.027, 0.0]),
+            FourierShape([2.5, 0.0, 0.0, 0.08, 0.0]),
+        )
+        res = optimize_constrained(Convection(1.0), 9 * math.pi, init, QUICK)
+        active = [a for a, _ in seen]
+        switches = [i for i in range(1, len(seen)) if active[i] != active[i - 1]]
+        assert {active[i] for i in switches} == {True, False}  # both ways
+        assert max(n for _, n in seen) >= 2  # pairs pile up between switches
+        for i in switches:
+            assert seen[i][1] == 0
+            if i + 1 < len(seen) and active[i + 1] == active[i]:
+                assert seen[i + 1][1] <= 1
+        assert res.iterations == len(seen)
+
+    def test_failed_quasi_newton_search_falls_back_to_steepest_descent(self, monkeypatch):
+        """A quasi-Newton step too short to pass the acceptance test ends its
+        search without a solve; the pairs are dropped and a steepest-descent
+        search takes the step instead."""
+        calls = []
+
+        def futile(pairs, q):
+            calls.append(len(pairs))
+            return 1e-20 * q
+
+        monkeypatch.setattr(optimize, "_inverse_bfgs", futile)
+        res = optimize_penalized(Convection(1.0), 0.1, quick_init(1.8), QUICK)
+        assert len(res.trace) == QUICK.max_outer_iters + 1  # every iteration takes a step
+        assert calls and set(calls) == {1}  # each failure drops the pairs
+        energies = [row.energy for row in res.trace]
+        assert all(b < a for a, b in zip(energies, energies[1:]))
+
+    def test_restart_from_converged_pair_stops_early(self, monkeypatch):
+        """At a converged pair no trial can lower the energy by more than
+        the acceptance margin: the search stops once its predicted decrease
+        is that small, within a few solves, long before the step reaches
+        1e-8."""
+        opts = replace(QUICK, max_outer_iters=500)
+        converged = optimize_penalized(Convection(1.0), 0.1, quick_init(1.8), opts).pair
+        steps = []
+        objective = optimize._Descent.objective
+
+        def watched(self, x, warm):
+            steps.append(x)
+            return objective(self, x, warm)
+
+        monkeypatch.setattr(optimize._Descent, "objective", watched)
+        res = optimize_penalized(Convection(1.0), 0.1, converged, opts)
+        assert len(res.trace) == 1  # no step is accepted
+        assert len(steps) <= 8  # the initial solve and the final search
+        shortest = min(float(np.linalg.norm(x - steps[0])) for x in steps[1:])
+        assert shortest > 1e-8
 
     def test_one_assembly_per_solve(self, monkeypatch):
         """The shape gradient reuses the assembly its state was solved on."""

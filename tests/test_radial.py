@@ -152,6 +152,25 @@ class TestGeneralRadialEnergy:
         with pytest.raises(ValueError):
             general_radial_energy(2, Convection(1.0), 2.0, lam=-1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("R", [1e160, 1e200])
+    def test_radius_whose_power_overflows_rejected(self, R):
+        """Past the largest float R**n is inf, and the unpenalized penalty
+        0 * inf would be NaN."""
+        with pytest.raises(ValueError, match="^R must be below"):
+            general_radial_energy(2, Radiation(1.0), R)
+        with pytest.raises(ValueError, match="^R_max must be below"):
+            best_radius(2, Radiation(1.0), R)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_radius_below_overflow(self):
+        e = general_radial_energy(2, Radiation(1.0), 1e100)
+        assert e.penalty == 0.0
+        assert math.isfinite(e.total) and e.total > 0.0
+        assert best_radius(2, Radiation(1.0), 1e100).energy.total == pytest.approx(e.total)
+        with pytest.raises(ValueError, match="^R must be below"):
+            general_radial_energy(3, Radiation(1.0), 1e103)  # R**3 overflows
+
 
 class TestThresholdRadius:
     def test_two_dim_half(self):
