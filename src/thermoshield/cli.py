@@ -54,7 +54,8 @@ from .optimize import (
 )
 from .radial import (
     EnergyBreakdown,
-    best_radius,
+    _best_radii,
+    _radial_energies,
     classify_regime,
     convection_energy,
     general_radial_energy,
@@ -144,34 +145,30 @@ def _sweep_grid(spec: dict) -> np.ndarray:
     raise ValueError(f"unknown sweep scale {scale!r}")
 
 
-def _sweep_eval(spec: dict, law: Optional[DissipationLaw], value: float) -> EnergyBreakdown:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    spec = _json_object(args.spec, "sweep spec")
+    grid = [float(v) for v in _sweep_grid(spec)]
+    law_data = spec.get("law")
+    law = law_from_json(law_data) if law_data else None
     n = int(_spec_number(spec, "n", 2))
-    lam = _spec_number(spec, "lambda", 0.0)
+    lam = [_spec_number(spec, "lambda", 0.0)] * len(grid)
     axis = spec["axis"]
     if axis in ("R", "lambda", "M") and law is None:
         raise ValueError(f"sweep over {axis} requires a law")
-    if axis == "beta":
-        return general_radial_energy(n, Convection(value), _spec_number(spec, "R"), lam)
-    if axis == "gamma":
-        return general_radial_energy(n, Radiation(value), _spec_number(spec, "R"), lam)
-    if axis == "R":
-        return general_radial_energy(n, law, value, lam)
-    if axis == "lambda":
-        return best_radius(n, law, math.inf, value).energy
-    if axis == "M":
-        r_max = (value / unit_ball_volume(n)) ** (1.0 / n)
-        if r_max < 1.0:
+    if axis in ("beta", "gamma"):
+        laws = [(Convection if axis == "beta" else Radiation)(v) for v in grid]
+        energies = _radial_energies(n, laws, [_spec_number(spec, "R")] * len(grid), lam)
+    elif axis == "R":
+        energies = _radial_energies(n, law, grid, lam)
+    elif axis == "lambda":
+        energies = [b.energy for b in _best_radii(n, law, [math.inf] * len(grid), grid)]
+    elif axis == "M":
+        r_max = [(max(v, 0.0) / unit_ball_volume(n)) ** (1.0 / n) for v in grid]
+        if min(r_max) < 1.0:
             raise ValueError("M below the inner ball volume")
-        return best_radius(n, law, r_max, lam).energy
-    raise ValueError(f"unknown sweep axis {axis!r}")
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _json_object(args.spec, "sweep spec")
-    grid = _sweep_grid(spec)
-    law_data = spec.get("law")
-    law = law_from_json(law_data) if law_data else None
-    energies = [_sweep_eval(spec, law, float(v)) for v in grid]
+        energies = [b.energy for b in _best_radii(n, law, r_max, lam)]
+    else:
+        raise ValueError(f"unknown sweep axis {axis!r}")
     rows = [(v, e.total, *astuple(e)) for v, e in zip(grid, energies)]
     _write_csv(args.out, [SWEEP_COLUMNS, *rows])
     return EXIT_OK

@@ -87,8 +87,11 @@ def _check_params(
 
 
 def _check_domain(u: np.ndarray) -> np.ndarray:
-    if np.any(u < -_DOMAIN_TOL) or np.any(u > 1.0 + _DOMAIN_TOL):
-        raise ValueError(f"dissipation law argument outside [0, 1]: {u}")
+    # One min and one max admit every array in range.  A NaN entry, which
+    # passes, makes both NaN; the elementwise test then judges the others.
+    if u.size and not (u.min() >= -_DOMAIN_TOL and u.max() <= 1.0 + _DOMAIN_TOL):
+        if np.any(u < -_DOMAIN_TOL) or np.any(u > 1.0 + _DOMAIN_TOL):
+            raise ValueError(f"dissipation law argument outside [0, 1]: {u}")
     return np.clip(u, 0.0, 1.0)
 
 

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dissipation import DissipationLaw, _check_params, unit_ball_volume
+from .dissipation import ArrayLike, DissipationLaw, _check_params, unit_ball_volume
 
 __all__ = [
     "EnergyBreakdown",
@@ -41,6 +41,8 @@ __all__ = [
 
 # Trace grid of the global scan.
 _TRACE_GRID = np.linspace(0.0, 1.0, 4096)
+# Rows per block of the grid scan, which bounds its temporaries.
+_SCAN_ROWS = 8
 # Relative positions of the points of one zoom round, and a cap on rounds.
 _ZOOM = np.linspace(0.0, 1.0, 33)
 _ZOOM_MAX_ROUNDS = 64
@@ -48,6 +50,9 @@ _ZOOM_MAX_ROUNDS = 64
 # radii far beyond 1e6 can reach it; a capped solve stops above the root, at
 # a radius whose energy is still that of a real shell.
 _NEWTON_MAX_STEPS = 64
+
+# One law shared by every row of a batched search, or one law per row.
+_Laws = Union[DissipationLaw, Sequence[DissipationLaw]]
 
 
 @dataclass(frozen=True)
@@ -181,57 +186,81 @@ def gradient_ratio_max(n: int, beta: float, R: float) -> float:
     return float(np.max(gradient_ratio(n, beta, R, rho)))
 
 
-def _trace_search(energy: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Minimize energy(l) over the trace l in [0, 1] for each of its rows;
-    returns the argmin per row.
+def _trace_search(energy: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int) -> np.ndarray:
+    """Minimize energy(l) over the trace l in [0, 1] for each of `rows`
+    rows; returns the argmin per row.
 
-    `energy` maps a (rows, m) array of traces, or one (1, m) row shared by
-    every row, to the (rows, m) energies.  A global scan of the 4096-point
-    trace grid comes first, because theta may be discontinuous or
-    nonconvex; the grid holds l = 0 (where theta may jump) and l = 1, so no
-    end needs a candidate of its own.  Zoom rounds then refine the two grid
-    cells around each row's argmin: each evaluates 33 equispaced points per
-    row and keeps the two cells around their argmin, until every bracket
-    [lo, hi] is at most 1e-12 (1 + |lo| + |hi|) wide.  The grid point is
-    kept only where it is strictly lower, so ties go to the zoom.  The
-    rounds compare energy values, which are flat to rounding within about
-    sqrt(eps) of a smooth minimum, so they pin its argmin only to about
-    1e-8.
+    `energy(l, idx)` maps a (len(idx), m) array of traces of the rows idx,
+    or one (1, m) row shared by them, to their (len(idx), m) energies.  A
+    global scan of the 4096-point trace grid comes first, `_SCAN_ROWS` rows
+    at a time, because theta may be discontinuous or nonconvex; the grid
+    holds l = 0 (where theta may jump) and l = 1, so no end needs a
+    candidate of its own.  Zoom rounds then refine the two grid cells
+    around each row's argmin: each evaluates 33 equispaced points per row
+    and keeps the two cells around their argmin, until the row's bracket
+    [lo, hi] is at most 1e-12 (1 + |lo| + |hi|) wide.  A row whose bracket
+    has converged is frozen: later rounds evaluate only the open rows, so
+    each row ends bitwise where a search of that row alone ends.  The grid
+    point is kept only where it is strictly lower, so ties go to the zoom.
+    The rounds compare energy values, which are flat to rounding within
+    about sqrt(eps) of a smooth minimum, so they pin its argmin only to
+    about 1e-8.
     """
-    vals = energy(_TRACE_GRID[None, :])
-    rows = np.arange(vals.shape[0])
-    k = np.argmin(vals, axis=1)
-    e_grid = vals[rows, k]
+    k = np.empty(rows, dtype=int)
+    e_grid = np.empty(rows)
+    for start in range(0, rows, _SCAN_ROWS):
+        idx = np.arange(start, min(start + _SCAN_ROWS, rows))
+        vals = energy(_TRACE_GRID[None, :], idx)
+        k[idx] = np.argmin(vals, axis=1)
+        e_grid[idx] = vals[np.arange(idx.size), k[idx]]
+    trace = _TRACE_GRID[k]
     lo = _TRACE_GRID[np.maximum(k - 1, 0)]
     hi = _TRACE_GRID[np.minimum(k + 1, _TRACE_GRID.size - 1)]
+    idx = np.arange(rows)
     last = _ZOOM.size - 1
     for _ in range(_ZOOM_MAX_ROUNDS):
-        pts = lo[:, None] + (hi - lo)[:, None] * _ZOOM
-        vals = energy(pts)
-        j = np.argmin(vals, axis=1)
-        if np.all(hi - lo <= 1e-12 * (1.0 + np.abs(lo) + np.abs(hi))):
+        if not idx.size:
             break
-        lo = pts[rows, np.maximum(j - 1, 0)]
-        hi = pts[rows, np.minimum(j + 1, last)]
-    return np.where(e_grid < vals[rows, j], _TRACE_GRID[k], pts[rows, j])
+        pts = lo[:, None] + (hi - lo)[:, None] * _ZOOM
+        vals = energy(pts, idx)
+        at = np.arange(idx.size)
+        j = np.argmin(vals, axis=1)
+        trace[idx] = np.where(e_grid[idx] < vals[at, j], _TRACE_GRID[k[idx]], pts[at, j])
+        live = ~(hi - lo <= 1e-12 * (1.0 + np.abs(lo) + np.abs(hi)))
+        idx = idx[live]
+        lo = pts[at, np.maximum(j - 1, 0)][live]
+        hi = pts[at, np.minimum(j + 1, last)][live]
+    return trace
 
 
-def _trace_min(law: DissipationLaw, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
+def _theta(law: _Laws, l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """theta(l) on the rows idx: `law` is one law shared by every row, with
+    one call for all of them, or a sequence of one law per row; l is
+    (len(idx), m), or one (1, m) row shared by them."""
+    if isinstance(law, DissipationLaw):
+        return law.value(l)
+    rows = np.broadcast_to(l, (idx.size, l.shape[1]))
+    return np.array([law[i].value(row) for i, row in zip(idx, rows)]).reshape(rows.shape)
+
+
+def _trace_min(law: _Laws, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
     """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row,
     by `_trace_search`; returns the minimizing trace per row, to about 1e-8.
+    `law` is one law for every row or one law per row (see `_theta`).
     """
 
-    def energy(l: np.ndarray) -> np.ndarray:
-        return stiff[:, None] * (1.0 - l) ** 2 + per_R[:, None] * law.value(l)
+    def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return stiff[idx, None] * (1.0 - l) ** 2 + per_R[idx, None] * _theta(law, l, idx)
 
-    return _trace_search(energy)
+    return _trace_search(energy, stiff.size)
 
 
 def _best_shells(
-    n: int, law: DissipationLaw, l: np.ndarray, lam: float, t_max: float
+    n: int, law: DissipationLaw, l: np.ndarray, lam: ArrayLike, t_max: ArrayLike
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the shell energy over the outer radius R in [1, e^t_max] at
     each trace in the array l; returns (log R*, minimal energy) per trace.
+    lam and t_max are numbers or arrays that broadcast against l.
 
     With R = e^t, gap = 1 - l and D = phi(R) - phi(1), the energy
     per1 (gap^2 / D + R^(n-1) theta(l)) + lam w (R^n - 1) is convex in R and
@@ -241,12 +270,13 @@ def _best_shells(
     method from above the root falls monotonically onto it.  It starts at
     gap / B(0), which lies above the root because A >= t, or at t_max if
     that is lower; a trace whose product at t_max is still below gap keeps
-    t_max, the budget, and l = 1 gets t = 0, the bare ball.
+    t_max, the budget, and l = 1 gets t = 0, the bare ball.  A converged
+    trace takes zero steps while the others go on.
     """
     theta = law.value(l)
     gap = np.maximum(1.0 - l, 0.0)
     b0 = np.sqrt((n - 1) * theta + lam)
-    t = np.minimum(np.divide(gap, b0, out=np.full_like(gap, t_max), where=b0 > 0.0), t_max)
+    t = np.minimum(np.divide(gap, b0, out=np.full(b0.shape, t_max), where=b0 > 0.0), t_max)
     step = np.zeros_like(t)
     for _ in range(_NEWTON_MAX_STEPS):
         t = t - step
@@ -266,6 +296,35 @@ def _best_shells(
     return t, n * w * (dirichlet + R ** (n - 1) * theta) + lam * w * (R**n - 1.0)
 
 
+def _radial_energies(
+    n: int, law: _Laws, R: Sequence[float], lam: Sequence[float]
+) -> List[EnergyBreakdown]:
+    """`general_radial_energy` of every row (law, R[i], lam[i]), with one
+    trace search for all rows; `law` is one law for every row or one law
+    per row."""
+    for R_i, lam_i in zip(R, lam):
+        _check_params(n, lam=lam_i, R=R_i)
+    w = unit_ball_volume(n)
+    per1 = n * w
+    r = np.array(R, dtype=float)
+    lams = np.array(lam, dtype=float)
+    with np.errstate(over="ignore"):
+        penalty = lams * w * (r**n - 1.0)
+    for i in np.flatnonzero(~np.isfinite(penalty))[:1]:
+        raise ValueError(f"lam and R must keep the penalty lam * omega_n * (R**{n} - 1) finite, "
+                         f"got lam={float(lams[i])!r}, R={float(r[i])!r}")
+    shell = r != 1.0
+    per_R = per1 * r ** (n - 1)
+    stiff = per1 / (phi(n, r[shell]) - phi(n, 1.0))
+    l = np.ones(r.size)
+    rows = law if isinstance(law, DissipationLaw) else [law[i] for i in np.flatnonzero(shell)]
+    l[shell] = _trace_min(rows, stiff, per_R[shell])
+    dirichlet = np.zeros(r.size)
+    dirichlet[shell] = stiff * (1.0 - l[shell]) ** 2
+    boundary = per_R * _theta(law, l[:, None], np.arange(r.size))[:, 0]
+    return [EnergyBreakdown(*map(float, e)) for e in zip(dirichlet, boundary, penalty, l)]
+
+
 def general_radial_energy(
     n: int, law: DissipationLaw, R: float, lam: float = 0.0
 ) -> EnergyBreakdown:
@@ -276,20 +335,10 @@ def general_radial_energy(
     the boundary term Per(B_R) theta(l).  `_trace_search` minimizes it over
     l by a global grid scan and zoom rounds.  They compare energy values, so
     they pin a smooth law's trace only to about 1e-8, while the energy is
-    minimal to rounding.  R = 1 gives the bare ball.
+    minimal to rounding.  R = 1 gives the bare ball, and a penalty that
+    overflows is rejected.  This is a one-row `_radial_energies`.
     """
-    _check_params(n, lam=lam, R=R)
-    w = unit_ball_volume(n)
-    per1 = n * w
-    r = np.array([R], dtype=float)
-    penalty = float((lam * w * (r**n - 1.0))[0])
-    if R == 1.0:
-        return EnergyBreakdown(0.0, per1 * law.value(1.0), penalty, 1.0)
-    stiff = per1 / (phi(n, r) - phi(n, 1.0))
-    per_R = per1 * r ** (n - 1)
-    l = _trace_min(law, stiff, per_R)
-    dirichlet, boundary = stiff * (1.0 - l) ** 2, per_R * law.value(l)
-    return EnergyBreakdown(float(dirichlet[0]), float(boundary[0]), penalty, float(l[0]))
+    return _radial_energies(n, law, [R], [lam])[0]
 
 
 def threshold_radius(n: int, beta: float) -> Optional[float]:
@@ -361,6 +410,40 @@ def classify_regime(n: int, beta: float, R_max: float) -> RegimeReport:
     )
 
 
+def _best_radii(
+    n: int, law: DissipationLaw, R_max: Sequence[float], lam: Sequence[float]
+) -> List[BestRadius]:
+    """`best_radius` of every row (R_max[i], lam[i]) under one law, with one
+    trace search for all rows."""
+    bounds = list(R_max)
+    for i, m in enumerate(lam):
+        _check_params(n, lam=m)
+        if bounds[i] == math.inf and m > 0.0:
+            w = unit_ball_volume(n)
+            bare, hi = n * w * law.value(1.0), 2.0
+            try:
+                while m * w * (hi**n - 1.0) <= bare:
+                    hi *= 2.0
+            except OverflowError:
+                raise ValueError(
+                    f"lam must be large enough to bound R below overflow, got {m!r}") from None
+            bounds[i] = hi
+        _check_params(n, R_max=bounds[i])
+    bounds = np.array(bounds, dtype=float)
+    search = bounds != 1.0
+    t_max = np.array([math.log(r) for r in bounds[search]])
+    lam_s = np.array(lam, dtype=float)[search]
+
+    def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return _best_shells(n, law, l, lam_s[idx, None], t_max[idx, None])[1]
+
+    t = _best_shells(n, law, _trace_search(energy, t_max.size), lam_s, t_max)[0]
+    R_star = bounds.copy()
+    R_star[search] = [R if a == b else math.exp(a) for R, a, b in zip(bounds[search], t, t_max)]
+    energies = _radial_energies(n, law, R_star.tolist(), lam)
+    return [BestRadius(R, e) for R, e in zip(R_star.tolist(), energies)]
+
+
 def best_radius(
     n: int, law: DissipationLaw, R_max: float = math.inf, lam: float = 0.0
 ) -> BestRadius:
@@ -368,32 +451,18 @@ def best_radius(
 
     For lam > 0 the search bracket may be unbounded: it grows until the
     penalty term alone exceeds the bare-ball energy, which caps the volume
-    any minimizer can afford.  At a fixed trace l the energy is convex in
-    R, so `_best_shells` solves for its minimizing radius R*(l) in
-    [1, R_max], for every trace at once; l = 1 gives the bare ball.
-    `_trace_search` then minimizes the energy at R*(l) over l, and R_star
-    is R* at that trace.  The search compares energy values, so it pins the
-    trace, and with it an R_star inside (1, R_max), only to about 1e-8; an
-    optimum at the bare ball or the budget is exact.  This reports the best
-    concentric pair; for general laws no claim is made against
-    non-spherical competitors.
+    any minimizer can afford; a lam too small to cap it before R**n
+    overflows is rejected.  At a fixed trace l the energy is convex in R,
+    so `_best_shells` solves for its minimizing radius R*(l) in [1, R_max],
+    for every trace at once; l = 1 gives the bare ball.  `_trace_search`
+    then minimizes the energy at R*(l) over l, and R_star is R* at that
+    trace.  The search compares energy values, so it pins the trace, and
+    with it an R_star inside (1, R_max), only to about 1e-8; an optimum at
+    the bare ball or the budget is exact.  This reports the best concentric
+    pair; for general laws no claim is made against non-spherical
+    competitors.  This is a one-row `_best_radii`.
     """
-    _check_params(n, lam=lam)
-    if R_max == math.inf and lam > 0.0:
-        w = unit_ball_volume(n)
-        bare = n * w * law.value(1.0)
-        hi = 2.0
-        while lam * w * (hi**n - 1.0) <= bare:
-            hi *= 2.0
-        R_max = hi
-    _check_params(n, R_max=R_max)
-    if R_max == 1.0:
-        return BestRadius(1.0, general_radial_energy(n, law, 1.0, lam))
-    t_max = math.log(R_max)
-    l = _trace_search(lambda l: _best_shells(n, law, l, lam, t_max)[1])
-    t = float(_best_shells(n, law, l, lam, t_max)[0][0])
-    R_star = R_max if t == t_max else math.exp(t)
-    return BestRadius(R_star, general_radial_energy(n, law, R_star, lam))
+    return _best_radii(n, law, [R_max], [lam])[0]
 
 
 def perturbation_expansion(n: int, law: DissipationLaw, eps: float) -> PerturbationExpansion:

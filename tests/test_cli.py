@@ -2,10 +2,11 @@
 
 import json
 import math
+from dataclasses import astuple
 
 import pytest
 
-from thermoshield.annulus import FourierShape
+from thermoshield.annulus import FourierShape, _write_csv
 from thermoshield.cli import (
     EXIT_BAD_INPUT,
     EXIT_NO_CONVERGENCE,
@@ -14,8 +15,8 @@ from thermoshield.cli import (
     SWEEP_COLUMNS,
     run,
 )
-from thermoshield.dissipation import law_from_json
-from thermoshield.radial import best_radius
+from thermoshield.dissipation import Convection, Radiation, law_from_json, unit_ball_volume
+from thermoshield.radial import best_radius, general_radial_energy
 
 CONV1 = '{"type":"convection","beta":1}'
 
@@ -190,6 +191,60 @@ class TestSweep:
 
         last = [float(v) for v in lines[-1].split(",")]
         assert last[1] == pytest.approx(convection_energy(2, 1.0, 3.0).total, rel=1e-7)
+
+
+KINKED = {"type": "tabulated", "knots": [[0, 0], [0.4, 0.2], [1, 1.4]]}
+SURFACE = {"type": "surface_cost", "c1": 0.3, "c2": 1.0, "alpha": 0.9}
+POWER = {"type": "power", "c": 3.0, "alpha": 0.5}
+# One spec per axis, each with a nonsmooth law where the axis takes one, and
+# the one-point energy that each row must reproduce.
+AXES = {
+    "beta": ({"axis": "beta", "lo": 0.25, "hi": 2.0, "count": 11, "n": 3, "R": 2.0, "lambda": 0.1},
+             lambda v: general_radial_energy(3, Convection(v), 2.0, 0.1)),
+    "gamma": ({"axis": "gamma", "lo": 0.1, "hi": 10.0, "count": 9, "scale": "log", "R": 2.5},
+              lambda v: general_radial_energy(2, Radiation(v), 2.5)),
+    "R": ({"axis": "R", "lo": 1.0, "hi": 4.0, "count": 13, "law": KINKED},
+          lambda v: general_radial_energy(2, law_from_json(KINKED), v)),
+    "lambda": ({"axis": "lambda", "lo": 0.01, "hi": 3.0, "count": 10, "scale": "log", "law": SURFACE},
+               lambda v: best_radius(2, law_from_json(SURFACE), math.inf, v).energy),
+    "M": ({"axis": "M", "lo": 4.5, "hi": 200.0, "count": 10, "scale": "log", "n": 3, "lambda": 0.02,
+           "law": POWER},
+          lambda v: best_radius(3, law_from_json(POWER), (v / unit_ball_volume(3)) ** (1 / 3), 0.02).energy),
+}
+
+
+class TestSweepRows:
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_csv_is_the_one_point_values(self, tmp_path, axis):
+        spec, one_point = AXES[axis]
+        out, expected = tmp_path / "sweep.csv", tmp_path / "expected.csv"
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", str(out)]) == EXIT_OK
+        values = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert len(values) == spec["count"]
+        rows = [(v, e.total, *astuple(e)) for v, e in ((v, one_point(v)) for v in values)]
+        _write_csv(str(expected), [SWEEP_COLUMNS, *rows])
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_penalty_that_overflows_exits_2(self, capsys):
+        argv = ["radial", "--n", "2", "--law", '{"type":"radiation","gamma":1}', "--R", "1e154",
+                "--lambda", "1"]
+        assert run(argv) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lam=1.0, R=1e+154" in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_penalty_too_small_to_bound_the_radius_exits_2(self, capsys, tmp_path):
+        spec = {"axis": "lambda", "lo": 5e-324, "hi": 1e-300, "count": 2, "scale": "log",
+                "law": {"type": "radiation", "gamma": 1}}
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", str(tmp_path / "x.csv")]) == EXIT_BAD_INPUT
+        assert "lam must be large enough" in capsys.readouterr().err
+
+    def test_negative_budget_exits_2(self, capsys, tmp_path):
+        spec = {"axis": "M", "lo": -5.0, "hi": 20.0, "count": 3, "law": {"type": "convection", "beta": 1}}
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", str(tmp_path / "x.csv")]) == EXIT_BAD_INPUT
+        assert "M below the inner ball volume" in capsys.readouterr().err
 
 
 class TestSolveAndOptimize:

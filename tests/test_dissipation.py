@@ -104,6 +104,25 @@ class TestEval:
         with pytest.raises(ValueError):
             Convection(1.0).value(-0.2)
 
+    @pytest.mark.parametrize(
+        "u",
+        [[], [math.nan], [0.5, math.nan, 0.2], [-1e-12, 1.0 + 1e-12], [-0.0, 1.0], [[0.0, 1.0], [0.3, 0.7]]],
+    )
+    def test_domain_accepts(self, u):
+        # A NaN passes, and so does rounding noise of 1e-12 beyond either end.
+        assert np.asarray(Convection(1.0).value(np.array(u))).shape == np.shape(u)
+
+    @pytest.mark.parametrize(
+        "u", [[-2e-12], [1.0 + 2e-12], [math.nan, 2.0], [-0.5, math.nan], [[0.2, 0.3], [math.nan, -1.0]]]
+    )
+    def test_domain_rejects(self, u):
+        # An out-of-range entry is rejected also when a NaN sits beside it.
+        with pytest.raises(ValueError, match="outside"):
+            Convection(1.0).value(np.array(u))
+
+    def test_domain_keeps_negative_zero(self):
+        assert np.signbit(Linear(1.0).value(np.array([-0.0])))[0]
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Convection(0.0)

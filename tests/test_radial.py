@@ -172,6 +172,14 @@ class TestGeneralRadialEnergy:
             general_radial_energy(3, Radiation(1.0), 1e103)  # R**3 overflows
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_penalty_that_overflows_rejected(self):
+        """R**2 is finite at 1e154, but lam * pi * R**2 is not."""
+        with pytest.raises(ValueError, match="^lam and R must keep the penalty"):
+            general_radial_energy(2, Radiation(1.0), 1e154, 1.0)
+        assert math.isfinite(general_radial_energy(2, Radiation(1.0), 1e154, 1e-10).total)
+
+
 class TestThresholdRadius:
     def test_two_dim_half(self):
         r = threshold_radius(2, 0.5)
@@ -255,6 +263,13 @@ class TestBestRadius:
         closed = convection_energy(2, 1.0, float(Rs[k])).total + 0.1 * math.pi * (Rs[k] ** 2 - 1.0)
         assert vals[k] == pytest.approx(closed, rel=1e-14)
         assert br.energy.total <= vals[k] + 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_penalty_too_small_to_bound_the_radius(self):
+        """The doubling bracket would need a radius whose square overflows."""
+        with pytest.raises(ValueError, match="^lam must be large enough"):
+            best_radius(2, Radiation(1.0), math.inf, 5e-324)
+        assert best_radius(2, Radiation(1.0), math.inf, 1e-300).R_star < 1e151
 
     def test_infinite_budget_requires_penalty(self):
         with pytest.raises(ValueError):
