@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dissipation import DissipationLaw, _require_finite
+from .dissipation import DissipationLaw, _require_count, _require_finite
 from .radial import EnergyBreakdown, _trace_min
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "ConvergenceError",
     "solve_state",
     "energy_of",
-    "scale_field",
     "dump_field",
     "load_field",
 ]
@@ -137,6 +135,7 @@ class FourierShape:
 
     @classmethod
     def circle(cls, radius: float, order: int = 0) -> "FourierShape":
+        _require_count("order", order, 0)
         return cls([radius] + [0.0] * (2 * order))
 
     @property
@@ -214,9 +213,6 @@ class StarPair:
         """Minimum separation r_O - r_K over the construction-time check grid."""
         return self._gap
 
-    def scaled(self, t: float) -> "StarPair":
-        return StarPair(self.inner.scaled(t), self.outer.scaled(t))
-
     def rotated(self, angle: float) -> "StarPair":
         return StarPair(self.inner.rotated(angle), self.outer.rotated(angle))
 
@@ -231,10 +227,8 @@ class Mesh:
     n_theta: int = 256
 
     def __post_init__(self) -> None:
-        if not all(isinstance(n, numbers.Integral) for n in (self.n_s, self.n_theta)):
-            raise ValueError(f"n_s and n_theta must be integers: {self.n_s!r}, {self.n_theta!r}")
-        if self.n_s < 3 or self.n_theta < 8:
-            raise ValueError("mesh too coarse")
+        _require_count("n_s", self.n_s, 3)
+        _require_count("n_theta", self.n_theta, 8)
 
 
 @dataclass(frozen=True)
@@ -610,8 +604,7 @@ def _solve(
     keeps the assembly (the optimizer takes its shape gradient there)."""
     if _require_finite("tol", tol) <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if not isinstance(max_iters, numbers.Integral) or max_iters < 0:
-        raise ValueError(f"max_iters must be an integer of at least 0, got {max_iters!r}")
+    _require_count("max_iters", max_iters, 0)
     pair, mesh = asm.pair, asm.mesh
     n_s, n_t = mesh.n_s, mesh.n_theta
     if u0 is None:
@@ -753,21 +746,6 @@ def energy_of(field: ScalarField, pair: StarPair, law: DissipationLaw) -> Energy
     _require_same_pair(field, pair)
     asm = Assembly(pair, field.mesh)
     return asm.breakdown(field.values, law)
-
-
-def scale_field(field: ScalarField, pair: StarPair, t: float) -> Tuple[ScalarField, StarPair]:
-    """Dilate the geometry by t keeping nodal values.
-
-    In 2D the Dirichlet term is invariant under dilation and the boundary
-    term scales linearly with t.  Raises GeometryError when the scaled pair
-    violates the minimum gap.
-    """
-    if t <= 0.0:
-        raise ValueError("scale factor must be positive")
-    _require_same_pair(field, pair)
-    new_pair = pair.scaled(t)
-    new_field = ScalarField(values=field.values.copy(), mesh=field.mesh, pair=new_pair)
-    return new_field, new_pair
 
 
 def _write_csv(path: str, rows: Iterable[Iterable[object]]) -> None:

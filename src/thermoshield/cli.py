@@ -35,6 +35,7 @@ from .dissipation import (
     Convection,
     DissipationLaw,
     Radiation,
+    _require_count,
     _require_finite,
     law_from_json,
     unit_ball_volume,
@@ -60,7 +61,6 @@ from .radial import (
     convection_energy,
     general_radial_energy,
     perturbation_expansion,
-    threshold_radius,
 )
 
 EXIT_OK = 0
@@ -132,9 +132,10 @@ def _spec_number(spec: dict, key: str, default: Optional[float] = None) -> float
 
 def _sweep_grid(spec: dict) -> np.ndarray:
     lo, hi = _spec_number(spec, "lo"), _spec_number(spec, "hi")
-    count = int(_spec_number(spec, "count"))
-    if not lo < hi or count < 2:
-        raise ValueError("sweep range requires lo < hi and count >= 2")
+    count = spec["count"]
+    _require_count("sweep key 'count'", count, 2)
+    if not lo < hi:
+        raise ValueError("sweep range requires lo < hi")
     scale = spec.get("scale", "linear")
     if scale == "linear":
         return np.linspace(lo, hi, count)
@@ -150,7 +151,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = [float(v) for v in _sweep_grid(spec)]
     law_data = spec.get("law")
     law = law_from_json(law_data) if law_data else None
-    n = int(_spec_number(spec, "n", 2))
+    n = spec.get("n", 2)
+    _require_count("sweep key 'n'", n, 2)
     lam = [_spec_number(spec, "lambda", 0.0)] * len(grid)
     axis = spec["axis"]
     if axis in ("R", "lambda", "M") and law is None:
@@ -231,7 +233,7 @@ def _verify_regimes(args: argparse.Namespace) -> bool:
         f"energy {report.optimal_energy:.9g}, scan minimum {scan_best:.9g}"
     )
     if report.threshold_radius is not None:
-        thr = threshold_radius(args.n, args.beta)
+        thr = report.threshold_radius
         bare = args.beta * args.n * unit_ball_volume(args.n)
         resid = abs(convection_energy(args.n, args.beta, thr).total - bare) / bare
         ok = ok and resid < 1e-8

@@ -61,14 +61,20 @@ def _require_finite(name: str, value: object) -> float:
     return float(value)
 
 
+def _require_count(name: str, value: object, least: int) -> None:
+    """ValueError naming the count unless value is an integer (a numpy
+    integer too, not a bool) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 def _check_params(
     n: int, beta: Optional[float] = None, lam: Optional[float] = None, **radii: float
 ) -> None:
     """ValueError naming the first bad parameter: n must be an integer of at
     least 2, beta finite and positive, lam finite and nonnegative, and each
     radius (passed by its name) at least 1 with a finite n-th power."""
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
+    _require_count("n", n, 2)
     if beta is not None and not _require_finite("beta", beta) > 0.0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     if lam is not None and not _require_finite("lam", lam) >= 0.0:

@@ -27,14 +27,20 @@ no level count.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .annulus import Assembly, ScalarField, StarPair, _next, _prev, _require_same_pair, _write_csv
-from .dissipation import Convection, DissipationLaw, _check_params, _require_finite, unit_ball_volume
+from .dissipation import (
+    Convection,
+    DissipationLaw,
+    _check_params,
+    _require_count,
+    _require_finite,
+    unit_ball_volume,
+)
 from .radial import gradient_ratio
 
 __all__ = [
@@ -311,8 +317,7 @@ def _check_not_constant(u: np.ndarray) -> None:
 
 
 def _check_levels(u: np.ndarray, n_levels: int, density: Optional[ScalarField]) -> None:
-    if n_levels < 1:
-        raise ValueError("n_levels must be positive")
+    _require_count("n_levels", n_levels, 1)
     _check_not_constant(u)
     if density is not None and density.values.shape != u.shape:
         raise ValueError("density grid does not match the field grid")
@@ -467,8 +472,7 @@ def truncation_scan(
     the input energy, so the best scanned energy never exceeds it.  All
     terms use the triangle quadrature so the comparison is exact.
     """
-    if not isinstance(n_thresholds, numbers.Integral) or n_thresholds < 1:
-        raise ValueError(f"n_thresholds must be a positive integer, got {n_thresholds!r}")
+    _require_count("n_thresholds", n_thresholds, 1)
     tri = _triangulate(field, pair)[1]
     dirich_each = tri.gradient_sq() * tri.tri_area
     boundary_each = tri.bw * np.asarray(law.value(np.clip(field.values[-1], 0.0, 1.0)))

@@ -50,14 +50,13 @@ from .annulus import (
     _solve,
     _write_csv,
 )
-from .dissipation import DissipationLaw, _require_finite
+from .dissipation import DissipationLaw, _require_count, _require_finite
 from .radial import EnergyBreakdown, general_radial_energy
 
 __all__ = [
     "OptimizeOptions",
     "OptimizeResult",
     "TraceRow",
-    "project_inner_volume",
     "isoperimetric_deficit",
     "optimize_constrained",
     "optimize_penalized",
@@ -102,10 +101,10 @@ class OptimizeOptions:
     mesh: Mesh = dc_field(default_factory=lambda: Mesh(33, 128))
 
     def __post_init__(self) -> None:
-        if not 0 < self.fourier_order <= 16:
-            raise ValueError("fourier_order must lie in 1..16")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be positive")
+        _require_count("fourier_order", self.fourier_order, 1)
+        if self.fourier_order > 16:
+            raise ValueError(f"fourier_order must be at most 16, got {self.fourier_order!r}")
+        _require_count("max_outer_iters", self.max_outer_iters, 1)
 
 
 @dataclass(frozen=True)
@@ -134,14 +133,6 @@ class OptimizeResult:
     iterations: int
     trace: Tuple[TraceRow, ...]
     field: Optional[ScalarField]
-
-
-def project_inner_volume(shape: FourierShape) -> FourierShape:
-    """Scale all coefficients so the enclosed area is exactly pi."""
-    a = shape.area()
-    if a <= 0:
-        raise GeometryError("shape has nonpositive area")
-    return shape.scaled(math.sqrt(math.pi / a))
 
 
 def isoperimetric_deficit(pair: StarPair) -> float:

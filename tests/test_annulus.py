@@ -23,7 +23,6 @@ from thermoshield.annulus import (
     dump_field,
     energy_of,
     load_field,
-    scale_field,
     solve_state,
 )
 from thermoshield.dissipation import (
@@ -117,15 +116,33 @@ class TestStarPair:
 class TestMesh:
     @pytest.mark.parametrize("n_s, n_theta", [(9.5, 32), (9, 32.0), ("9", 32), (None, 32)])
     def test_non_integer_size_rejected(self, n_s, n_theta):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be an integer of at least"):
             Mesh(n_s, n_theta)
 
     def test_numpy_integers_accepted(self):
         assert Mesh(np.int64(9), np.int32(32)) == Mesh(9, 32)
 
     def test_too_coarse(self):
-        with pytest.raises(ValueError, match="coarse"):
+        with pytest.raises(ValueError, match="n_s must be an integer of at least 3"):
             Mesh(2, 32)
+
+
+# Each count of this layer: its least value and a call that passes it.
+COUNTS = {
+    "n_s": (3, lambda v: Mesh(v, 32)),
+    "n_theta": (8, lambda v: Mesh(9, v)),
+    "order": (0, lambda v: FourierShape.circle(1.0, v)),
+    "max_iters": (0, lambda v: solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), max_iters=v)),
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_count_must_be_an_integer(name, bad):
+    least, call = COUNTS[name]
+    value = {"fraction": 2.5, "bool": True, "below": least - 1}[bad]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {least}, got {value!r}$"):
+        call(value)
 
 
 class TestSolveAccuracy:
@@ -442,31 +459,6 @@ class TestUniformBasis:
             assert np.array_equal(a, b)
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
-
-
-class TestScaleField:
-    def test_identity(self):
-        pair = StarPair.circles(1.0, 2.0)
-        res = solve_state(pair, Convection(1.0), Mesh(17, 64))
-        f2, p2 = scale_field(res.field, pair, 1.0)
-        e2 = energy_of(f2, p2, Convection(1.0))
-        assert e2.total == pytest.approx(res.energy.total, rel=1e-12)
-
-    def test_dilation_exponents(self):
-        # Fixed nodal values in 2D: Dirichlet invariant, boundary scales by t.
-        pair = StarPair.circles(1.0, 2.0)
-        res = solve_state(pair, Convection(1.0), Mesh(17, 64))
-        base = energy_of(res.field, pair, Convection(1.0))
-        f2, p2 = scale_field(res.field, pair, 2.0)
-        scaled = energy_of(f2, p2, Convection(1.0))
-        assert scaled.dirichlet == pytest.approx(base.dirichlet, rel=1e-12)
-        assert scaled.boundary == pytest.approx(2.0 * base.boundary, rel=1e-12)
-
-    def test_gap_violation(self):
-        pair = StarPair.circles(1.0, 1.005)
-        res = solve_state(pair, Convection(1.0), Mesh(17, 64))
-        with pytest.raises(GeometryError):
-            scale_field(res.field, pair, 0.1)
 
 
 class TestFieldDump:

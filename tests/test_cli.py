@@ -241,6 +241,18 @@ class TestSweepRows:
         assert run(["sweep", "--spec", json.dumps(spec), "--out", str(tmp_path / "x.csv")]) == EXIT_BAD_INPUT
         assert "lam must be large enough" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [2.5, 2.7, 2.9, 2.0, True, 1])
+    @pytest.mark.parametrize("key", ["n", "count"])
+    def test_count_that_is_not_an_integer_of_at_least_2_exits_2(self, capsys, tmp_path, key, bad):
+        # int() would read "n": 2.7 as a 2D sweep and "count": 2.9 as two rows.
+        spec = {"axis": "beta", "lo": 0.5, "hi": 2.0, "count": 3, "R": 2.0, key: bad}
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", str(out)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"sweep key '{key}' must be an integer of at least 2, got {bad!r}" in captured.err
+        assert not out.exists()
+
     def test_negative_budget_exits_2(self, capsys, tmp_path):
         spec = {"axis": "M", "lo": -5.0, "hi": 20.0, "count": 3, "law": {"type": "convection", "beta": 1}}
         assert run(["sweep", "--spec", json.dumps(spec), "--out", str(tmp_path / "x.csv")]) == EXIT_BAD_INPUT

@@ -483,6 +483,12 @@ def test_dimension_must_be_an_integer_of_at_least_two(call):
         call()
 
 
+@pytest.mark.parametrize("bad", [2.5, True, 1])
+def test_count_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match=f"^n must be an integer of at least 2, got {bad!r}$"):
+        unit_ball_volume(bad)
+
+
 def test_unit_ball_volumes():
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)

@@ -304,6 +304,24 @@ class TestTruncationScan:
             truncation_scan(res.field, pair, Convection(1.0), 2.5)
 
 
+# Each count of this layer: its name and a call on a solved field that passes it.
+COUNTS = {
+    "decompose": ("n_levels", lambda f, p, v: decompose_levels(f, p, v)),
+    # n_levels=2.5 would scan the levels 0.2, 0.6 and 1.0, where H is 0.
+    "h_check": ("n_levels", lambda f, p, v: h_inequality_check(f, p, 1.0, v)),
+    "truncation": ("n_thresholds", lambda f, p, v: truncation_scan(f, p, Convection(1.0), v)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0])
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_count_must_be_an_integer(solved_circles, site, bad):
+    pair, res = solved_circles
+    name, call = COUNTS[site]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got {bad!r}$"):
+        call(res.field, pair, bad)
+
+
 class TestHighCutoff:
     def test_no_volume_excess(self):
         rep = high_cutoff_bound(Convection(1.0), 2, math.pi)

@@ -18,7 +18,6 @@ from thermoshield.optimize import (
     isoperimetric_deficit,
     optimize_constrained,
     optimize_penalized,
-    project_inner_volume,
     trace_to_csv,
 )
 
@@ -44,16 +43,6 @@ class TestAreaAndProjection:
     def test_perturbed_circle_identity(self):
         got = FourierShape([1.0, 0.1, 0.0]).area()
         assert got == pytest.approx(math.pi * 1.005, rel=1e-12)
-
-    def test_projection_scales_to_unit_area(self):
-        assert project_inner_volume(FourierShape.circle(2.0)).coeffs[0] == pytest.approx(1.0)
-        proj = project_inner_volume(FourierShape([1.0, 0.1, 0.0]))
-        assert proj.area() == pytest.approx(math.pi, abs=1e-12)
-        assert proj.coeffs[0] == pytest.approx(1.005**-0.5, rel=1e-9)
-
-    def test_projection_idempotent_on_unit_circle(self):
-        c = FourierShape.circle(1.0)
-        assert project_inner_volume(c).coeffs == c.coeffs
 
     def test_deficit(self):
         assert isoperimetric_deficit(StarPair.circles(1.0, 3.0)) == 0.0
@@ -308,3 +297,10 @@ class TestOptions:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             OptimizeOptions(fourier_order=17)
+
+    @pytest.mark.parametrize("bad", [2.5, True, 0])
+    @pytest.mark.parametrize("name", ["fourier_order", "max_outer_iters"])
+    def test_count_must_be_an_integer(self, name, bad):
+        # max_outer_iters=2.5 would never meet the cap; True would run one step.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got {bad!r}$"):
+            OptimizeOptions(**{name: bad})
