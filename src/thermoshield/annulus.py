@@ -144,6 +144,7 @@ class FourierShape:
 
     def with_order(self, order: int) -> "FourierShape":
         """Pad or truncate the coefficient vector to the given order."""
+        _require_count("order", order, 0)
         out = np.zeros(2 * order + 1)
         take = min(len(self.coeffs), out.size)
         out[:take] = self._arr[:take]
@@ -298,6 +299,9 @@ class Assembly:
         # Radial stretch r_O - r_K of the polar map, per angle.
         self.g = g
         self.outer_r = ro
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     def _slope(self) -> np.ndarray:
         """a = (1-s) r_K' + s r_O' at every node: the polar map's d rho/d theta."""
@@ -458,6 +462,14 @@ class Assembly:
         return EnergyBreakdown(dirichlet=dirichlet, boundary=boundary, penalty=0.0, trace=trace)
 
 
+@functools.lru_cache(maxsize=1)
+def _assembly(pair: StarPair, mesh: Mesh) -> Assembly:
+    """The `Assembly` of (pair, mesh), kept for the next call on an equal
+    pair and mesh, so a caller reading a field just solved gets the assembly
+    it was solved on.  Its arrays are read-only: the callers share them."""
+    return Assembly(pair, mesh)
+
+
 def _largest_descent(down: np.ndarray, up: np.ndarray) -> float:
     """`Assembly.residual` from the one-sided slopes of `Assembly._one_sided`."""
     return max(float(np.max(down[1:])), -float(np.min(up[1:])), 0.0)
@@ -590,23 +602,11 @@ def solve_state(
     finite and positive, a `max_iters` that is not an integer of at least 0
     or a non-finite `u0` raises a `ValueError` that names it.
     """
-    return _solve(Assembly(pair, mesh or Mesh()), law, u0, tol, max_iters)
-
-
-def _solve(
-    asm: Assembly,
-    law: DissipationLaw,
-    u0: Optional[np.ndarray] = None,
-    tol: float = _SOLVE_TOL,
-    max_iters: int = _MAX_ITERS,
-) -> SolveResult:
-    """`solve_state` on the assembly of its pair and mesh, for a caller that
-    keeps the assembly (the optimizer takes its shape gradient there)."""
     if _require_finite("tol", tol) <= 0.0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     _require_count("max_iters", max_iters, 0)
-    pair, mesh = asm.pair, asm.mesh
-    n_s, n_t = mesh.n_s, mesh.n_theta
+    asm = _assembly(pair, mesh or Mesh())
+    n_s, n_t = asm.mesh.n_s, asm.mesh.n_theta
     if u0 is None:
         u = _radial_start(asm, law)
     else:
@@ -723,9 +723,8 @@ def _solve(
                 v, e_v, g_v, p_v = w, e_w, g_w, p_w
         u, e, g, parts = v, e_v, g_v, p_v
 
-    field_obj = ScalarField(values=u, mesh=mesh, pair=pair)
     return SolveResult(
-        field=field_obj,
+        field=ScalarField(values=u, mesh=asm.mesh, pair=pair),
         energy=asm.breakdown(u, law, parts),
         iterations=steps,
         residual=residual,
@@ -744,8 +743,7 @@ def energy_of(field: ScalarField, pair: StarPair, law: DissipationLaw) -> Energy
     reproduces the reported energy exactly.
     """
     _require_same_pair(field, pair)
-    asm = Assembly(pair, field.mesh)
-    return asm.breakdown(field.values, law)
+    return _assembly(pair, field.mesh).breakdown(field.values, law)
 
 
 def _write_csv(path: str, rows: Iterable[Iterable[object]]) -> None:

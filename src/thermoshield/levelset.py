@@ -28,11 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .annulus import Assembly, ScalarField, StarPair, _next, _prev, _require_same_pair, _write_csv
+from .annulus import (
+    Assembly, ScalarField, StarPair, _assembly, _next, _prev, _require_same_pair, _write_csv, energy_of
+)
 from .dissipation import (
     Convection,
     DissipationLaw,
@@ -323,28 +325,11 @@ def _check_levels(u: np.ndarray, n_levels: int, density: Optional[ScalarField]) 
         raise ValueError("density grid does not match the field grid")
 
 
-def _triangulate(field: ScalarField, pair: StarPair) -> Tuple[Assembly, _Triangulation]:
-    """The assembly of `pair` on the field's mesh and the triangulation of
-    the field over it.  A field of another pair raises `MeshMismatchError`."""
+def _triangulate(field: ScalarField, pair: StarPair) -> _Triangulation:
+    """The triangulation of the field over the assembly of `pair` on its
+    mesh.  A field of another pair raises `MeshMismatchError`."""
     _require_same_pair(field, pair)
-    asm = Assembly(pair, field.mesh)
-    return asm, _Triangulation(asm, field.values)
-
-
-def _decompose(tri: _Triangulation, n_levels: int, density: Optional[np.ndarray]) -> LevelDecomposition:
-    """`decompose_levels` of the field that `tri` triangulates, with nodal
-    density values."""
-    levels = (np.arange(n_levels) + 0.5) / n_levels
-    dens = tri.attach(density) if density is not None else None
-    area, interior, dline, darea = tri.superlevels(levels, dens).T
-    return LevelDecomposition(
-        levels=levels,
-        interior_length=interior,
-        exterior_length=tri.outer_sums(levels, tri.bw),
-        area=area,
-        density_line=dline if dens is not None else None,
-        density_sq_area=darea if dens is not None else None,
-    )
+    return _Triangulation(_assembly(pair, field.mesh), field.values)
 
 
 def decompose_levels(
@@ -360,8 +345,18 @@ def decompose_levels(
     accumulated alongside the geometry.
     """
     _check_levels(field.values, n_levels, density)
-    tri = _triangulate(field, pair)[1]
-    return _decompose(tri, n_levels, density.values if density is not None else None)
+    tri = _triangulate(field, pair)
+    levels = (np.arange(n_levels) + 0.5) / n_levels
+    dens = tri.attach(density.values) if density is not None else None
+    area, interior, dline, darea = tri.superlevels(levels, dens).T
+    return LevelDecomposition(
+        levels=levels,
+        interior_length=interior,
+        exterior_length=tri.outer_sums(levels, tri.bw),
+        area=area,
+        density_line=dline if dens is not None else None,
+        density_sq_area=darea if dens is not None else None,
+    )
 
 
 def h_function(dec: LevelDecomposition, beta: float) -> np.ndarray:
@@ -380,7 +375,7 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     whose H value reproduces the energy.
     """
     _require_same_pair(field, pair)
-    asm = Assembly(pair, field.mesh)
+    asm = _assembly(pair, field.mesh)
     u = field.values
     ds, dt = asm.ds, asm.dt
     us = np.empty_like(u)
@@ -397,14 +392,6 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     return ScalarField(values=ratio, mesh=field.mesh, pair=pair)
 
 
-def _dearranged(tri: _Triangulation, pair: StarPair, reference: RadialReference) -> np.ndarray:
-    """`dearrangement` values of the field that `tri` triangulates."""
-    node_area = tri.superlevel_areas(tri.values)
-    r = np.sqrt((node_area + pair.inner.area()) / math.pi)
-    r = np.clip(r, 1.0, reference.R)
-    return gradient_ratio(reference.n, reference.beta, reference.R, r)
-
-
 def dearrangement(field: ScalarField, pair: StarPair, reference: RadialReference) -> ScalarField:
     """Transplant the radial gradient ratio onto the level sets of a field.
 
@@ -416,8 +403,10 @@ def dearrangement(field: ScalarField, pair: StarPair, reference: RadialReference
     discrete level sets of the field by construction.
     """
     _check_not_constant(field.values)
-    tri = _triangulate(field, pair)[1]
-    return ScalarField(values=_dearranged(tri, pair, reference), mesh=field.mesh, pair=pair)
+    node_area = _triangulate(field, pair).superlevel_areas(field.values)
+    r = np.clip(np.sqrt((node_area + pair.inner.area()) / math.pi), 1.0, reference.R)
+    ratio = gradient_ratio(reference.n, reference.beta, reference.R, r)
+    return ScalarField(values=ratio, mesh=field.mesh, pair=pair)
 
 
 def h_inequality_check(
@@ -432,20 +421,14 @@ def h_inequality_check(
 
     By default phi is the dearrangement of the reference solution on the
     volume-matched ball pair; any nonnegative bounded density is accepted.
-    The energy, the dearrangement and the level decomposition share one
-    assembly and one triangulation of the field.
+    The check is `energy_of`, `dearrangement`, `decompose_levels` and
+    `h_function` composed, on the one assembly of the field's pair and mesh.
     """
-    u = field.values
-    _check_levels(u, n_levels, phi)
-    asm, tri = _triangulate(field, pair)
-    energy = asm.breakdown(u, Convection(beta)).total
-    del asm  # the triangulation holds all that is used below
+    energy = energy_of(field, pair, Convection(beta)).total
     if phi is None:
         R_ref = math.sqrt(pair.outer.area() / math.pi)
-        density = _dearranged(tri, pair, RadialReference(2, beta, R_ref))
-    else:
-        density = phi.values
-    dec = _decompose(tri, n_levels, density)
+        phi = dearrangement(field, pair, RadialReference(2, beta, R_ref))
+    dec = decompose_levels(field, pair, n_levels, phi)
     h_vals = h_function(dec, beta)
     t = dec.levels
     y = t * (h_vals - energy)
@@ -473,7 +456,7 @@ def truncation_scan(
     terms use the triangle quadrature so the comparison is exact.
     """
     _require_count("n_thresholds", n_thresholds, 1)
-    tri = _triangulate(field, pair)[1]
+    tri = _triangulate(field, pair)
     dirich_each = tri.gradient_sq() * tri.tri_area
     boundary_each = tri.bw * np.asarray(law.value(np.clip(field.values[-1], 0.0, 1.0)))
     thresholds = np.arange(n_thresholds) / n_thresholds

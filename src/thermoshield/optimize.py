@@ -39,7 +39,6 @@ import numpy as np
 
 from .annulus import (
     GAP_MIN,
-    Assembly,
     FourierShape,
     GeometryError,
     Mesh,
@@ -47,8 +46,9 @@ from .annulus import (
     SolveResult,
     StarPair,
     _area_from_coeffs,
-    _solve,
+    _assembly,
     _write_csv,
+    solve_state,
 )
 from .dissipation import DissipationLaw, _require_count, _require_finite
 from .radial import EnergyBreakdown, general_radial_energy
@@ -181,21 +181,19 @@ class _Descent:
         n = self.ncoef
         return self.lam * (_area_from_coeffs(x[n:]) - _area_from_coeffs(x[:n]))
 
-    def objective(
-        self, x: np.ndarray, warm: Optional[np.ndarray]
-    ) -> Tuple[float, SolveResult, Assembly]:
-        """The objective at x, the state solved there and the assembly it was
-        solved on, which `gradient` reuses."""
+    def objective(self, x: np.ndarray, warm: Optional[np.ndarray]) -> Tuple[float, SolveResult]:
+        """The objective at x and the state solved there."""
         n = self.ncoef
         pair = StarPair(FourierShape(x[:n]), FourierShape(x[n:]))
-        asm = Assembly(pair, self.opts.mesh)
-        res = _solve(asm, self.law, warm)
-        return res.energy.total + self.penalty(x), res, asm
+        res = solve_state(pair, self.law, self.opts.mesh, u0=warm)
+        return res.energy.total + self.penalty(x), res
 
-    def gradient(self, x: np.ndarray, res: SolveResult, asm: Assembly) -> np.ndarray:
-        """Gradient of the objective at x, given the state solved there and
-        its assembly.  The penalty's inner-area term is left out: it lies
-        along the inner area's gradient, which `project_direction` removes."""
+    def gradient(self, x: np.ndarray, res: SolveResult) -> np.ndarray:
+        """Gradient of the objective at x, given the state solved there, on
+        the assembly it was solved on.  The penalty's inner-area term is left
+        out: it lies along the inner area's gradient, which
+        `project_direction` removes."""
+        asm = _assembly(res.field.pair, res.field.mesh)
         g_in, g_out = asm.shape_gradient(res.field.values, self.law)
         return np.concatenate([g_in, g_out + self.lam * _area_grad(x[self.ncoef :])])
 
@@ -270,7 +268,7 @@ def _inverse_bfgs(pairs: List[Tuple[np.ndarray, np.ndarray, float]], q: np.ndarr
 def _run(descent: _Descent) -> OptimizeResult:
     opts = descent.opts
     x = descent.project_point(descent.x)
-    energy, res, asm = descent.objective(x, None)
+    energy, res = descent.objective(x, None)
     trace: List[TraceRow] = []
 
     def record(it: int, e: float, res: SolveResult, x: np.ndarray, step: float) -> None:
@@ -291,18 +289,18 @@ def _run(descent: _Descent) -> OptimizeResult:
 
     def search(d: np.ndarray, slope: float, alpha: float):
         """Backtrack along the unit direction d from the first trial alpha;
-        the accepted (alpha, x, energy, solve, assembly), or None once the
-        predicted decrease -slope * alpha cannot pass the acceptance test."""
+        the accepted (alpha, x, energy, solve), or None once the predicted
+        decrease -slope * alpha cannot pass the acceptance test."""
         margin = _ACCEPT_MARGIN * max(1.0, abs(energy))
         while -slope * alpha > margin:
             try:
                 x_new = descent.project_point(x + alpha * d)
-                e_new, res_new, asm_new = descent.objective(x_new, res.field.values)
+                e_new, res_new = descent.objective(x_new, res.field.values)
             except GeometryError:
                 alpha *= _BACKTRACK
                 continue
             if e_new < energy - margin:
-                return alpha, x_new, e_new, res_new, asm_new
+                return alpha, x_new, e_new, res_new
             # Minimizer of the quadratic through E0, the slope and E(alpha).
             above_tangent = e_new - energy - slope * alpha
             trial = -slope * alpha * alpha / (2.0 * above_tangent) if above_tangent > 0.0 else alpha
@@ -321,7 +319,7 @@ def _run(descent: _Descent) -> OptimizeResult:
         if collapsed or stall >= _STALL_LIMIT or iterations == opts.max_outer_iters:
             break
         iterations += 1
-        g = descent.gradient(x, res, asm)
+        g = descent.gradient(x, res)
         q = -descent.project_direction(x, -g)  # the projected gradient
         norm = float(np.linalg.norm(q))
         if norm < _GRAD_TOL:
@@ -356,7 +354,7 @@ def _run(descent: _Descent) -> OptimizeResult:
             pairs.clear()
         if step is None:
             break
-        alpha, x_new, e_new, res, asm = step
+        alpha, x_new, e_new, res = step
         s, q_prev, active_prev = x_new - x, q, active
         decrease = energy - e_new
         x, energy = x_new, e_new

@@ -173,8 +173,10 @@ def gradient_ratio(
 
 
 def gradient_ratio_max(n: int, beta: float, R: float) -> float:
-    """Maximum of |grad u|/u over the shell, on a uniform radial grid of
-    4096 points.
+    """Maximum of |grad u|/u over the shell, at r = 1 or r = R: the ratio
+    is beta/h(r) with h > 0 and no interior minimum, as h(r) = r (1/R +
+    beta log(R/r)) is concave in 2D, and for n >= 3 h(r) = c r^(n-1) +
+    beta r/(n-2), c constant, is increasing (c >= 0) or concave (c < 0).
 
     The maximum is at most beta exactly when no smaller outer ball has
     lower energy, which makes this a cheap monotonicity certificate.
@@ -182,8 +184,7 @@ def gradient_ratio_max(n: int, beta: float, R: float) -> float:
     _check_params(n, beta, R=R)
     if R == 1.0:
         raise ValueError("R must exceed 1")
-    rho = np.linspace(1.0, R, 4096)
-    return float(np.max(gradient_ratio(n, beta, R, rho)))
+    return float(np.max(gradient_ratio(n, beta, R, np.array([1.0, R]))))
 
 
 def _trace_search(energy: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int) -> np.ndarray:

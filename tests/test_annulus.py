@@ -16,6 +16,7 @@ from thermoshield.annulus import (
     MeshMismatchError,
     ScalarField,
     StarPair,
+    _assembly,
     _fourier_basis,
     _ModeSolver,
     _radial_start,
@@ -127,19 +128,22 @@ class TestMesh:
             Mesh(2, 32)
 
 
-# Each count of this layer: its least value and a call that passes it.
+# Each count of this layer: its name, its least value and a call that passes it.
 COUNTS = {
-    "n_s": (3, lambda v: Mesh(v, 32)),
-    "n_theta": (8, lambda v: Mesh(9, v)),
-    "order": (0, lambda v: FourierShape.circle(1.0, v)),
-    "max_iters": (0, lambda v: solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), max_iters=v)),
+    "n_s": ("n_s", 3, lambda v: Mesh(v, 32)),
+    "n_theta": ("n_theta", 8, lambda v: Mesh(9, v)),
+    "order": ("order", 0, lambda v: FourierShape.circle(1.0, v)),
+    "with_order": ("order", 0, lambda v: FourierShape([1.0, 0.1, 0.0]).with_order(v)),
+    "max_iters": (
+        "max_iters", 0, lambda v: solve_state(perturbed_pair(), Convection(1.0), Mesh(9, 32), max_iters=v)
+    ),
 }
 
 
 @pytest.mark.parametrize("bad", ["fraction", "bool", "below"])
-@pytest.mark.parametrize("name", sorted(COUNTS))
-def test_count_must_be_an_integer(name, bad):
-    least, call = COUNTS[name]
+@pytest.mark.parametrize("site", sorted(COUNTS))
+def test_count_must_be_an_integer(site, bad):
+    name, least, call = COUNTS[site]
     value = {"fraction": 2.5, "bool": True, "below": least - 1}[bad]
     with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {least}, got {value!r}$"):
         call(value)
@@ -459,6 +463,35 @@ class TestUniformBasis:
             assert np.array_equal(a, b)
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
+
+
+class TestAssemblyCache:
+    def test_equal_pair_hits_and_another_mesh_builds(self, monkeypatch):
+        built = []
+        init = Assembly.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Assembly, "__init__", counted)
+        _assembly.cache_clear()
+        first = _assembly(perturbed_pair(), Mesh(9, 32))
+        fresh = perturbed_pair()
+        assert fresh is not first.pair and fresh == first.pair
+        assert _assembly(fresh, Mesh(9, 32)) is first
+        other = _assembly(fresh, Mesh(9, 64))
+        assert other is not first and other.mesh == Mesh(9, 64)
+        assert len(built) == 2
+
+    def test_arrays_read_only(self):
+        asm = Assembly(perturbed_pair(), Mesh(9, 32))
+        arrays = [v for v in vars(asm).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) >= 10
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestFieldDump:

@@ -8,6 +8,7 @@ import pytest
 from scipy.optimize import brentq
 
 from thermoshield.annulus import (
+    Assembly,
     FourierShape,
     Mesh,
     MeshMismatchError,
@@ -74,8 +75,6 @@ class TestDecomposeLevels:
     def test_area_against_cell_count(self, solved_circles):
         pair, res = solved_circles
         dec = decompose_levels(res.field, pair, 16)
-        from thermoshield.annulus import Assembly
-
         asm = Assembly(pair, res.field.mesh)
         u = res.field.values
         cell_mean = 0.25 * (
@@ -206,6 +205,37 @@ def test_field_of_another_pair_rejected(solved_circles, call):
     _, res = solved_circles
     with pytest.raises(MeshMismatchError):
         call(res.field, StarPair.circles(1.0, 3.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field, pair: energy_of(field, pair, Convection(1.0)),
+        nodal_gradient_ratio,
+        lambda field, pair: h_inequality_check(field, pair, 1.0, 16),
+        lambda field, pair: decompose_levels(field, pair, 16),
+        lambda field, pair: truncation_scan(field, pair, Convection(1.0), 16),
+    ],
+    ids=["energy_of", "nodal_gradient_ratio", "h_inequality_check", "decompose_levels", "truncation_scan"],
+)
+def test_solved_field_reuses_its_assembly(monkeypatch, call):
+    """Each function on a field just solved reads the assembly it was
+    solved on and builds none of its own."""
+    pair = StarPair(
+        FourierShape([1.0, 0.0, 0.0, 0.05, 0.0]),
+        FourierShape([2.0, 0.0, 0.0, 0.0, 0.12]),
+    )
+    field = solve_state(pair, Convection(1.0), Mesh(17, 64)).field
+    built = []
+    init = Assembly.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Assembly, "__init__", counted)
+    call(field, pair)
+    assert built == []
 
 
 class TestHInequality:

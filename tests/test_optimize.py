@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from thermoshield import annulus, optimize
-from thermoshield.annulus import GAP_MIN, FourierShape, GeometryError, Mesh, StarPair, _solve
+from thermoshield.annulus import GAP_MIN, FourierShape, GeometryError, Mesh, StarPair, solve_state
 from thermoshield.dissipation import Convection
 from thermoshield.optimize import (
     OptimizeOptions,
@@ -73,13 +73,13 @@ class TestDescentContracts:
 
     @pytest.mark.parametrize("M", [math.nan, math.inf])
     def test_budget_must_be_finite_before_any_solve(self, monkeypatch, M):
-        monkeypatch.setattr(optimize, "_solve", _no_solve)
+        monkeypatch.setattr(optimize, "solve_state", _no_solve)
         with pytest.raises(ValueError, match="^M must"):
             optimize_constrained(Convection(1.0), M, quick_init(), QUICK)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_weight_must_be_finite_before_any_solve(self, monkeypatch, lam):
-        monkeypatch.setattr(optimize, "_solve", _no_solve)
+        monkeypatch.setattr(optimize, "solve_state", _no_solve)
         with pytest.raises(ValueError, match="^lam must"):
             optimize_penalized(Convection(1.0), lam, quick_init(), QUICK)
 
@@ -141,9 +141,9 @@ class TestLineSearch:
 
         def counted(*args, **kwargs):
             solves.append(1)
-            return _solve(*args, **kwargs)
+            return solve_state(*args, **kwargs)
 
-        monkeypatch.setattr(optimize, "_solve", counted)
+        monkeypatch.setattr(optimize, "solve_state", counted)
         runs = (
             lambda: optimize_constrained(Convection(1.0), 9 * math.pi, quick_init(2.4), QUICK),
             lambda: optimize_penalized(Convection(1.0), 0.1, quick_init(1.8), QUICK),
@@ -161,8 +161,8 @@ class TestLineSearch:
         seen = []  # per iteration: [budget active, pairs seen by the BFGS direction]
         gradient, inverse_bfgs = optimize._Descent.gradient, optimize._inverse_bfgs
 
-        def watched_gradient(self, x, res, asm):
-            g = gradient(self, x, res, asm)
+        def watched_gradient(self, x, res):
+            g = gradient(self, x, res)
             seen.append([self.budget_active(x, -g), 0])
             return g
 
@@ -227,6 +227,7 @@ class TestLineSearch:
 
     def test_one_assembly_per_solve(self, monkeypatch):
         """The shape gradient reuses the assembly its state was solved on."""
+        annulus._assembly.cache_clear()
         built, solves = [], []
         init = annulus.Assembly.__init__
 
@@ -236,10 +237,10 @@ class TestLineSearch:
 
         def counted_solve(*args, **kwargs):
             solves.append(1)
-            return _solve(*args, **kwargs)
+            return solve_state(*args, **kwargs)
 
         monkeypatch.setattr(annulus.Assembly, "__init__", counted_init)
-        monkeypatch.setattr(optimize, "_solve", counted_solve)
+        monkeypatch.setattr(optimize, "solve_state", counted_solve)
         res = optimize_penalized(Convection(1.0), 0.1, quick_init(1.8), QUICK)
         assert res.iterations > 0
         assert len(built) == len(solves)
@@ -250,10 +251,10 @@ class TestLineSearch:
         x + h d, the slope the quadratic backtracking interpolates."""
         descent = optimize._Descent(Convection(1.0), quick_init(r_out), QUICK, lam=lam, M=M)
         x = descent.project_point(descent.x)
-        _, res, asm = descent.objective(x, None)
+        _, res = descent.objective(x, None)
         if M is not None:
             assert res.field.pair.outer.area() < M - 1.0  # the budget is inactive
-        g = descent.gradient(x, res, asm)
+        g = descent.gradient(x, res)
         d = descent.project_direction(x, -g)
         d /= np.linalg.norm(d)
         slope = float(np.dot(g, d))

@@ -10,6 +10,7 @@ import math
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,6 +29,8 @@ from thermoshield.radial import (
     _trace_search,
     best_radius,
     general_radial_energy,
+    gradient_ratio,
+    gradient_ratio_max,
 )
 
 SCAN = np.linspace(0.0, 1.0, 100_001)
@@ -208,3 +211,11 @@ def test_multi_row_trace_search_is_each_rows_search():
     # A frozen row is evaluated no more than it is alone.
     assert np.array_equal(calls, calls_together)
     assert len(set(calls_together)) > 1
+
+
+@given(n=st.integers(2, 5), beta=_pos(0.01, 50.0), R=_pos(1.0001, 20.0))
+def test_gradient_ratio_max_is_the_dense_maximum(n, beta, R):
+    """The ratio has no interior maximum on [1, R], so its value at the
+    two ends is the maximum of a dense scan, which holds both ends."""
+    dense = float(np.max(gradient_ratio(n, beta, R, np.linspace(1.0, R, 100_001))))
+    assert gradient_ratio_max(n, beta, R) == pytest.approx(dense, rel=1e-13)
