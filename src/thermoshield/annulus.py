@@ -2,7 +2,10 @@
 
 The inner body K and the insulated region Omega are both star-shaped about
 the origin, described by truncated Fourier radius functions.  The annulus
-between them maps onto the (s, theta) unit rectangle; the temperature is
+between them maps onto the (s, theta) unit rectangle by the log-polar map
+log rho = (1-s) log r_K + s log r_O.  The Dirichlet integral is conformally
+invariant in 2D, so in (log rho, theta) it has no metric weight and the
+concentric harmonic profile is linear in s.  The temperature is
 discretized on a structured grid there, the Dirichlet energy is assembled
 with bilinear elements and corner (trapezoid) quadrature of the mapped
 gradient, and the boundary dissipation uses the trapezoid rule with the
@@ -274,38 +277,36 @@ class Assembly:
         self.theta = theta
         rk, rkp = pair.inner._jet(_uniform_basis(n_t, pair.inner.order))
         ro, rop = pair.outer._jet(_uniform_basis(n_t, pair.outer.order))
-        self._rkp = rkp
-        self._rop = rop
-        g = ro - rk
+        # Per angle: the radii and their logs' theta-derivatives r'/r.
+        self._rk, self._ro = rk, ro
+        self._lkp, self._lop = rkp / rk, rop / ro
         s = np.linspace(0.0, 1.0, n_s)[:, None]
         self.s = s[:, 0]
-        rho = rk[None, :] + s * g[None, :]
-        self.rho = rho
+        # The log-polar map: log rho = (1-s) log r_K + s log r_O.
+        self.rho = rk ** (1.0 - s) * ro**s
+        self.L = np.log(ro / rk)
         a = self._slope()
         # The stencil's weights with the grid steps folded in: the edge
         # stiffnesses pe = 4 (P_i + P_i+1)/ds^2 and ce = 2 mu (C_j + C_j+1)/dt^2
         # and the cross weight q = Q/(ds dt), with P, C and Q the node
         # weights of `shape_gradient`.
-        kp = rho / g[None, :] + a * a / (g[None, :] * rho)
-        kc = g[None, :] / rho
+        kp = (1.0 + a * a) / self.L
         mu = np.full(n_s, 2.0)
         mu[0] = mu[-1] = 1.0
         self._mu = mu
         self._pe = (self.dt / self.ds) * (kp[:-1] + kp[1:])
-        self._ce = (0.5 * self.ds / self.dt) * (kc + _next(kc)) * mu[:, None]
-        self._q = -0.5 * a / rho
+        self._ce = np.outer(mu, (0.5 * self.ds / self.dt) * (self.L + _next(self.L)))
+        self._q = -0.5 * a
         # Outer boundary arclength weights for the dissipation integral.
         self.bw = np.sqrt(ro**2 + rop**2) * self.dt
-        # Radial stretch r_O - r_K of the polar map, per angle.
-        self.g = g
-        self.outer_r = ro
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
     def _slope(self) -> np.ndarray:
-        """a = (1-s) r_K' + s r_O' at every node: the polar map's d rho/d theta."""
-        return self._rkp + self.s[:, None] * (self._rop - self._rkp)
+        """a = (1-s) r_K'/r_K + s r_O'/r_O at every node: the log-polar map's
+        d log(rho)/d theta."""
+        return self._lkp + self.s[:, None] * (self._lop - self._lkp)
 
     # -- Dirichlet term ----------------------------------------------------
 
@@ -401,21 +402,21 @@ class Assembly:
         Fourier coefficients of the inner and of the outer boundary, at
         fixed nodal values u.
 
-        With c = ds dtheta, rho = (1-s) r_K + s r_O, g = r_O - r_K and
-        a = (1-s) r_K' + s r_O', the node weights are
-        P = c/4 (rho/g + a^2/(g rho)), Q = -c/2 a/rho, C = c/4 g/rho and
+        With c = ds dtheta, L = log(r_O/r_K) and
+        a = (1-s) r_K'/r_K + s r_O'/r_O, the node weights are
+        P = c/4 (1 + a^2)/L, Q = -c/2 a, C = c/4 L and
         bw = sqrt(r_O^2 + r_O'^2) dtheta, and the energy is linear in them.
-        Their coefficients are chained through (rho, g, a) and summed over
-        the rows, giving one sensitivity per angle to each of r_K, r_K',
-        r_O and r_O'; the cos/sin basis and its derivative map these onto
-        the coefficients.
+        Their coefficients are chained through (L, a) and summed over the
+        rows, giving one sensitivity per angle to each of r_K, r_K', r_O
+        and r_O'; the cos/sin basis and its derivative map these onto the
+        coefficients.
 
         The admissible set ([0, 1] with the inner row pinned at 1) does not
         depend on the shape, so at the solved field this is the gradient
         of the solved energy (envelope theorem).
         """
         s = self.s[:, None]
-        rho, g = self.rho, self.g[None, :]
+        L = self.L
         a = self._slope()
         # c times the squares and products of the edge slopes.
         DS, DT, V, W = self._edges(u)
@@ -426,26 +427,24 @@ class Assembly:
         DT2 = (self.ds / self.dt) * DT * DT
         EC = self._mu[:, None] * (DT2 + _prev(DT2))
         EQ = W * V
-        # Partial derivatives of the energy in rho, g and a at every node.
-        inv = 1.0 / rho
-        e_rho = (
-            0.25 * EP * (1.0 / g - a * a * inv * inv / g)
-            + 0.5 * EQ * a * inv * inv
-            - 0.25 * EC * g * inv * inv
-        )
-        e_g = -0.25 * EP * (rho / g + a * a * inv / g) / g + 0.25 * EC * inv
-        e_a = 0.5 * EP * a * inv / g - 0.5 * EQ * inv
+        # Partial derivatives of the energy in L and a at every node.
+        e_L = 0.25 * (EC - EP * (1.0 + a * a) / (L * L))
+        e_a = 0.5 * (EP * a / L - EQ)
         # Sums over the rows; reductions rather than matrix products, which
         # would map the BLAS work buffers into every optimizing process.
-        rho_out = np.sum(s * e_rho, axis=0)
-        rho_in = np.sum(e_rho, axis=0) - rho_out
         a_out = np.sum(s * e_a, axis=0)
         a_in = np.sum(e_a, axis=0) - a_out
-        g_sum = np.sum(e_g, axis=0)
-        eb = np.asarray(law.value(u[-1])) * self.dt / np.sqrt(self.outer_r**2 + self._rop**2)
+        l_sum = np.sum(e_L, axis=0)
+        rk, ro = self._rk, self._ro
+        # The law term's partials in r_O and r_O' are eb r_O and eb r_O'.
+        eb = np.asarray(law.value(u[-1])) * self.dt**2 / self.bw
         sensitivities = (
-            (self.pair.inner, rho_in - g_sum, a_in),
-            (self.pair.outer, rho_out + g_sum + eb * self.outer_r, a_out + eb * self._rop),
+            (self.pair.inner, -(l_sum + a_in * self._lkp) / rk, a_in / rk),
+            (
+                self.pair.outer,
+                (l_sum - a_out * self._lop) / ro + eb * ro,
+                a_out / ro + eb * ro * self._lop,
+            ),
         )
         grads = []
         for shape, d_r, d_rp in sensitivities:
@@ -544,13 +543,12 @@ class _ModeSolver:
 
 
 def _radial_start(asm: Assembly, law: DissipationLaw) -> np.ndarray:
-    """The harmonic profile 1 - (1 - l) log(rho/r_K)/log(r_O/r_K) at every
-    node, with l the trace of the best concentric shell (`radial._trace_min`)
-    at the pair's mean log(r_O/r_K) and mean arclength per radian."""
-    ratio = np.log(asm.rho[-1] / asm.rho[0])
-    stiff, per_r = 1.0 / np.mean(ratio), np.mean(asm.bw) / asm.dt
+    """The harmonic profile 1 - (1 - l) s at every node, with l the trace of
+    the best concentric shell (`radial._trace_min`) at the pair's mean
+    L = log(r_O/r_K) and mean arclength per radian."""
+    stiff, per_r = 1.0 / np.mean(asm.L), np.mean(asm.bw) / asm.dt
     l = _trace_min(law, np.array([stiff]), np.array([per_r]))[0]
-    return 1.0 - (1.0 - l) * np.log(asm.rho / asm.rho[0]) / ratio
+    return np.repeat(1.0 - (1.0 - l) * asm.s[:, None], asm.mesh.n_theta, axis=1)
 
 
 def solve_state(

@@ -383,11 +383,9 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     us[0] = (-1.5 * u[0] + 2.0 * u[1] - 0.5 * u[2]) / ds
     us[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3]) / ds
     ut = (_next(u) - _prev(u)) / (2 * dt)
-    g = asm.g[None, :]
-    q = asm._slope() / g
-    u_rho = us / g
-    u_ang = (ut - q * us) / asm.rho
-    grad = np.hypot(u_rho, u_ang)
+    # Log-polar partials: u_s / L along log rho, u_theta - a u_s / L across.
+    u_log = us / asm.L
+    grad = np.hypot(u_log, ut - asm._slope() * u_log) / asm.rho
     ratio = grad / np.maximum(u, 1e-12)
     return ScalarField(values=ratio, mesh=field.mesh, pair=pair)
 

@@ -10,7 +10,7 @@ energy and for stationarity, by its own residual and by secant slopes.
 Under convex laws the solved state obeys the discrete maximum principle,
 and rotating a pair by whole angular grid steps rotates the solved state
 with it; the radial cold start and the constant 1 start end at the same
-energy.
+energy.  On concentric circles the solved energy is the radial closed form.
 """
 
 import math
@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from strategies import NONSMOOTH_LAWS, fields, kinked, pairs, pos
 
-from thermoshield.annulus import Assembly, energy_of, solve_state
+from thermoshield.annulus import Assembly, Mesh, StarPair, energy_of, solve_state
 from thermoshield.dissipation import Convection, Power, Radiation
+from thermoshield.radial import general_radial_energy
 
 CONVEX_LAWS = st.one_of(st.builds(Convection, pos(0.05, 5.0)), st.builds(Radiation, pos(0.05, 2.0)))
 
@@ -196,3 +197,14 @@ def test_cold_start_does_not_move_convex_energies(pair, mesh_field, law):
     radial = solve_state(pair, law, mesh).energy.total
     ones = solve_state(pair, law, mesh, u0=np.ones((mesh.n_s, mesh.n_theta))).energy.total
     assert abs(radial - ones) <= 1e-9 * ones
+
+
+@given(R=pos(1.1, 4.0), n_s=st.integers(5, 48), n_theta=st.integers(8, 128),
+       law=st.one_of(CONVEX_LAWS, NONSMOOTH_LAWS))
+def test_concentric_state_is_exact(R, n_s, n_theta, law):
+    """The ball invariant: under the log-polar map the concentric harmonic
+    profile is linear in s, which bilinear elements hold exactly, so the
+    solved energy of circles 1 and R is the radial energy to rounding."""
+    exact = general_radial_energy(2, law, R).total
+    got = solve_state(StarPair.circles(1.0, R), law, Mesh(n_s, n_theta), tol=1e-11).energy.total
+    assert abs(got - exact) <= 1e-10 * exact

@@ -30,7 +30,7 @@ from thermoshield.levelset import (
     nodal_gradient_ratio,
     truncation_scan,
 )
-from thermoshield.radial import convection_energy, convection_state
+from thermoshield.radial import convection_energy, convection_state, gradient_ratio
 
 ZERO_LAW = Tabulated([(0, 0), (1, 0)])
 
@@ -80,7 +80,7 @@ class TestDecomposeLevels:
         cell_mean = 0.25 * (
             u[:-1] + u[1:] + np.roll(u, -1, axis=1)[:-1] + np.roll(u, -1, axis=1)[1:]
         )
-        cell_area = 0.5 * (asm.rho[:-1] + asm.rho[1:]) * asm.g[None, :] * asm.ds * asm.dt
+        cell_area = 0.5 * (asm.rho[:-1] + asm.rho[1:]) * np.diff(asm.rho, axis=0) * asm.dt
         layer = float(cell_area.sum()) / (res.field.mesh.n_s - 1)
         for k, t in enumerate(dec.levels):
             count = float(cell_area[cell_mean > t].sum())
@@ -141,6 +141,16 @@ class TestHFunction:
         dec = decompose_levels(res.field, pair, 8, density=phi)
         h = h_function(dec, 1.0)
         assert np.any(h < 0.0)
+
+    def test_concentric_gradient_ratio_is_exact(self):
+        # The concentric state is linear in s under the log-polar map, so
+        # its centered differences are exact: the nodal ratio is the radial
+        # one at every node.
+        pair, mesh = StarPair.circles(1.0, 2.0), Mesh(17, 64)
+        res = solve_state(pair, Convection(1.0), mesh, tol=1e-11)
+        ratio = nodal_gradient_ratio(res.field, pair).values
+        exact = gradient_ratio(2, 1.0, 2.0, Assembly(pair, mesh).rho)
+        assert np.max(np.abs(ratio - exact) / exact) <= 1e-12
 
 
 class TestDearrangement:
