@@ -16,6 +16,7 @@ quadratic regularization that makes any law behave like ``O(u^2)`` near zero.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -313,19 +314,24 @@ class Tabulated(DissipationLaw):
         jump = (first < after) & (vs[after - 1] > vs[np.minimum(first, len(us) - 1)])
         return chord[first - 1], np.where(jump, np.inf, chord[after - 1]), np.zeros_like(u)
 
-    @property
+    @functools.cached_property
     def breakpoints(self) -> np.ndarray:
         """0, 1 and the knots where the law jumps or its slope changes by more
-        than rounding the knot values can: collinear knots are no kinks."""
-        x = np.unique(np.append(self._us, 1.0))
+        than rounding the knot values can: collinear knots are no kinks.
+        Computed once per law; the array is read-only."""
+        # The knots are sorted, so dropping repeats leaves the distinct ones.
+        x = np.append(self._us, 1.0)
+        x = x[np.append(True, x[1:] != x[:-1])]
         left, right, _ = self.jet(x[1:-1])
         v, gap = np.abs(self.value(x)), np.diff(x)
         noise = 8 * np.finfo(float).eps * np.maximum(v[1:-1], v[2:]) * (1 / gap[:-1] + 1 / gap[1:])
         # Infinite slopes (jumps) are tested apart: no scale applies to them.
         kink = np.isinf(right) | (np.abs(right - left) > noise)
-        return np.concatenate([[0.0], x[1:-1][kink], [1.0]])
+        out = np.concatenate([[0.0], x[1:-1][kink], [1.0]])
+        out.flags.writeable = False
+        return out
 
-    @property
+    @functools.cached_property
     def convex(self) -> bool:
         """Nondecreasing chord slopes and no jump: below 1, every breakpoint's
         right slope is finite and at least its left one."""

@@ -57,6 +57,10 @@ ORACLE_LAWS = [
 ]
 
 
+def _no_call(*args, **kwargs):
+    raise AssertionError("the law was evaluated")
+
+
 def _quad_integral(law, n):
     """int_{1e-8}^1 t^(2n-1)/theta(t)^n dt by adaptive quadrature on each
     decade, split at the knots of a tabulated law."""
@@ -259,6 +263,28 @@ class TestBreakpoints:
     def test_regularized_radiation_keeps_every_knot(self):
         reg = epsilon_regularize(Radiation(1.0), 0.1)
         assert np.array_equal(reg.breakpoints, [k for k, _ in reg.knots])
+
+    def test_tabulated_breakpoints_and_convexity_computed_once(self, monkeypatch):
+        law = Tabulated([(0, 0), (0.3, 0.1), (0.3, 0.5), (1, 1)])
+        first, convex = law.breakpoints, law.convex
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[1] = 0.5
+        monkeypatch.setattr(Tabulated, "_jet", _no_call)
+        assert law.breakpoints is first
+        assert law.convex is convex is False
+
+    @pytest.mark.parametrize(
+        "knots, expected",
+        [
+            ([(0, 0), (0, 0.5), (1, 1.5)], [0.0, 1.0]),
+            ([(0, 0), (0.3, 0.1), (0.3, 0.5), (0.3, 0.7), (1, 1)], [0.0, 0.3, 1.0]),
+            ([(0, 0), (0.5, 0.2), (1, 1), (1, 2)], [0.0, 0.5, 1.0]),
+        ],
+    )
+    def test_repeated_abscissae_give_one_breakpoint(self, knots, expected):
+        # Repeats at 0, inside and at 1 each leave one distinct knot.
+        assert np.array_equal(Tabulated(knots).breakpoints, expected)
 
 
 class TestConvex:

@@ -12,7 +12,7 @@ import pytest
 
 from thermoshield import annulus, optimize
 from thermoshield.annulus import GAP_MIN, FourierShape, GeometryError, Mesh, StarPair, solve_state
-from thermoshield.dissipation import Convection
+from thermoshield.dissipation import Convection, Radiation, Tabulated
 from thermoshield.optimize import (
     OptimizeOptions,
     isoperimetric_deficit,
@@ -20,6 +20,7 @@ from thermoshield.optimize import (
     optimize_penalized,
     trace_to_csv,
 )
+from thermoshield.radial import best_radius
 
 QUICK = OptimizeOptions(fourier_order=2, mesh=Mesh(17, 64), max_outer_iters=12)
 
@@ -305,3 +306,43 @@ class TestOptions:
         # max_outer_iters=2.5 would never meet the cap; True would run one step.
         with pytest.raises(ValueError, match=f"^{name} must be an integer of at least 1, got {bad!r}$"):
             OptimizeOptions(**{name: bad})
+
+
+class TestDefaultMesh:
+    """The default mesh is 17x64: under the log-polar map the concentric
+    minimizers the optimizer is checked against are exact on every mesh, and
+    a perturbed pair is within a few 1e-5 of its mesh limit."""
+
+    def test_default_mesh(self):
+        assert OptimizeOptions().mesh == Mesh(17, 64)
+
+    @pytest.mark.parametrize(
+        "law", [Convection(1.0), Radiation(1.0), Tabulated([(0, 0), (0.4, 0.2), (1, 1.4)])]
+    )
+    def test_default_mesh_energy_within_5e5_of_richardson(self, law):
+        pair = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.05, 0.0]), FourierShape([2.0, 0.0, 0.0, 0.0, 0.12])
+        )
+        meshes = (Mesh(65, 256), Mesh(129, 512))
+        mid, fine = (solve_state(pair, law, mesh).energy.total for mesh in meshes)
+        ref = fine + (fine - mid) / 3.0
+        got = solve_state(pair, law, OptimizeOptions().mesh).energy.total
+        assert abs(got - ref) <= 5e-5 * ref
+
+    def test_collapse_input_of_criterion_7(self):
+        init = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.05, 0.0]), FourierShape([1.8, 0.0, 0.0, 0.08, 0.0])
+        )
+        opts = OptimizeOptions(fourier_order=2, max_outer_iters=200)
+        res = optimize_constrained(Convection(0.5), 4 * math.pi, init, opts)
+        assert abs(res.energy.total - math.pi) < 0.01 * math.pi
+
+    def test_penalized_input_of_criterion_8(self):
+        oracle = best_radius(2, Convection(1.0), math.inf, 0.1).energy.total
+        init = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.05, 0.0, 0.0, 0.0]),
+            FourierShape([2.2, 0.0, 0.0, 0.1, 0.0, 0.0, 0.0]),
+        )
+        opts = OptimizeOptions(fourier_order=3, max_outer_iters=200)
+        res = optimize_penalized(Convection(1.0), 0.1, init, opts)
+        assert abs(res.energy.total - oracle) < 0.02 * oracle
