@@ -498,9 +498,9 @@ class _ModeSolver:
     Thomas' pivots and the coefficients of both sweeps, as scans
     (`_scan_levels`) over the rows below the outer one, are computed once per
     assembly; the outer row, whose pivot holds the law's curvature, is one
-    more update.  With the whole outer row held (`hold_outer`) its unknown
-    is 0, and rows 1..n_s-2 solve their Dirichlet system with the same
-    pivots."""
+    more update.  An infinite curvature holds the whole outer row: its
+    unknown is 0, and rows 1..n_s-2 solve their Dirichlet system with the
+    same pivots."""
 
     def __init__(self, asm: Assembly):
         n_t = asm.mesh.n_theta
@@ -517,15 +517,11 @@ class _ModeSolver:
         self.forward = _scan_levels(np.concatenate((zero, -off[:-1] / piv[1:-1])))
         # The backward sweep runs from the outer row down: its levels in row order.
         self.backward = [a[::-1].copy() for a in _scan_levels(np.concatenate((zero, -sup[-2::-1])))]
-        self.last: Optional[np.ndarray] = self.outer
+        self.last = self.outer
 
     def set_curvature(self, c: float) -> None:
-        """Free the outer row and add c to its diagonal."""
+        """Add c to the outer row's diagonal; c = inf holds the row at 0."""
         self.last = self.outer + c
-
-    def hold_outer(self) -> None:
-        """Hold the whole outer row at 0 until the next `set_curvature`."""
-        self.last = None
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         x = np.fft.rfft(r[1:], axis=1)
@@ -533,7 +529,7 @@ class _ModeSolver:
         y /= self.piv
         for k, a in enumerate(self.forward):
             y[1 << k :] += a * y[: -(1 << k)]
-        x[-1] = 0.0 if self.last is None else (x[-1] - self.off * y[-1]) / self.last
+        x[-1] = (x[-1] - self.off * y[-1]) / self.last
         y[-1] -= self.sup * x[-1]
         for k, a in enumerate(self.backward):
             y[: -(1 << k)] += a * y[1 << k :]
@@ -666,10 +662,7 @@ def solve_state(
         # Each free node's slope on its steeper descending side, or 0.
         slope = np.where((up < 0.0) & (-up >= down), up, np.where(down > 0.0, down, 0.0))
         curv = asm.bw * np.where(np.isfinite(bend), np.maximum(bend, 0.0), 0.0)
-        if np.any(free[-1]):
-            precond.set_curvature(float(np.mean(curv)))
-        else:
-            precond.hold_outer()
+        precond.set_curvature(float(np.mean(curv)) if np.any(free[-1]) else math.inf)
         mask = free.astype(float)
         # Preconditioned CG on the free nodes, from d = 0.  Squared norms are
         # reductions: np.linalg.norm calls BLAS, whose threads spin after it.

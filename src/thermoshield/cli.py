@@ -55,8 +55,7 @@ from .optimize import (
 )
 from .radial import (
     EnergyBreakdown,
-    _best_radii,
-    _radial_energies,
+    best_radius,
     classify_regime,
     convection_energy,
     general_radial_energy,
@@ -69,6 +68,10 @@ EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 SWEEP_COLUMNS = ("value", "total", *(f.name for f in fields(EnergyBreakdown)))
+# The spec keys that a sweep over each axis reads.
+_COMMON_KEYS = {"axis", "lo", "hi", "count", "scale", "n"}
+_AXIS_KEYS = {"beta": {"R", "lambda"}, "gamma": {"R", "lambda"}, "R": {"law", "lambda"},
+              "M": {"law", "lambda"}, "lambda": {"law"}}
 # `solve --tol` and the `optimize` options default to the library's values.
 _OPTIMIZE_DEFAULTS = OptimizeOptions()
 
@@ -148,29 +151,30 @@ def _sweep_grid(spec: dict) -> np.ndarray:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _json_object(args.spec, "sweep spec")
+    axis = spec["axis"]
+    if not isinstance(axis, str) or axis not in _AXIS_KEYS:
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    for key in sorted(spec.keys() - _COMMON_KEYS - _AXIS_KEYS[axis]):
+        raise ValueError(f"a sweep over {axis} reads no key {key!r}")
     grid = [float(v) for v in _sweep_grid(spec)]
-    law_data = spec.get("law")
-    law = law_from_json(law_data) if law_data else None
+    law = law_from_json(spec["law"]) if spec.get("law") else None
     n = spec.get("n", 2)
     _require_count("sweep key 'n'", n, 2)
-    lam = [_spec_number(spec, "lambda", 0.0)] * len(grid)
-    axis = spec["axis"]
-    if axis in ("R", "lambda", "M") and law is None:
+    lam = _spec_number(spec, "lambda", 0.0)
+    if "law" in _AXIS_KEYS[axis] and law is None:
         raise ValueError(f"sweep over {axis} requires a law")
     if axis in ("beta", "gamma"):
         laws = [(Convection if axis == "beta" else Radiation)(v) for v in grid]
-        energies = _radial_energies(n, laws, [_spec_number(spec, "R")] * len(grid), lam)
+        energies = general_radial_energy(n, laws, [_spec_number(spec, "R")] * len(grid), lam)
     elif axis == "R":
-        energies = _radial_energies(n, law, grid, lam)
+        energies = general_radial_energy(n, law, grid, lam)
     elif axis == "lambda":
-        energies = [b.energy for b in _best_radii(n, law, [math.inf] * len(grid), grid)]
-    elif axis == "M":
+        energies = [b.energy for b in best_radius(n, law, [math.inf] * len(grid), grid)]
+    else:
         r_max = [(max(v, 0.0) / unit_ball_volume(n)) ** (1.0 / n) for v in grid]
         if min(r_max) < 1.0:
             raise ValueError("M below the inner ball volume")
-        energies = [b.energy for b in _best_radii(n, law, r_max, lam)]
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
+        energies = [b.energy for b in best_radius(n, law, r_max, lam)]
     rows = [(v, e.total, *astuple(e)) for v, e in zip(grid, energies)]
     _write_csv(args.out, [SWEEP_COLUMNS, *rows])
     return EXIT_OK
@@ -244,8 +248,7 @@ def _verify_regimes(args: argparse.Namespace) -> bool:
 def _verify_h(args: argparse.Namespace) -> bool:
     outer = FourierShape([2.0, 0.0, 0.0, args.amplitude, 0.0])
     pair = StarPair(FourierShape.circle(1.0), outer)
-    mesh = _parse_mesh(args.mesh) if args.mesh else Mesh(48, 192)
-    solved = solve_state(pair, Convection(args.beta), mesh)
+    solved = solve_state(pair, Convection(args.beta), _parse_mesh(args.mesh))
     rep = h_inequality_check(solved.field, pair, args.beta, args.levels)
     if args.out_levels:
         phi = nodal_gradient_ratio(solved.field, pair)
@@ -261,7 +264,7 @@ def _verify_h(args: argparse.Namespace) -> bool:
 def _verify_truncation(args: argparse.Namespace) -> bool:
     law = Convection(1.0)
     pair = StarPair.circles(1.0, 2.0)
-    mesh = _parse_mesh(args.mesh) if args.mesh else Mesh(48, 192)
+    mesh = _parse_mesh(args.mesh)
     solved = solve_state(pair, law, mesh)
     rep_solved = truncation_scan(solved.field, pair, law, 64)
     ok1 = rep_solved.best_energy <= rep_solved.reference_energy + 1e-12
@@ -359,17 +362,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("verify", help="pass/fail verification checks")
-    p.add_argument("check", choices=("h", "truncation", "perturbation", "regimes"))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--beta", type=_finite_float, default=1.0)
-    p.add_argument("--rmax", type=_finite_float, default=3.0)
-    p.add_argument("--amplitude", type=_finite_float, default=0.1)
-    p.add_argument("--levels", type=int, default=64)
-    p.add_argument("--mesh", default=None)
-    p.add_argument("--law", default='{"type":"radiation","gamma":1.0}')
-    p.add_argument("--eps", type=_finite_float, default=1e-3)
-    p.add_argument("--out-levels", default=None)
     p.set_defaults(func=_cmd_verify)
+    # Each check is a sub-command that takes only the flags it reads.
+    flags = {"--n": (int, 2), "--beta": (_finite_float, 1.0), "--rmax": (_finite_float, 3.0),
+             "--amplitude": (_finite_float, 0.1), "--levels": (int, 64), "--mesh": (str, "48,192"),
+             "--out-levels": (str, None), "--law": (str, '{"type":"radiation","gamma":1.0}'),
+             "--eps": (_finite_float, 1e-3)}
+    checks = p.add_subparsers(dest="check", required=True)
+    for check, names in (("regimes", "--n --beta --rmax"), ("truncation", "--mesh"),
+                         ("h", "--beta --amplitude --levels --mesh --out-levels"),
+                         ("perturbation", "--n --law --eps")):
+        c = checks.add_parser(check)
+        for name in names.split():
+            c.add_argument(name, type=flags[name][0], default=flags[name][1])
 
     return parser
 

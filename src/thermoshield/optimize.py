@@ -348,8 +348,6 @@ def _run(descent: _Descent) -> OptimizeResult:
             else:
                 d = -q / norm
                 slope = float(np.dot(g, d))
-                if slope >= 0.0:
-                    slope = -norm
                 alpha = min(_STEP_INIT, _STEP_FROM_DECREASE * decrease / -slope)
             step = search(d, slope, alpha)
             if step is not None or not pairs:

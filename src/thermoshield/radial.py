@@ -51,8 +51,10 @@ _ZOOM_MAX_ROUNDS = 64
 # a radius whose energy is still that of a real shell.
 _NEWTON_MAX_STEPS = 64
 
-# One law shared by every row of a batched search, or one law per row.
+# One law shared by every row of a batched search, or one law per row; one
+# radius or lam, or one per row.
 _Laws = Union[DissipationLaw, Sequence[DissipationLaw]]
+_Grid = Union[float, Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -257,11 +259,11 @@ def _trace_min(law: _Laws, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
 
 
 def _best_shells(
-    n: int, law: DissipationLaw, l: np.ndarray, lam: ArrayLike, t_max: ArrayLike
+    n: int, theta: np.ndarray, l: np.ndarray, lam: ArrayLike, t_max: ArrayLike
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize the shell energy over the outer radius R in [1, e^t_max] at
-    each trace in the array l; returns (log R*, minimal energy) per trace.
-    lam and t_max are numbers or arrays that broadcast against l.
+    each trace in the array l, where the law's value is theta; returns
+    (log R*, minimal energy) per trace.  theta, lam and t_max broadcast against l.
 
     With R = e^t, gap = 1 - l and D = phi(R) - phi(1), the energy
     per1 (gap^2 / D + R^(n-1) theta(l)) + lam w (R^n - 1) is convex in R and
@@ -274,7 +276,6 @@ def _best_shells(
     t_max, the budget, and l = 1 gets t = 0, the bare ball.  A converged
     trace takes zero steps while the others go on.
     """
-    theta = law.value(l)
     gap = np.maximum(1.0 - l, 0.0)
     b0 = np.sqrt((n - 1) * theta + lam)
     t = np.minimum(np.divide(gap, b0, out=np.full(b0.shape, t_max), where=b0 > 0.0), t_max)
@@ -297,38 +298,22 @@ def _best_shells(
     return t, n * w * (dirichlet + R ** (n - 1) * theta) + lam * w * (R**n - 1.0)
 
 
-def _radial_energies(
-    n: int, law: _Laws, R: Sequence[float], lam: Sequence[float]
-) -> List[EnergyBreakdown]:
-    """`general_radial_energy` of every row (law, R[i], lam[i]), with one
-    trace search for all rows; `law` is one law for every row or one law
-    per row."""
-    for R_i, lam_i in zip(R, lam):
-        _check_params(n, lam=lam_i, R=R_i)
-    w = unit_ball_volume(n)
-    per1 = n * w
-    r = np.array(R, dtype=float)
-    lams = np.array(lam, dtype=float)
-    with np.errstate(over="ignore"):
-        penalty = lams * w * (r**n - 1.0)
-    for i in np.flatnonzero(~np.isfinite(penalty))[:1]:
-        raise ValueError(f"lam and R must keep the penalty lam * omega_n * (R**{n} - 1) finite, "
-                         f"got lam={float(lams[i])!r}, R={float(r[i])!r}")
-    shell = r != 1.0
-    per_R = per1 * r ** (n - 1)
-    stiff = per1 / (phi(n, r[shell]) - phi(n, 1.0))
-    l = np.ones(r.size)
-    rows = law if isinstance(law, DissipationLaw) else [law[i] for i in np.flatnonzero(shell)]
-    l[shell] = _trace_min(rows, stiff, per_R[shell])
-    dirichlet = np.zeros(r.size)
-    dirichlet[shell] = stiff * (1.0 - l[shell]) ** 2
-    boundary = per_R * _theta(law, l[:, None], np.arange(r.size))[:, 0]
-    return [EnergyBreakdown(*map(float, e)) for e in zip(dirichlet, boundary, penalty, l)]
+def _rows(law: _Laws, radii: _Grid, lam: _Grid, name: str) -> Tuple[list, list]:
+    """([radii], [lam]) for a number `radii`; for a sequence, its entries and
+    lam's, where lam is a number for every row or a sequence; a ValueError
+    names the sequences, law among them, whose lengths differ."""
+    if np.ndim(radii) == 0:
+        return [radii], [lam]
+    rows = {name: list(radii), "lam": [lam] * len(radii) if np.ndim(lam) == 0 else list(lam)}
+    sizes = {k: len(v) for k, v in [*rows.items(), ("law", law)] if not isinstance(v, DissipationLaw)}
+    if len(set(sizes.values())) > 1:
+        raise ValueError(f"{', '.join(sizes)} must have one entry per row, got lengths {sizes}")
+    return rows[name], rows["lam"]
 
 
 def general_radial_energy(
-    n: int, law: DissipationLaw, R: float, lam: float = 0.0
-) -> EnergyBreakdown:
+    n: int, law: _Laws, R: _Grid, lam: _Grid = 0.0
+) -> Union[EnergyBreakdown, List[EnergyBreakdown]]:
     """Minimal shell energy for a general law at fixed outer radius R.
 
     The harmonic profile is determined by its outer trace l, so the energy
@@ -337,9 +322,32 @@ def general_radial_energy(
     l by a global grid scan and zoom rounds.  They compare energy values, so
     they pin a smooth law's trace only to about 1e-8, while the energy is
     minimal to rounding.  R = 1 gives the bare ball, and a penalty that
-    overflows is rejected.  This is a one-row `_radial_energies`.
+    overflows is rejected.  A sequence R gives one breakdown per entry from
+    one trace search, each bitwise that entry's alone; lam is then a number
+    or a sequence, and law one law or a sequence, of its length (`_rows`).
     """
-    return _radial_energies(n, law, [R], [lam])[0]
+    radii, lams = _rows(law, R, lam, "R")
+    for R_i, lam_i in zip(radii, lams):
+        _check_params(n, lam=lam_i, R=R_i)
+    w = unit_ball_volume(n)
+    r = np.array(radii, dtype=float)
+    lams = np.array(lams, dtype=float)
+    with np.errstate(over="ignore"):
+        penalty = lams * w * (r**n - 1.0)
+    for i in np.flatnonzero(~np.isfinite(penalty))[:1]:
+        raise ValueError(f"lam and R must keep the penalty lam * omega_n * (R**{n} - 1) finite, "
+                         f"got lam={float(lams[i])!r}, R={float(r[i])!r}")
+    shell = r != 1.0
+    per_R = n * w * r ** (n - 1)
+    stiff = n * w / (phi(n, r[shell]) - phi(n, 1.0))
+    l = np.ones(r.size)
+    rows = law if isinstance(law, DissipationLaw) else [law[i] for i in np.flatnonzero(shell)]
+    l[shell] = _trace_min(rows, stiff, per_R[shell])
+    dirichlet = np.zeros(r.size)
+    dirichlet[shell] = stiff * (1.0 - l[shell]) ** 2
+    boundary = per_R * _theta(law, l[:, None], np.arange(r.size))[:, 0]
+    out = [EnergyBreakdown(*map(float, e)) for e in zip(dirichlet, boundary, penalty, l)]
+    return out[0] if np.ndim(R) == 0 else out
 
 
 def threshold_radius(n: int, beta: float) -> Optional[float]:
@@ -411,43 +419,9 @@ def classify_regime(n: int, beta: float, R_max: float) -> RegimeReport:
     )
 
 
-def _best_radii(
-    n: int, law: DissipationLaw, R_max: Sequence[float], lam: Sequence[float]
-) -> List[BestRadius]:
-    """`best_radius` of every row (R_max[i], lam[i]) under one law, with one
-    trace search for all rows."""
-    bounds = list(R_max)
-    for i, m in enumerate(lam):
-        _check_params(n, lam=m)
-        if bounds[i] == math.inf and m > 0.0:
-            w = unit_ball_volume(n)
-            bare, hi = n * w * law.value(1.0), 2.0
-            try:
-                while m * w * (hi**n - 1.0) <= bare:
-                    hi *= 2.0
-            except OverflowError:
-                raise ValueError(
-                    f"lam must be large enough to bound R below overflow, got {m!r}") from None
-            bounds[i] = hi
-        _check_params(n, R_max=bounds[i])
-    bounds = np.array(bounds, dtype=float)
-    search = bounds != 1.0
-    t_max = np.array([math.log(r) for r in bounds[search]])
-    lam_s = np.array(lam, dtype=float)[search]
-
-    def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _best_shells(n, law, l, lam_s[idx, None], t_max[idx, None])[1]
-
-    t = _best_shells(n, law, _trace_search(energy, t_max.size), lam_s, t_max)[0]
-    R_star = bounds.copy()
-    R_star[search] = [R if a == b else math.exp(a) for R, a, b in zip(bounds[search], t, t_max)]
-    energies = _radial_energies(n, law, R_star.tolist(), lam)
-    return [BestRadius(R, e) for R, e in zip(R_star.tolist(), energies)]
-
-
 def best_radius(
-    n: int, law: DissipationLaw, R_max: float = math.inf, lam: float = 0.0
-) -> BestRadius:
+    n: int, law: _Laws, R_max: _Grid = math.inf, lam: _Grid = 0.0
+) -> Union[BestRadius, List[BestRadius]]:
     """Globally minimize the (optionally penalized) shell energy over R.
 
     For lam > 0 the search bracket may be unbounded: it grows until the
@@ -457,13 +431,43 @@ def best_radius(
     so `_best_shells` solves for its minimizing radius R*(l) in [1, R_max],
     for every trace at once; l = 1 gives the bare ball.  `_trace_search`
     then minimizes the energy at R*(l) over l, and R_star is R* at that
-    trace.  The search compares energy values, so it pins the trace, and
-    with it an R_star inside (1, R_max), only to about 1e-8; an optimum at
-    the bare ball or the budget is exact.  This reports the best concentric
-    pair; for general laws no claim is made against non-spherical
-    competitors.  This is a one-row `_best_radii`.
+    trace, whose breakdown `general_radial_energy` gives.  The search
+    compares energy values, so it pins the trace, and with it an R_star
+    inside (1, R_max), only to about 1e-8; an optimum at the bare ball or
+    the budget is exact.  This reports the best concentric pair; for
+    general laws no claim is made against non-spherical competitors.  A
+    sequence R_max gives one result per entry, as a sequence R does in
+    `general_radial_energy`.
     """
-    return _best_radii(n, law, [R_max], [lam])[0]
+    bounds, lams = _rows(law, R_max, lam, "R_max")
+    for i, m in enumerate(lams):
+        _check_params(n, lam=m)
+        if bounds[i] == math.inf and m > 0.0:
+            w = unit_ball_volume(n)
+            bare, hi = n * w * (law if isinstance(law, DissipationLaw) else law[i]).value(1.0), 2.0
+            try:
+                while m * w * (hi**n - 1.0) <= bare:
+                    hi *= 2.0
+            except OverflowError:
+                raise ValueError(
+                    f"lam must be large enough to bound R below overflow, got {m!r}") from None
+            bounds[i] = hi
+        _check_params(n, R_max=bounds[i])
+    bounds = np.array(bounds, dtype=float)
+    search = np.flatnonzero(bounds != 1.0)
+    t_max = np.array([math.log(r) for r in bounds[search]])
+    lam_s = np.array(lams, dtype=float)[search]
+
+    def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return _best_shells(n, _theta(law, l, search[idx]), l, lam_s[idx, None], t_max[idx, None])[1]
+
+    l = _trace_search(energy, search.size)
+    t = _best_shells(n, _theta(law, l[:, None], search)[:, 0], l, lam_s, t_max)[0]
+    R_star = bounds.copy()
+    R_star[search] = [R if a == b else math.exp(a) for R, a, b in zip(bounds[search], t, t_max)]
+    R_star = R_star.tolist()
+    out = [BestRadius(*e) for e in zip(R_star, general_radial_energy(n, law, R_star, lams))]
+    return out[0] if np.ndim(R_max) == 0 else out
 
 
 def perturbation_expansion(n: int, law: DissipationLaw, eps: float) -> PerturbationExpansion:

@@ -420,17 +420,15 @@ class TestRadialStart:
 class TestModeSolver:
     """The preconditioner against a dense solve of each rFFT mode's
     tridiagonal system, as its docstring states it; with the outer row held
-    (curvature None), against the system with the outer row removed."""
+    (curvature None, passed as inf), against the system with the outer row
+    removed."""
 
     @pytest.mark.parametrize("n_s, n_t", [(9, 32), (33, 128)])
     @pytest.mark.parametrize("curvature", [0.0, 2.5, None])
     def test_matches_dense_mode_solves(self, n_s, n_t, curvature):
         asm = Assembly(perturbed_pair(), Mesh(n_s, n_t))
         solver = _ModeSolver(asm)
-        if curvature is None:
-            solver.hold_outer()
-        else:
-            solver.set_curvature(curvature)
+        solver.set_curvature(math.inf if curvature is None else curvature)
         rows = n_s - 1 if curvature is None else n_s
         r = np.random.default_rng(n_s).standard_normal((n_s, n_t))
         pe = np.mean(asm._pe, axis=1)
@@ -453,7 +451,7 @@ class TestModeSolver:
         asm = Assembly(perturbed_pair(), Mesh(9, 32))
         r = np.random.default_rng(0).standard_normal((9, 32))
         free, solver = _ModeSolver(asm), _ModeSolver(asm)
-        solver.hold_outer()
+        solver.set_curvature(math.inf)
         solver.set_curvature(0.0)
         assert np.array_equal(solver(r), free(r))
 
@@ -512,6 +510,17 @@ class TestFieldDump:
         assert loaded.pair.inner.coeffs == pair.inner.coeffs
         head = open(path).readline().split(",")
         assert int(head[0]) == 17 and int(head[1]) == 64
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(MeshMismatchError, match=r"field shape \(3, 7\) does not match mesh \(3, 8\)"):
+            ScalarField(values=np.ones((3, 7)), mesh=Mesh(3, 8), pair=StarPair.circles(1.0, 2.0))
+
+    def test_header_with_wrong_coefficient_count_rejected(self, tmp_path):
+        # Order 1 announces 3 + 3 coefficients; the header holds 5.
+        path = tmp_path / "field.csv"
+        path.write_text("3,8,1,1.0,0.0,0.0,2.5,0.0\n" + "1.0,1.0\n" * 3)
+        with pytest.raises(ValueError, match="wrong number of coefficients"):
+            load_field(str(path))
 
     def test_exact_text(self, tmp_path):
         # Integers in decimal, floats as their shortest round-trip repr (the

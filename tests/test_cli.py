@@ -19,6 +19,7 @@ from thermoshield.dissipation import Convection, Radiation, law_from_json, unit_
 from thermoshield.radial import best_radius, general_radial_energy
 
 CONV1 = '{"type":"convection","beta":1}'
+CONV1_SPEC = json.loads(CONV1)
 
 
 def run_json(capsys, argv):
@@ -88,6 +89,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("pair", ["[1]", '{"inner":1,"outer":[2.0]}'])
     def test_malformed_pair(self, capsys, pair):
         assert run(["solve", "--pair", pair, "--law", CONV1]) == EXIT_BAD_INPUT
+
+    def test_mesh_without_comma(self, capsys):
+        argv = ["solve", "--pair", '{"inner":[1.0],"outer":[2.0]}', "--law", CONV1, "--mesh", "33"]
+        assert run(argv) == EXIT_BAD_INPUT
+        assert "mesh must be given as n_s,n_theta" in capsys.readouterr().err
 
     def test_sweep_spec_not_an_object(self, capsys, tmp_path):
         out = str(tmp_path / "x.csv")
@@ -253,6 +259,45 @@ class TestSweepRows:
         assert f"sweep key '{key}' must be an integer of at least 2, got {bad!r}" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"axis": "R", "lo": 1.5, "hi": 3, "count": 2, "law": CONV1_SPEC, "lamda": 0.5}, "lamda"),
+            ({"axis": "beta", "lo": 0.5, "hi": 2, "count": 2, "R": 2.0, "law": CONV1_SPEC}, "law"),
+            ({"axis": "gamma", "lo": 0.5, "hi": 2, "count": 2, "R": 2.0, "law": CONV1_SPEC}, "law"),
+            ({"axis": "R", "lo": 1.5, "hi": 3, "count": 2, "law": CONV1_SPEC, "R": 2.0}, "R"),
+            ({"axis": "M", "lo": 4.0, "hi": 9.0, "count": 2, "law": CONV1_SPEC, "R": 2.0}, "R"),
+            ({"axis": "lambda", "lo": 0.1, "hi": 1, "count": 2, "law": CONV1_SPEC, "lambda": 0.5},
+             "lambda"),
+            ({"axis": "lambda", "lo": 0.1, "hi": 1, "count": 2, "law": CONV1_SPEC, "R": 2.0}, "R"),
+        ],
+        ids=["R-misspelled-lambda", "beta-law", "gamma-law", "R-R", "M-R", "lambda-lambda",
+             "lambda-R"],
+    )
+    def test_key_the_axis_does_not_read_exits_2(self, capsys, tmp_path, spec, key):
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", str(out)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"a sweep over {spec['axis']} reads no key {key!r}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0])
+    def test_log_sweep_from_zero_or_below_exits_2(self, capsys, tmp_path, lo):
+        spec = {"axis": "R", "lo": lo, "hi": 3.0, "count": 3, "scale": "log", "law": CONV1_SPEC}
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", str(out)]) == EXIT_BAD_INPUT
+        assert "log sweeps need lo > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis, lo, hi", [("R", 1.0, 3.0), ("lambda", 0.1, 1.0), ("M", 4.0, 9.0)])
+    def test_axis_without_a_law_exits_2(self, capsys, tmp_path, axis, lo, hi):
+        spec = {"axis": axis, "lo": lo, "hi": hi, "count": 2}
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--spec", json.dumps(spec), "--out", str(out)]) == EXIT_BAD_INPUT
+        assert f"sweep over {axis} requires a law" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_budget_exits_2(self, capsys, tmp_path):
         spec = {"axis": "M", "lo": -5.0, "hi": 20.0, "count": 3, "law": {"type": "convection", "beta": 1}}
         assert run(["sweep", "--spec", json.dumps(spec), "--out", str(tmp_path / "x.csv")]) == EXIT_BAD_INPUT
@@ -320,6 +365,46 @@ class TestSolveAndOptimize:
         init = '{"inner":[1.0],"outer":[2.0]}'
         code = run(["optimize", "--mode", "constrained", "--law", CONV1, "--init", init])
         assert code == EXIT_BAD_INPUT
+
+    def test_penalized_mode_requires_lambda(self, capsys):
+        init = '{"inner":[1.0],"outer":[2.0]}'
+        assert run(["optimize", "--mode", "penalized", "--law", CONV1, "--init", init]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "penalized mode requires --lambda" in captured.err
+
+
+# The flags each verify check reads, and their defaults.
+VERIFY_FLAGS = {
+    "regimes": {"n": 2, "beta": 1.0, "rmax": 3.0},
+    "h": {"beta": 1.0, "amplitude": 0.1, "levels": 64, "mesh": "48,192", "out_levels": None},
+    "truncation": {"mesh": "48,192"},
+    "perturbation": {"n": 2, "law": '{"type":"radiation","gamma":1.0}', "eps": 1e-3},
+}
+ALL_VERIFY_FLAGS = {flag for flags in VERIFY_FLAGS.values() for flag in flags}
+
+
+class TestVerifyFlags:
+    @pytest.mark.parametrize("check", sorted(VERIFY_FLAGS))
+    def test_each_check_reads_its_flags_with_their_defaults(self, check):
+        from thermoshield.cli import _build_parser
+
+        args = vars(_build_parser().parse_args(["verify", check]))
+        assert {k: v for k, v in args.items() if k not in ("command", "check", "func")} == VERIFY_FLAGS[check]
+
+    @pytest.mark.parametrize(
+        "check, flag",
+        [(c, f) for c in sorted(VERIFY_FLAGS) for f in sorted(ALL_VERIFY_FLAGS - set(VERIFY_FLAGS[c]))],
+    )
+    def test_flag_of_another_check_exits_2(self, capsys, check, flag):
+        assert run(["verify", check, "--" + flag.replace("_", "-"), "2"]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    def test_flags_follow_the_check(self, capsys):
+        assert run(["verify", "--mesh", "17,64", "truncation"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:

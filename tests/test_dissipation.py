@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from thermoshield.dissipation import (
     Convection,
     DegenerateLawError,
+    DissipationLaw,
     Linear,
     Power,
     Radiation,
@@ -159,6 +160,18 @@ class TestEval:
             Tabulated([(0, 0), (0.5, 1.0), (1.0, 0.5)])
         with pytest.raises(ValueError):
             Tabulated([(0, 0.5), (1.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "knots, message",
+        [
+            ([(0, 0)], "at least two knots"),
+            ([(0, 0), (1.5, 1.0)], r"must lie in \[0, 1\]"),
+        ],
+        ids=["one-knot", "knot-beyond-1"],
+    )
+    def test_tabulated_rejects_bad_knots(self, knots, message):
+        with pytest.raises(ValueError, match=message):
+            Tabulated(knots)
 
     def test_tabulated_left_continuity(self):
         # Duplicated abscissa encodes a jump; the value at the jump is the
@@ -365,6 +378,10 @@ class TestVolumeBound:
         with pytest.raises(ValueError):
             volume_bound(Power(1.0, 1.0), 1)
 
+    def test_constant_must_be_positive(self):
+        with pytest.raises(ValueError, match="c_n must be positive"):
+            volume_bound(Power(1.0, 1.0), 2, c_n=0)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("law, diverges", ORACLE_LAWS)
     def test_matches_quadrature(self, law, diverges, n):
@@ -481,6 +498,15 @@ class TestJson:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             law_from_json({"type": "mystery"})
+
+    def test_foreign_law_type_named(self):
+        # A law the wire format has no tag for cannot be written.
+        class Foreign(DissipationLaw):
+            def _raw(self, u):
+                return u**3
+
+        with pytest.raises(TypeError, match="unknown law type Foreign"):
+            law_to_json(Foreign())
 
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="'foo'"):

@@ -23,9 +23,7 @@ from thermoshield.dissipation import (
     unit_ball_volume,
 )
 from thermoshield.radial import (
-    _best_radii,
     _best_shells,
-    _radial_energies,
     _trace_search,
     best_radius,
     general_radial_energy,
@@ -120,7 +118,8 @@ def test_best_radius_beats_drawn_radii(n, R_max, law, lam, fracs):
 )
 def test_radius_solve_beats_dense_scan(n, R_max, law, lam, l):
     # The second trace is l = 1, whose best radius is the bare ball.
-    t, energy = _best_shells(n, law, np.array([l, 1.0]), lam, math.log(R_max))
+    traces = np.array([l, 1.0])
+    t, energy = _best_shells(n, law.value(traces), traces, lam, math.log(R_max))
     assert t[1] == 0.0
     assert 0.0 <= t[0] <= math.log(R_max)
     w = unit_ball_volume(n)
@@ -161,7 +160,7 @@ def test_batched_shell_energies_are_one_row_results(n, axis, shared, params, rad
     else:
         laws = [(Convection if axis == "beta" else Radiation)(p) for p in params]
         R = [radii[0]] * rows
-    batched = _radial_energies(n, laws, R, [lam] * rows)
+    batched = general_radial_energy(n, laws, R, [lam] * rows)
     for k, energy in enumerate(batched):
         law = laws if axis == "R" else laws[k]
         assert _bits(energy) == _bits(general_radial_energy(n, law, R[k], lam))
@@ -176,14 +175,57 @@ def test_batched_shell_energies_are_one_row_results(n, axis, shared, params, rad
         max_size=10,
     ),
 )
-def test_batched_best_radii_are_one_row_results(n, law, rows):
+def test_batched_best_radius_rows_are_one_row_results(n, law, rows):
     # The lambda axis is an unbounded budget with a penalty per row, the M
     # axis a budget per row; the rows mix both.
     R_max, lam = zip(*rows)
-    for (r, m), best in zip(rows, _best_radii(n, law, R_max, lam)):
+    for (r, m), best in zip(rows, best_radius(n, law, R_max, lam)):
         one = best_radius(n, law, r, m)
         assert best.R_star.hex() == one.R_star.hex()
         assert _bits(best.energy) == _bits(one.energy)
+
+
+@given(
+    n=st.sampled_from((2, 3)),
+    shared=LAWS,
+    gammas=st.lists(_pos(0.1, 5.0), min_size=1, max_size=8),
+    R_max=st.one_of(st.just(math.inf), st.floats(1.0, 6.0)),
+    lam=_pos(0.05, 2.0),
+)
+def test_grid_best_radius_takes_a_law_per_row_and_one_lam(n, shared, gammas, R_max, lam):
+    # A number lam serves every row, and the laws mix a nonsmooth one with
+    # radiation.
+    laws = [shared if k % 2 == 0 else Radiation(g) for k, g in enumerate(gammas)]
+    grid = best_radius(n, laws, [R_max] * len(laws), lam)
+    for law, best in zip(laws, grid):
+        one = best_radius(n, law, R_max, lam)
+        assert best.R_star.hex() == one.R_star.hex()
+        assert _bits(best.energy) == _bits(one.energy)
+
+
+@pytest.mark.parametrize(
+    "call, names",
+    [
+        (lambda: general_radial_energy(2, Radiation(1.0), [1.5, 2.0], [0.1]), "R, lam"),
+        (lambda: general_radial_energy(2, [Radiation(1.0)], [1.5, 2.0]), "R, lam, law"),
+        (lambda: best_radius(2, Radiation(1.0), [2.0], [0.1, 0.2]), "R_max, lam"),
+        (lambda: best_radius(2, [Radiation(1.0)] * 3, [2.0, 3.0], 0.1), "R_max, lam, law"),
+    ],
+)
+def test_grid_of_unequal_lengths_names_them(call, names):
+    with pytest.raises(ValueError, match=f"^{names} must have one entry per row"):
+        call()
+
+
+def test_scalar_and_empty_grids():
+    # A number R gives one breakdown, a sequence a list, even of one or no rows.
+    law = Radiation(1.0)
+    one = general_radial_energy(2, law, 2.0)
+    assert general_radial_energy(2, law, [2.0]) == [one]
+    assert general_radial_energy(2, law, np.array([2.0])) == [one]
+    assert general_radial_energy(2, law, []) == []
+    assert best_radius(2, law, [2.0, 1.0], 0.0) == [best_radius(2, law, 2.0), best_radius(2, law, 1.0)]
+    assert best_radius(2, law, []) == []
 
 
 def test_multi_row_trace_search_is_each_rows_search():
