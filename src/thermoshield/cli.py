@@ -128,14 +128,20 @@ def _cmd_regime(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _spec_value(spec: dict, key: str) -> object:
+    if key not in spec:
+        raise ValueError(f"sweep spec is missing the key {key!r}")
+    return spec[key]
+
+
 def _spec_number(spec: dict, key: str, default: Optional[float] = None) -> float:
-    value = spec[key] if default is None else spec.get(key, default)
+    value = _spec_value(spec, key) if default is None else spec.get(key, default)
     return _require_finite(f"sweep key {key!r}", value)
 
 
 def _sweep_grid(spec: dict) -> np.ndarray:
     lo, hi = _spec_number(spec, "lo"), _spec_number(spec, "hi")
-    count = spec["count"]
+    count = _spec_value(spec, "count")
     _require_count("sweep key 'count'", count, 2)
     if not lo < hi:
         raise ValueError("sweep range requires lo < hi")
@@ -151,7 +157,7 @@ def _sweep_grid(spec: dict) -> np.ndarray:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _json_object(args.spec, "sweep spec")
-    axis = spec["axis"]
+    axis = _spec_value(spec, "axis")
     if not isinstance(axis, str) or axis not in _AXIS_KEYS:
         raise ValueError(f"unknown sweep axis {axis!r}")
     for key in sorted(spec.keys() - _COMMON_KEYS - _AXIS_KEYS[axis]):

@@ -385,11 +385,12 @@ def volume_bound(law: DissipationLaw, n: int, c_n: float = 1.0) -> float:
     panel edges, so that no panel straddles a kink or a jump.  When a
     decade's contribution is infinite, or the contributions do not decay
     near zero, the integral diverges and +inf is returned (any budget is
-    then admissible).  c_n is a dimensional constant left to the caller.
+    then admissible).  c_n is a dimensional constant left to the caller; it
+    must be finite and positive.
     """
     _check_params(n)
-    if c_n <= 0:
-        raise ValueError("c_n must be positive")
+    if not _require_finite("c_n", c_n) > 0.0:
+        raise ValueError(f"c_n must be positive, got {c_n!r}")
     ratio = hyp_theta_inf(law)
     grid = np.logspace(-8, 0, 8 * 64 + 1)
     cuts = grid[::64]  # 1e-8, 1e-7, ..., 1
@@ -465,13 +466,15 @@ _LAW_TAGS = {
 
 def law_to_json(law: DissipationLaw) -> dict:
     """Serialize a law to its wire-format dictionary: the type tag and the
-    constructor parameters that `law_from_json` reads, tuples as lists."""
+    constructor parameters that `law_from_json` reads, tuples as lists.  A
+    tag names one exact class: a subclass, which may change the law, raises
+    TypeError as a foreign law does."""
 
     def plain(v: object) -> object:
         return [plain(x) for x in v] if isinstance(v, tuple) else v
 
     for tag, cls in _LAW_TAGS.items():
-        if isinstance(law, cls):
+        if type(law) is cls:
             params = {f.name: plain(getattr(law, f.name)) for f in fields(cls) if f.init}
             return {"type": tag, **params}
     raise TypeError(f"unknown law type {type(law).__name__}")

@@ -342,12 +342,16 @@ def decompose_levels(
 
     When a density field phi is supplied, its line integral over each
     interior contour and the integral of phi^2 over each superlevel set are
-    accumulated alongside the geometry.
+    accumulated alongside the geometry.  A field or a density of another
+    pair raises `MeshMismatchError`.
     """
     _check_levels(field.values, n_levels, density)
     tri = _triangulate(field, pair)
     levels = (np.arange(n_levels) + 0.5) / n_levels
-    dens = tri.attach(density.values) if density is not None else None
+    dens = None
+    if density is not None:
+        _require_same_pair(density, pair)
+        dens = tri.attach(density.values)
     area, interior, dline, darea = tri.superlevels(levels, dens).T
     return LevelDecomposition(
         levels=levels,
@@ -476,12 +480,15 @@ def high_cutoff_bound(law: DissipationLaw, n: int, M: float, C_n: float = 1.0) -
 
     Feasibility of a delta close to 1 certifies that states may be truncated
     just below their maximum without raising the relaxed energy; it requires
-    the volume excess M - omega_n to be small.  C_n is caller-supplied.
+    the volume excess M - omega_n to be small.  C_n is caller-supplied,
+    finite and positive.
     """
     _check_params(n)
     w = unit_ball_volume(n)
     if _require_finite("M", M) < w:
         raise ValueError("M must be at least the unit ball volume")
+    if not _require_finite("C_n", C_n) > 0.0:
+        raise ValueError(f"C_n must be positive, got {C_n!r}")
     deltas = np.arange(1, 4096) / 4096
     theta1 = law.value(1.0)
     excess = (M - w) ** (1.0 / (2 * n)) if M > w else 0.0

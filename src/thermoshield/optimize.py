@@ -23,6 +23,11 @@ predicted decrease is below the acceptance margin.  The energy does not
 change when both boundaries are translated together; that gauge is fixed
 linearly, by keeping the inner boundary's first Fourier mode at zero.
 
+A run stops on one of four tests: collapse (the gap at most twice the
+minimum gap), the iteration cap, a projected-gradient norm below
+_GRAD_TOL, or a line search (with its steepest-descent retry) that ends
+without a step.  Small decreases alone do not stop it.
+
 When the outer boundary collapses onto the inner one the parametric solver
 bottoms out at the minimum gap; the touching configuration is then scored
 as the radial energy of the bare unit ball (`general_radial_energy` at
@@ -64,8 +69,6 @@ __all__ = [
 ]
 
 _COLLAPSE_GAP = 2.0 * GAP_MIN
-_STALL_DECREASE = 1e-10
-_STALL_LIMIT = 3
 # Line search (Nocedal & Wright, Numerical Optimization, 3.5).  The first
 # trial is the quasi-Newton step, or on a steepest-descent step the last
 # accepted decrease again at the current slope, capped at _STEP_INIT either
@@ -312,14 +315,13 @@ def _run(descent: _Descent) -> OptimizeResult:
 
     record(0, energy, res, x, 0.0)
     decrease = math.inf  # no step yet: the first trial is _STEP_INIT
-    stall = 0
     iterations = 0
     pairs: List[Tuple[np.ndarray, np.ndarray, float]] = []
     s = q_prev = active_prev = None
     while True:
         # The one collapse test: every exit further down leaves res as it is here.
         collapsed = res.field.pair.gap <= _COLLAPSE_GAP
-        if collapsed or stall >= _STALL_LIMIT or iterations == opts.max_outer_iters:
+        if collapsed or iterations == opts.max_outer_iters:
             break
         iterations += 1
         g = descent.gradient(x, res)
@@ -360,7 +362,6 @@ def _run(descent: _Descent) -> OptimizeResult:
         decrease = energy - e_new
         x, energy = x_new, e_new
         record(iterations, energy, res, x, alpha)
-        stall = stall + 1 if decrease < _STALL_DECREASE * max(1.0, abs(energy)) else 0
 
     pair = res.field.pair
     breakdown = replace(res.energy, penalty=descent.penalty(x))

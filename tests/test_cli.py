@@ -129,6 +129,23 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert run(["sweep", "--spec", spec, "--out", out]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ('{"lo":1,"hi":2,"count":2}', "axis"),
+            ('{"axis":"beta","hi":2,"count":2,"R":2}', "lo"),
+            ('{"axis":"beta","lo":1,"count":2,"R":2}', "hi"),
+            ('{"axis":"beta","lo":1,"hi":2,"R":2}', "count"),
+            ('{"axis":"beta","lo":1,"hi":2,"count":2}', "R"),
+            ('{"axis":"gamma","lo":1,"hi":2,"count":2}', "R"),
+        ],
+    )
+    def test_missing_sweep_key_named(self, capsys, tmp_path, spec, key):
+        out = tmp_path / "x.csv"
+        assert run(["sweep", "--spec", spec, "--out", str(out)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: sweep spec is missing the key {key!r}\n"
+        assert not out.exists()
+
     def test_nonconvergence_exit(self, capsys, monkeypatch):
         import thermoshield.cli as cli
         from thermoshield.annulus import ConvergenceError

@@ -382,6 +382,18 @@ class TestVolumeBound:
         with pytest.raises(ValueError, match="c_n must be positive"):
             volume_bound(Power(1.0, 1.0), 2, c_n=0)
 
+    @pytest.mark.parametrize(
+        "c_n, message",
+        [
+            (math.nan, "a finite real number, got nan"),
+            (math.inf, "a finite real number, got inf"),
+            (-1, "positive, got -1"),
+        ],
+    )
+    def test_constant_must_be_finite_and_positive(self, c_n, message):
+        with pytest.raises(ValueError, match=f"^c_n must be {message}$"):
+            volume_bound(Power(1.0, 1.0), 2, c_n=c_n)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("law, diverges", ORACLE_LAWS)
     def test_matches_quadrature(self, law, diverges, n):
@@ -507,6 +519,16 @@ class TestJson:
 
         with pytest.raises(TypeError, match="unknown law type Foreign"):
             law_to_json(Foreign())
+
+    def test_subclass_of_a_tagged_law_named(self):
+        # Tagged "linear", this law would read back as theta(0.5) = 0.5, not 0.125.
+        class Cubic(Linear):
+            def _raw(self, u):
+                return self.c * u**3
+
+        assert Cubic(1.0).value(0.5) == pytest.approx(0.125)
+        with pytest.raises(TypeError, match="unknown law type Cubic"):
+            law_to_json(Cubic(1.0))
 
     def test_unknown_key_named(self):
         with pytest.raises(ValueError, match="'foo'"):

@@ -217,6 +217,19 @@ def test_field_of_another_pair_rejected(solved_circles, call):
         call(res.field, StarPair.circles(1.0, 3.0))
 
 
+def _density_of_another_pair(field):
+    """A density on the field's mesh, built on the circles (1, 2.5)."""
+    return ScalarField(
+        values=np.ones_like(field.values), mesh=field.mesh, pair=StarPair.circles(1.0, 2.5)
+    )
+
+
+def test_density_of_another_pair_rejected(solved_circles):
+    pair, res = solved_circles
+    with pytest.raises(MeshMismatchError):
+        decompose_levels(res.field, pair, 16, _density_of_another_pair(res.field))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -286,6 +299,11 @@ class TestHInequality:
         pair, res = solved_circles
         with pytest.raises(MeshMismatchError):
             h_inequality_check(res.field, StarPair.circles(1.0, 2.5), 1.0, 64)
+
+    def test_density_of_another_pair_rejected(self, solved_circles):
+        pair, res = solved_circles
+        with pytest.raises(MeshMismatchError):
+            h_inequality_check(res.field, pair, 1.0, 64, phi=_density_of_another_pair(res.field))
 
     def test_adversarial_constant_density(self, solved_circles):
         # The existence of a good level holds for any bounded nonnegative
@@ -409,6 +427,21 @@ class TestHighCutoff:
     def test_fractional_dimension_rejected(self):
         with pytest.raises(ValueError, match="n must be an integer of at least 2"):
             high_cutoff_bound(Radiation(1.0), 2.5, 10.0)
+
+    @pytest.mark.parametrize(
+        "C_n, message",
+        [
+            (math.nan, "a finite real number, got nan"),
+            (math.inf, "a finite real number, got inf"),
+            (0.0, "positive, got 0.0"),
+            (-1.0, "positive, got -1.0"),
+        ],
+    )
+    def test_constant_must_be_finite_and_positive(self, C_n, message):
+        # At this budget C_n = 1 is infeasible; C_n = -1 would report a delta
+        # near 1 feasible, and nan or inf would read as infeasible.
+        with pytest.raises(ValueError, match=f"^C_n must be {message}$"):
+            high_cutoff_bound(Convection(1.0), 2, math.pi + 10.0, C_n)
 
 
 class TestLevelsCsv:

@@ -226,6 +226,25 @@ class TestLineSearch:
         shortest = min(float(np.linalg.norm(x - steps[0])) for x in steps[1:])
         assert shortest > 1e-8
 
+    def test_small_decreases_do_not_end_a_run(self):
+        """A run ends on collapse, the iteration cap, the gradient tolerance
+        or a failed line search, never on a run of small decreases.
+        Uncapped, README's order-4 example ends on three or more steps that
+        each lower E by less than 1e-10·|E|, past 14 iterations, at an
+        energy below the one reached at 14."""
+        init = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.05, 0.0]), FourierShape([2.5, 0.0, 0.0, 0.1, 0.0])
+        )
+        res = optimize_constrained(
+            Convection(1.0), 28.2743338823, init, OptimizeOptions(fourier_order=4)
+        )
+        energies = [row.energy for row in res.trace]
+        small = [a - b < 1e-10 * abs(b) for a, b in zip(energies, energies[1:])]
+        assert small[-3:] == [True] * 3
+        assert not res.collapsed
+        assert res.iterations > 14
+        assert res.energy.total <= 4.38786585932755
+
     def test_one_assembly_per_solve(self, monkeypatch):
         """The shape gradient reuses the assembly its state was solved on."""
         annulus._assembly.cache_clear()
