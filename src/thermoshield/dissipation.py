@@ -115,7 +115,6 @@ class DissipationLaw:
                 may_vanish = f.metadata.get("may_vanish", False)
                 if not (value >= 0.0 if may_vanish else value > 0.0):
                     raise ValueError(f"{f.name} must be {'nonnegative' if may_vanish else 'positive'}")
-        self._validate_params()
         grid = np.linspace(0.0, 1.0, 1024)
         vals = self._raw(grid)
         if abs(float(vals[0])) > _MONOTONE_TOL:
@@ -124,9 +123,6 @@ class DissipationLaw:
             raise ValueError(f"{type(self).__name__}: negative values on [0, 1]")
         if np.any(np.diff(vals) < -_MONOTONE_TOL):
             raise ValueError(f"{type(self).__name__}: not nondecreasing on [0, 1]")
-
-    def _validate_params(self) -> None:
-        pass
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -283,12 +279,6 @@ class Tabulated(DissipationLaw):
         object.__setattr__(self, "knots", pairs)
         us = np.array([p[0] for p in pairs])
         vs = np.array([p[1] for p in pairs])
-        object.__setattr__(self, "_us", us)
-        object.__setattr__(self, "_vs", vs)
-        self.__post_init__()
-
-    def _validate_params(self) -> None:
-        us, vs = self._us, self._vs
         if len(us) < 2:
             raise ValueError("tabulated law needs at least two knots")
         if us[0] != 0.0 or vs[0] != 0.0:
@@ -297,6 +287,9 @@ class Tabulated(DissipationLaw):
             raise ValueError("tabulated knots must lie in [0, 1]")
         if np.any(np.diff(us) < 0.0) or np.any(np.diff(vs) < -_MONOTONE_TOL):
             raise ValueError("tabulated knots must be sorted and nondecreasing")
+        object.__setattr__(self, "_us", us)
+        object.__setattr__(self, "_vs", vs)
+        self.__post_init__()
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         us, vs = self._us, self._vs

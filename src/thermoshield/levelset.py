@@ -33,7 +33,8 @@ from typing import Optional
 import numpy as np
 
 from .annulus import (
-    Assembly, ScalarField, StarPair, _assembly, _next, _prev, _require_same_pair, _write_csv, energy_of
+    Assembly, MeshMismatchError, ScalarField, StarPair, _assembly, _next, _prev, _require_same_pair,
+    _write_csv, energy_of,
 )
 from .dissipation import (
     Convection,
@@ -47,7 +48,6 @@ from .radial import gradient_ratio
 
 __all__ = [
     "LevelDecomposition",
-    "RadialReference",
     "HInequalityReport",
     "TruncationReport",
     "HighCutoffReport",
@@ -80,18 +80,6 @@ class LevelDecomposition:
     area: np.ndarray
     density_line: Optional[np.ndarray] = None
     density_sq_area: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
-class RadialReference:
-    """Concentric-ball comparison solution (dimension, beta, outer radius)."""
-
-    n: int
-    beta: float
-    R: float
-
-    def __post_init__(self) -> None:
-        _check_params(self.n, self.beta, R=self.R)
 
 
 @dataclass(frozen=True)
@@ -191,13 +179,11 @@ class _Triangulation:
         w = self.tri_area if weights is None else weights
         u, x, y = self.vu.ravel(), self.vx.ravel(), self.vy.ravel()
         # Flat indices of each triangle's lowest vertex (the first of equal
-        # lowest ones), its highest (the last of equal highest ones) and the
-        # third, which lies between them.
-        v0, v1, v2 = self.vu.T
-        low = np.where(v1 < v0, np.where(v2 < v1, 2, 1), np.where(v2 < v0, 2, 0))
-        high = np.where(v2 >= np.maximum(v0, v1), 2, np.where(v1 >= v0, 1, 0))
-        base = 3 * np.arange(len(v0))
-        low, mid, high = base + low, base + 3 - low - high, base + high
+        # lowest ones), its middle one and its highest (the last of equal
+        # highest ones): a stable sort keeps equal values in vertex order.
+        order = np.argsort(self.vu, axis=1, kind="stable")
+        order += 3 * np.arange(len(order))[:, None]
+        low, mid, high = order.T
         first = np.searchsorted(levels, u[low], side="left")
         stop = np.searchsorted(levels, u[high], side="left")
         whole = [w]
@@ -318,13 +304,6 @@ def _check_not_constant(u: np.ndarray) -> None:
         raise DegenerateFieldError("field is constant; no level structure")
 
 
-def _check_levels(u: np.ndarray, n_levels: int, density: Optional[ScalarField]) -> None:
-    _require_count("n_levels", n_levels, 1)
-    _check_not_constant(u)
-    if density is not None and density.values.shape != u.shape:
-        raise ValueError("density grid does not match the field grid")
-
-
 def _triangulate(field: ScalarField, pair: StarPair) -> _Triangulation:
     """The triangulation of the field over the assembly of `pair` on its
     mesh.  A field of another pair raises `MeshMismatchError`."""
@@ -342,15 +321,18 @@ def decompose_levels(
 
     When a density field phi is supplied, its line integral over each
     interior contour and the integral of phi^2 over each superlevel set are
-    accumulated alongside the geometry.  A field or a density of another
-    pair raises `MeshMismatchError`.
+    accumulated alongside the geometry.  A field of another pair, or a
+    density of another pair or mesh than the field, raises
+    `MeshMismatchError`.
     """
-    _check_levels(field.values, n_levels, density)
+    _require_count("n_levels", n_levels, 1)
+    _check_not_constant(field.values)
     tri = _triangulate(field, pair)
     levels = (np.arange(n_levels) + 0.5) / n_levels
     dens = None
     if density is not None:
-        _require_same_pair(density, pair)
+        if (density.pair, density.mesh) != (field.pair, field.mesh):
+            raise MeshMismatchError("density was built on another pair or mesh than the field")
         dens = tri.attach(density.values)
     area, interior, dline, darea = tri.superlevels(levels, dens).T
     return LevelDecomposition(
@@ -394,20 +376,24 @@ def nodal_gradient_ratio(field: ScalarField, pair: StarPair) -> ScalarField:
     return ScalarField(values=ratio, mesh=field.mesh, pair=pair)
 
 
-def dearrangement(field: ScalarField, pair: StarPair, reference: RadialReference) -> ScalarField:
+def dearrangement(field: ScalarField, pair: StarPair, beta: float) -> ScalarField:
     """Transplant the radial gradient ratio onto the level sets of a field.
 
-    Each node is assigned the radius whose concentric ball has the same
-    volume as the node's superlevel set (annulus part plus the inner body),
-    and receives the reference ratio |grad u*|/u* at that radius.  The
-    superlevel areas are exact for the linear interpolant, evaluated at the
-    node values in one pass with no level grid.  The output is constant on
-    discrete level sets of the field by construction.
+    The reference is the 2D convection state on the discs of the pair's
+    areas, radii a = sqrt(|K|/pi) and R = sqrt(|Omega|/pi).  Each node is
+    assigned the radius r in [a, R] of the disc with the area of the node's
+    superlevel set (annulus part plus the inner body), and receives the
+    reference ratio |grad u*|/u* = (beta/r) / (1/R + beta log(R/r)) there,
+    which does not depend on a.  The superlevel areas are exact for the
+    linear interpolant, evaluated at the node values in one pass with no
+    level grid.  The output is constant on discrete level sets of the field
+    by construction.
     """
     _check_not_constant(field.values)
     node_area = _triangulate(field, pair).superlevel_areas(field.values)
-    r = np.clip(np.sqrt((node_area + pair.inner.area()) / math.pi), 1.0, reference.R)
-    ratio = gradient_ratio(reference.n, reference.beta, reference.R, r)
+    K, R = pair.inner.area(), math.sqrt(pair.outer.area() / math.pi)
+    r = np.clip(np.sqrt((node_area + K) / math.pi), math.sqrt(K / math.pi), R)
+    ratio = gradient_ratio(2, beta, R, r)
     return ScalarField(values=ratio, mesh=field.mesh, pair=pair)
 
 
@@ -428,8 +414,7 @@ def h_inequality_check(
     """
     energy = energy_of(field, pair, Convection(beta)).total
     if phi is None:
-        R_ref = math.sqrt(pair.outer.area() / math.pi)
-        phi = dearrangement(field, pair, RadialReference(2, beta, R_ref))
+        phi = dearrangement(field, pair, beta)
     dec = decompose_levels(field, pair, n_levels, phi)
     h_vals = h_function(dec, beta)
     t = dec.levels

@@ -165,7 +165,8 @@ def convection_state(
 def gradient_ratio(
     n: int, beta: float, R: float, rho: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
-    """|grad u|/u of the convection state at radius rho in [1, R]."""
+    """|grad u|/u of the convection state at radius rho <= R, which does
+    not depend on the inner radius."""
     _check_params(n, beta, R=R)
     r = np.asarray(rho, dtype=float)
     numer = beta * phi_prime(n, r)

@@ -20,7 +20,6 @@ from thermoshield.annulus import (
 from thermoshield.dissipation import Convection, Radiation, SurfaceCost, Tabulated, unit_ball_volume
 from thermoshield.levelset import (
     DegenerateFieldError,
-    RadialReference,
     dearrangement,
     decompose_levels,
     h_function,
@@ -119,7 +118,7 @@ class TestHFunction:
     def test_density_grid_mismatch(self, solved_circles):
         pair, res = solved_circles
         other = ScalarField(values=np.zeros((17, 64)), mesh=Mesh(17, 64), pair=pair)
-        with pytest.raises(ValueError):
+        with pytest.raises(MeshMismatchError, match=DENSITY_MISMATCH):
             decompose_levels(res.field, pair, 8, density=other)
 
     def test_gradient_ratio_density_reproduces_energy(self, solved_circles):
@@ -156,36 +155,35 @@ class TestHFunction:
 class TestDearrangement:
     def test_radial_field_reproduces_its_own_ratio(self, solved_circles):
         pair, res = solved_circles
-        ref = RadialReference(2, 1.0, 2.0)
-        phi = dearrangement(res.field, pair, ref)
+        phi = dearrangement(res.field, pair, 1.0)
+        direct = nodal_gradient_ratio(res.field, pair)
+        rel = np.abs(phi.values - direct.values) / np.maximum(direct.values, 1e-6)
+        assert float(rel.max()) < 1e-2
+
+    def test_small_inner_disc_reproduces_its_own_ratio(self):
+        # |K| < pi: the volume radii of the superlevel sets start at
+        # sqrt(|K|/pi) = 0.7, below the unit radius.
+        pair = StarPair.circles(0.7, 1.6)
+        res = solve_state(pair, Convection(1.0), Mesh(48, 192))
+        phi = dearrangement(res.field, pair, 1.0)
         direct = nodal_gradient_ratio(res.field, pair)
         rel = np.abs(phi.values - direct.values) / np.maximum(direct.values, 1e-6)
         assert float(rel.max()) < 1e-2
 
     def test_constant_on_level_sets(self, solved_circles):
         pair, res = solved_circles
-        phi = dearrangement(res.field, pair, RadialReference(2, 1.0, 2.0))
+        phi = dearrangement(res.field, pair, 1.0)
         u = res.field.values
         # The same nodal value maps to the same transplanted value.
         i, j1, j2 = 10, 3, 77
         assert u[i, j1] == u[i, j2]
         assert phi.values[i, j1] == phi.values[i, j2]
 
-    @pytest.mark.parametrize(
-        "n, beta, R, name",
-        [
-            (1, 1.0, 2.0, "n"),
-            (2.0, 1.0, 2.0, "n"),
-            (2, -1.0, 2.0, "beta"),
-            (2, 0.0, 2.0, "beta"),
-            (2, math.nan, 2.0, "beta"),
-            (2, 1.0, 0.5, "R"),
-            (2, 1.0, math.inf, "R"),
-        ],
-    )
-    def test_reference_rejects_nonsense(self, n, beta, R, name):
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            RadialReference(n, beta, R)
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan])
+    def test_rejects_nonsense_beta(self, solved_circles, beta):
+        pair, res = solved_circles
+        with pytest.raises(ValueError, match="^beta must"):
+            dearrangement(res.field, pair, beta)
 
     def test_volume_matched_perturbed_pair_chain(self):
         # min_t H(t, phi) sits between the ball-pair energy (lower bound
@@ -206,7 +204,7 @@ class TestDearrangement:
     [
         lambda field, pair: decompose_levels(field, pair, 8),
         nodal_gradient_ratio,
-        lambda field, pair: dearrangement(field, pair, RadialReference(2, 1.0, 3.0)),
+        lambda field, pair: dearrangement(field, pair, 1.0),
         lambda field, pair: truncation_scan(field, pair, Convection(1.0), 8),
     ],
     ids=["decompose_levels", "nodal_gradient_ratio", "dearrangement", "truncation_scan"],
@@ -224,9 +222,12 @@ def _density_of_another_pair(field):
     )
 
 
+DENSITY_MISMATCH = "^density was built on another pair or mesh than the field$"
+
+
 def test_density_of_another_pair_rejected(solved_circles):
     pair, res = solved_circles
-    with pytest.raises(MeshMismatchError):
+    with pytest.raises(MeshMismatchError, match=DENSITY_MISMATCH):
         decompose_levels(res.field, pair, 16, _density_of_another_pair(res.field))
 
 
@@ -285,8 +286,7 @@ class TestHInequality:
         field = solve_state(pair, Convection(1.0), Mesh(17, 64)).field
         rep = h_inequality_check(field, pair, 1.0, 32)
         energy = energy_of(field, pair, Convection(1.0)).total
-        ref = RadialReference(2, 1.0, math.sqrt(pair.outer.area() / math.pi))
-        dec = decompose_levels(field, pair, 32, density=dearrangement(field, pair, ref))
+        dec = decompose_levels(field, pair, 32, density=dearrangement(field, pair, 1.0))
         h_vals = h_function(dec, 1.0)
         t = dec.levels
         y = t * (h_vals - energy)
@@ -302,7 +302,7 @@ class TestHInequality:
 
     def test_density_of_another_pair_rejected(self, solved_circles):
         pair, res = solved_circles
-        with pytest.raises(MeshMismatchError):
+        with pytest.raises(MeshMismatchError, match=DENSITY_MISMATCH):
             h_inequality_check(res.field, pair, 1.0, 64, phi=_density_of_another_pair(res.field))
 
     def test_adversarial_constant_density(self, solved_circles):

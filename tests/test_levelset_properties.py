@@ -1,11 +1,13 @@
 """Property tests of the all-levels triangle-clipping kernel, the exact
 superlevel area function and the truncation scan of `thermoshield.levelset`,
-and the kernel's memory bound on a noise field.
+the kernel's memory bound on a noise field, and the H identity and the
+dearrangement on concentric convection states.
 
 Fields are drawn on meshes from 3x8 to 12x48 with the inner row at 1:
 uniform-random values, values quantized to quarters (exact ties), values
 clamped to 0/1 plateaus, and near-ties (quarters plus 0, 1 or 2 times a
-drawn gap from 1e-14 to 1e-4).
+drawn gap from 1e-14 to 1e-4).  Concentric states are drawn on meshes from
+33x128 to 48x192 with beta in [0.3, 3] and outer radius R in [1.3, 3].
 """
 
 import tracemalloc
@@ -14,9 +16,17 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from thermoshield.annulus import Assembly, FourierShape, Mesh, ScalarField, StarPair
-from thermoshield.dissipation import Tabulated
-from thermoshield.levelset import _JUMP_WIDTH, _Triangulation, truncation_scan
+from thermoshield.annulus import Assembly, FourierShape, Mesh, ScalarField, StarPair, _assembly, energy_of
+from thermoshield.dissipation import Convection, Tabulated
+from thermoshield.levelset import (
+    _JUMP_WIDTH,
+    _Triangulation,
+    dearrangement,
+    decompose_levels,
+    h_function,
+    nodal_gradient_ratio,
+    truncation_scan,
+)
 
 PAIR = StarPair(FourierShape([1.0, 0.0, 0.0, 0.05, 0.0]), FourierShape([2.0, 0.0, 0.0, 0.0, 0.12]))
 REL = 1e-9
@@ -231,3 +241,38 @@ def test_noise_scan_memory_and_level_rows():
     rows = tri.superlevels(levels, dens)
     single = np.concatenate([tri.superlevels(levels[k : k + 1], dens) for k in range(len(levels))])
     np.testing.assert_allclose(rows, single, rtol=1e-12)
+
+
+@st.composite
+def concentric(draw, inner):
+    """The 2D convection state of the circles (a, R), a drawn from `inner`,
+    at the nodes of a drawn mesh: u = h(rho) / h(a) with
+    h(r) = 1/R + beta log(R/r), and the drawn beta."""
+    a, R, beta = draw(inner), draw(st.floats(1.3, 3.0)), draw(st.floats(0.3, 3.0))
+    pair, mesh = StarPair.circles(a, R), Mesh(draw(st.integers(33, 48)), draw(st.integers(128, 192)))
+
+    def h(r):
+        return 1.0 / R + beta * np.log(R / r)
+
+    values = h(_assembly(pair, mesh).rho) / h(a)
+    return ScalarField(values=values, mesh=mesh, pair=pair), beta
+
+
+@given(drawn=concentric(st.just(1.0)))
+def test_h_identity_on_concentric_states(drawn):
+    # With phi = |grad u|/u, H(t, phi) is the flux of u through the inner
+    # boundary, the energy, at every level above the trace.
+    field, beta = drawn
+    pair = field.pair
+    dec = decompose_levels(field, pair, 16, density=nodal_gradient_ratio(field, pair))
+    energy = energy_of(field, pair, Convection(beta)).total
+    above = dec.levels > float(field.values[-1].max()) + 1.0 / 16
+    assert np.all(np.abs(h_function(dec, beta)[above] - energy) <= 0.02 * energy)
+
+
+@given(drawn=concentric(st.floats(0.6, 1.0)))
+def test_dearrangement_of_concentric_state_is_its_ratio(drawn):
+    field, beta = drawn
+    phi = dearrangement(field, field.pair, beta).values
+    direct = nodal_gradient_ratio(field, field.pair).values
+    assert float(np.max(np.abs(phi - direct) / direct)) <= 1e-2

@@ -12,7 +12,6 @@ from thermoshield.dissipation import (
     SurfaceCost,
     unit_ball_volume,
 )
-from thermoshield.levelset import RadialReference
 from thermoshield.radial import (
     EnergyBreakdown,
     best_radius,
@@ -396,7 +395,6 @@ REJECTED = [
     (best_radius, (2, CONV, math.inf, 0.0), "R_max"),
     (best_radius, (2, CONV, 2.0, math.inf), "lam"),
     (perturbation_expansion, (1, CONV, 1e-3), "n"),
-    (RadialReference, (2, math.inf, 2.0), "beta"),
 ]
 
 
