@@ -562,14 +562,19 @@ def solve_state(
     inner row pinned at 1.  It starts from the harmonic profile of the best
     concentric shell (`_radial_start`), or from a caller's warm start (an
     array or nested list) with values below 1e-12 snapped to 0, and reads
-    the law only through `value`, `jet`, `breakpoints` and `convex`:
+    the law only through `value`, `jet`, `breakpoints`, `convex` and
+    `quadratic`:
 
     - A node on a clamp, or an outer node on a law breakpoint, is held where
       its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.
     - On the free nodes the Newton system is the Dirichlet Hessian plus the
       law's curvature, clipped at 0, on the outer row; it is solved by
       preconditioned CG (`_ModeSolver`) to the relative accuracy
-      min(0.1, sqrt(residual)).  At a step where every outer node is held,
+      min(0.1, sqrt(residual)).  A quadratic law
+      (`DissipationLaw.quadratic`) makes that system the exact Newton model,
+      and CG runs to min(0.1, 0.1 stop / residual), a tenth of the stop
+      test: one step ends the solve unless the set of held nodes changes.
+      At a step where every outer node is held,
       the preconditioner holds the outer row too and solves the Dirichlet
       system of the rows below it.  A free node whose step points to a side
       where the energy rises does not move.
@@ -614,7 +619,7 @@ def solve_state(
     u[0] = 1.0
     stop = max(tol, _FLOOR * (np.max(asm._pe) + np.max(asm._ce)))
     breaks = law.breakpoints
-    convex = law.convex
+    convex, quadratic = law.convex, law.quadratic
     # Diagonal of the Dirichlet Hessian on the outer row.
     diag = asm._pe[-1] + asm._ce[-1] + _prev(asm._ce[-1])
     precond = _ModeSolver(asm)
@@ -668,7 +673,8 @@ def solve_state(
         # reductions: np.linalg.norm calls BLAS, whose threads spin after it.
         d, p, rz = np.zeros_like(u), np.zeros_like(u), 1.0
         r = -slope * mask
-        target = min(0.01, residual) * float(np.sum(r * r))
+        forcing = (0.1 * stop / residual) ** 2 if quadratic else residual
+        target = min(0.01, forcing) * float(np.sum(r * r))
         for _ in range(r.size):
             if float(np.sum(r * r)) <= target:
                 break

@@ -152,6 +152,9 @@ class DissipationLaw:
 
     # Whether theta is convex on [0, 1]; then so is the discrete energy.
     convex = False
+    # Whether theta is a polynomial of degree at most 2 on [0, 1], with no
+    # jump; then the discrete energy is quadratic on the free nodes.
+    quadratic = False
 
 
 def _power_jet(c: float, alpha: float, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,6 +176,7 @@ class Convection(DissipationLaw):
 
     beta: float
     convex = True
+    quadratic = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.beta * u * u
@@ -209,6 +213,7 @@ class Linear(DissipationLaw):
 
     c: float
     convex = True
+    quadratic = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * u
@@ -227,6 +232,10 @@ class Power(DissipationLaw):
     @property
     def convex(self) -> bool:
         return self.alpha >= 1.0
+
+    @property
+    def quadratic(self) -> bool:
+        return self.alpha in (1.0, 2.0)
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * np.power(u, self.alpha)
@@ -330,6 +339,11 @@ class Tabulated(DissipationLaw):
         right slope is finite and at least its left one."""
         left, right, _ = self.jet(self.breakpoints[:-1])
         return bool(np.all(np.isfinite(right) & (right >= left)))
+
+    @functools.cached_property
+    def quadratic(self) -> bool:
+        """One linear piece: no breakpoint inside (0, 1) and no jump at 0."""
+        return self.breakpoints.size == 2 and bool(np.isfinite(self.jet(0.0)[1]))
 
 
 @dataclass(frozen=True)

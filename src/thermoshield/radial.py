@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .dissipation import ArrayLike, DissipationLaw, _check_params, unit_ball_volume
+from .dissipation import ArrayLike, DissipationLaw, _check_params, _require_finite, unit_ball_volume
 
 __all__ = [
     "EnergyBreakdown",
@@ -166,8 +166,10 @@ def gradient_ratio(
     n: int, beta: float, R: float, rho: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """|grad u|/u of the convection state at radius rho <= R, which does
-    not depend on the inner radius."""
-    _check_params(n, beta, R=R)
+    not depend on the inner radius: so every finite R > 0 is accepted."""
+    _check_params(n, beta)
+    if not _require_finite("R", R) > 0.0:
+        raise ValueError(f"R must be positive, got {R!r}")
     r = np.asarray(rho, dtype=float)
     numer = beta * phi_prime(n, r)
     denom = phi_prime(n, R) + beta * (phi(n, R) - phi(n, r))

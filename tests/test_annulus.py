@@ -75,6 +75,20 @@ def alarm():
     signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture
+def preconditioner_calls(monkeypatch):
+    """A list that grows by one entry at each preconditioner application."""
+    calls = []
+    apply = _ModeSolver.__call__
+
+    def counted(self, r):
+        calls.append(r.shape)
+        return apply(self, r)
+
+    monkeypatch.setattr(_ModeSolver, "__call__", counted)
+    return calls
+
+
 class TestFourierShape:
     def test_circle_radius(self):
         c = FourierShape.circle(2.0, order=3)
@@ -238,12 +252,20 @@ class TestSolverInvariants:
         assert np.all(u[0] == 1.0)
 
     def test_nonconvergence_raises(self):
-        # From the radial start convection converges within 3 steps; from
-        # the constant 1 state it does not.
+        # From the constant 1 state radiation takes 6 steps; a cap of 3
+        # cannot be met.
         with pytest.raises(ConvergenceError):
             solve_state(
-                perturbed_pair(), Convection(1.0), Mesh(33, 128), max_iters=3, u0=np.ones((33, 128))
+                perturbed_pair(), Radiation(1.0), Mesh(33, 128), max_iters=3, u0=np.ones((33, 128))
             )
+
+    def test_quadratic_law_converges_in_one_step(self):
+        # Convection's energy is quadratic on the free nodes, so its CG
+        # solve runs to the stop tolerance: one Newton step from the
+        # constant 1 state, which leaves no clamp active.
+        res = solve_state(perturbed_pair(), Convection(1.0), Mesh(33, 128), u0=np.ones((33, 128)))
+        assert res.iterations == 1
+        assert res.residual <= 1e-9
 
     def test_warm_start_shape_checked(self):
         with pytest.raises(MeshMismatchError):
@@ -364,21 +386,52 @@ class TestResidual:
             (SurfaceCost(0.3, 1.0, 0.9), Mesh(17, 64), 9.15999537042813, 20),
         ],
     )
-    def test_held_outer_row_preconditioned_as_dirichlet(self, monkeypatch, law, mesh, energy, most):
+    def test_held_outer_row_preconditioned_as_dirichlet(self, preconditioner_calls, law, mesh, energy, most):
         # Both solves end with the whole outer row held (at the kink, or at
         # 0 after detaching); a preconditioner that kept treating it as a
         # free row took 66 and 43 applications.
-        calls = []
-        apply = _ModeSolver.__call__
-
-        def counted(self, r):
-            calls.append(r.shape)
-            return apply(self, r)
-
-        monkeypatch.setattr(_ModeSolver, "__call__", counted)
         res = solve_state(self.PAIR, law, mesh)
-        assert len(calls) <= most
+        assert len(preconditioner_calls) <= most
         assert res.energy.total == pytest.approx(energy, rel=1e-12)
+
+
+class TestQuadraticForcing:
+    """A quadratic law (`DissipationLaw.quadratic`) makes the Newton model
+    exact on the free nodes, so CG runs to a tenth of the stop tolerance and
+    one Newton step ends the solve unless the active set changes."""
+
+    # Energies under convection of the pairs below, from the solver that
+    # forced every law's CG to min(0.1, sqrt(residual)) relative accuracy:
+    # (d, n_s) -> total.  That solver took 4 to 6 Newton steps on each.
+    ENERGIES = {
+        (0.6, 17): 4.842652243139708,
+        (0.6, 33): 4.84259998157942,
+        (1.2, 17): 5.075017397802812,
+        (1.2, 33): 5.074793634892863,
+        (1.45, 17): 5.250157159877506,
+        (1.45, 33): 5.249897412129059,
+    }
+
+    @staticmethod
+    def lopsided(d):
+        """The inner unit circle in the outer radius 2.4975 + d cos(theta)."""
+        return StarPair(FourierShape([1.0, 0.0, 0.0]), FourierShape([2.4975, d, 0.0]))
+
+    def test_lopsided_pairs_take_one_newton_step(self, preconditioner_calls):
+        for (d, n_s), energy in self.ENERGIES.items():
+            res = solve_state(self.lopsided(d), Convection(1.0), Mesh(n_s, 4 * (n_s - 1)))
+            assert res.iterations == 1, (d, n_s)
+            assert res.energy.total == pytest.approx(energy, rel=1e-12, abs=0.0), (d, n_s)
+        # The solver that forced CG as for any law took 236 applications.
+        assert len(preconditioner_calls) <= 236
+
+    def test_tolerance_at_rounding_ends(self, preconditioner_calls, alarm):
+        # A tol below the rounding floor (3.1e-14 here) stops at the floor,
+        # and CG's target stays above 0: a target of 0 drives CG past
+        # rounding into a division by zero.  2 Newton steps, 122 applications.
+        res = solve_state(self.lopsided(1.45), Convection(1.0), Mesh(65, 256), tol=1e-14)
+        assert len(preconditioner_calls) <= 200
+        assert res.energy.total == pytest.approx(5.249832586927598, rel=1e-12)
 
 
 class TestRadialStart:

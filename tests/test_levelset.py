@@ -170,6 +170,17 @@ class TestDearrangement:
         rel = np.abs(phi.values - direct.values) / np.maximum(direct.values, 1e-6)
         assert float(rel.max()) < 1e-2
 
+    def test_outer_disc_below_unit_radius(self):
+        # |Omega| < pi: the reference radius R = 0.8 is below 1, where the
+        # 2D ratio is as well defined as above it.
+        pair = StarPair.circles(0.3, 0.8)
+        res = solve_state(pair, Convection(1.0), Mesh(17, 64))
+        phi = dearrangement(res.field, pair, 1.0)
+        direct = nodal_gradient_ratio(res.field, pair)
+        rel = np.abs(phi.values - direct.values) / np.maximum(direct.values, 1e-6)
+        assert float(rel.max()) < 1e-2
+        assert h_inequality_check(res.field, pair, 1.0).passes
+
     def test_constant_on_level_sets(self, solved_circles):
         pair, res = solved_circles
         phi = dearrangement(res.field, pair, 1.0)

@@ -346,6 +346,19 @@ class TestGradientRatio:
         with pytest.raises(ValueError):
             gradient_ratio_max(2, 1.0, 1.0)
 
+    @pytest.mark.parametrize("R", [0.8, 2.0])
+    def test_any_positive_outer_radius(self, R):
+        # The ratio (beta/r) / (1/R + beta log(R/r)) does not depend on the
+        # inner radius, so an outer radius below 1 is as valid as above it.
+        r = np.linspace(0.3 * R, R, 7)
+        expected = (1.5 / r) / (1.0 / R + 1.5 * np.log(R / r))
+        assert np.allclose(gradient_ratio(2, 1.5, R, r), expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("R", [0.0, -2.0, math.inf])
+    def test_outer_radius_must_be_finite_and_positive(self, R):
+        with pytest.raises(ValueError, match="^R must"):
+            gradient_ratio(2, 1.0, R, 0.5)
+
 
 class TestEnergyMonotonicityPivot:
     def test_derivative_sign_change_at_critical_radius(self):
