@@ -569,12 +569,14 @@ def solve_state(
       its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.
     - On the free nodes the Newton system is the Dirichlet Hessian plus the
       law's curvature, clipped at 0, on the outer row; it is solved by
-      preconditioned CG (`_ModeSolver`) to the relative accuracy
-      min(0.1, sqrt(residual)).  A quadratic law
+      preconditioned CG (`_ModeSolver`), which cuts the 2-norm of its
+      residual by the factor min(0.1, sqrt(residual)).  A quadratic law
       (`DissipationLaw.quadratic`) makes that system the exact Newton model,
-      and CG runs to min(0.1, 0.1 stop / residual), a tenth of the stop
-      test: one step ends the solve unless the set of held nodes changes.
-      At a step where every outer node is held,
+      and CG cuts it by min(0.1, 0.1 stop / residual) instead.  As
+      `residual` and `stop` are max-norms, that bounds the new residual by
+      0.1 stop only up to a factor of at most the root of the free node
+      count; on the tested pairs one step ends the solve unless the set of
+      held nodes changes.  At a step where every outer node is held,
       the preconditioner holds the outer row too and solves the Dirichlet
       system of the rows below it.  A free node whose step points to a side
       where the energy rises does not move.

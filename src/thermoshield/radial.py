@@ -166,10 +166,15 @@ def gradient_ratio(
     n: int, beta: float, R: float, rho: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
     """|grad u|/u of the convection state at radius rho <= R, which does
-    not depend on the inner radius: so every finite R > 0 is accepted."""
+    not depend on the inner radius: so every R > 0 whose R**(1-n) is
+    finite is accepted."""
     _check_params(n, beta)
     if not _require_finite("R", R) > 0.0:
         raise ValueError(f"R must be positive, got {R!r}")
+    try:
+        float(R) ** (1 - n)  # a float power raises OverflowError where numpy's gives inf
+    except OverflowError:
+        raise ValueError(f"R must be larger, as R**{1 - n} overflows, got {R!r}") from None
     r = np.asarray(rho, dtype=float)
     numer = beta * phi_prime(n, r)
     denom = phi_prime(n, R) + beta * (phi(n, R) - phi(n, r))

@@ -261,7 +261,7 @@ class TestSolverInvariants:
 
     def test_quadratic_law_converges_in_one_step(self):
         # Convection's energy is quadratic on the free nodes, so its CG
-        # solve runs to the stop tolerance: one Newton step from the
+        # solve runs close to the stop tolerance: one Newton step from the
         # constant 1 state, which leaves no clamp active.
         res = solve_state(perturbed_pair(), Convection(1.0), Mesh(33, 128), u0=np.ones((33, 128)))
         assert res.iterations == 1
@@ -397,8 +397,8 @@ class TestResidual:
 
 class TestQuadraticForcing:
     """A quadratic law (`DissipationLaw.quadratic`) makes the Newton model
-    exact on the free nodes, so CG runs to a tenth of the stop tolerance and
-    one Newton step ends the solve unless the active set changes."""
+    exact on the free nodes, so CG cuts its residual by 0.1 stop / residual
+    and, on these pairs, one Newton step ends the solve."""
 
     # Energies under convection of the pairs below, from the solver that
     # forced every law's CG to min(0.1, sqrt(residual)) relative accuracy:

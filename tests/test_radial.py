@@ -354,10 +354,11 @@ class TestGradientRatio:
         expected = (1.5 / r) / (1.0 / R + 1.5 * np.log(R / r))
         assert np.allclose(gradient_ratio(2, 1.5, R, r), expected, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("R", [0.0, -2.0, math.inf])
-    def test_outer_radius_must_be_finite_and_positive(self, R):
+    @pytest.mark.parametrize("n, R", [(2, 0.0), (2, -2.0), (2, math.inf), (2, 1e-310), (200, 0.01)])
+    def test_outer_radius_must_be_finite_and_positive(self, n, R):
+        # R**(1-n) overflows for the last two, which would make the ratio nan.
         with pytest.raises(ValueError, match="^R must"):
-            gradient_ratio(2, 1.0, R, 0.5)
+            gradient_ratio(n, 1.0, R, 0.5 * R)
 
 
 class TestEnergyMonotonicityPivot:
