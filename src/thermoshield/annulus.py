@@ -562,8 +562,8 @@ def solve_state(
     inner row pinned at 1.  It starts from the harmonic profile of the best
     concentric shell (`_radial_start`), or from a caller's warm start (an
     array or nested list) with values below 1e-12 snapped to 0, and reads
-    the law only through `value`, `jet`, `breakpoints`, `convex` and
-    `quadratic`:
+    the law only through `value`, `jet` and `breakpoints`, from which its
+    `convex` and `quadratic` are derived:
 
     - A node on a clamp, or an outer node on a law breakpoint, is held where
       its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.

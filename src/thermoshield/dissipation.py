@@ -48,6 +48,7 @@ ArrayLike = Union[float, np.ndarray]
 _MONOTONE_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
+_GRID = np.linspace(0.0, 1.0, 1024)  # where every law is checked and classified
 
 
 class DegenerateLawError(ValueError):
@@ -104,9 +105,10 @@ def _check_domain(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DissipationLaw:
-    """Base class; concrete laws implement `_raw` and `_jet` on validated
-    arrays.  Every parameter annotated `float` must be a finite positive
-    number, or nonnegative where its field's metadata says `may_vanish`."""
+    """Base class; concrete laws implement `_raw`, `_jet` on validated arrays
+    and, if they jump or kink inside (0, 1), `breakpoints`: `convex` and
+    `quadratic` follow.  Every parameter annotated `float` must be finite and
+    positive, or nonnegative where its field's metadata says `may_vanish`."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -115,8 +117,7 @@ class DissipationLaw:
                 may_vanish = f.metadata.get("may_vanish", False)
                 if not (value >= 0.0 if may_vanish else value > 0.0):
                     raise ValueError(f"{f.name} must be {'nonnegative' if may_vanish else 'positive'}")
-        grid = np.linspace(0.0, 1.0, 1024)
-        vals = self._raw(grid)
+        vals = self._raw(_GRID)
         if abs(float(vals[0])) > _MONOTONE_TOL:
             raise ValueError(f"{type(self).__name__}: theta(0) must be 0")
         if np.any(vals < -_MONOTONE_TOL):
@@ -150,15 +151,22 @@ class DissipationLaw:
         """Sorted points where the law may jump or kink: 0 and 1 here."""
         return np.array([0.0, 1.0])
 
-    # Whether theta is convex on [0, 1]; then so is the discrete energy.
-    convex = False
-    # Whether the state solver may take its Newton model as exact and run CG
-    # close to the stop test: theta = beta u^2, whose discrete energy is
-    # quadratic on the free nodes and holds no node at the clamp.  Set on
-    # Convection only.  Linear laws are quadratic too, but their outer nodes
-    # detach to 0 and the held set changes between steps, where the tighter
-    # CG solves made cold solves up to 1.9 times slower.
-    quadratic = False
+    @functools.cached_property
+    def convex(self) -> bool:
+        """Whether theta, and so the discrete energy, is convex: below 1 every
+        breakpoint's right slope is finite and at least its left one, and
+        the curvature is nonnegative on the grid."""
+        left, right, _ = self.jet(self.breakpoints[:-1])
+        return bool(np.all(np.isfinite(right) & (right >= left)) and np.all(self.jet(_GRID)[2] >= 0.0))
+
+    @functools.cached_property
+    def quadratic(self) -> bool:
+        """Whether theta = beta u^2, which makes the state solver's Newton
+        model exact: breakpoints 0 and 1 only, theta'(0+) = 0 and one positive
+        curvature on the grid.  A linear law's curvature is 0: its outer
+        nodes detach to 0 and the held set changes between steps."""
+        bend, smooth = self.jet(_GRID)[2], np.array_equal(self.breakpoints, [0, 1])
+        return bool(smooth and self.jet(0.0)[1] == 0.0 and bend[0] > 0.0 and np.all(bend == bend[0]))
 
 
 def _power_jet(c: float, alpha: float, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -179,8 +187,6 @@ class Convection(DissipationLaw):
     """theta(u) = beta * u**2, the Robin/Newton-cooling law."""
 
     beta: float
-    convex = True
-    quadratic = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.beta * u * u
@@ -199,7 +205,6 @@ class Radiation(DissipationLaw):
     """
 
     gamma: float
-    convex = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         g = self.gamma
@@ -216,7 +221,6 @@ class Linear(DissipationLaw):
     """theta(u) = c * u, a constant heat flux per unit temperature."""
 
     c: float
-    convex = True
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * u
@@ -231,10 +235,6 @@ class Power(DissipationLaw):
 
     c: float
     alpha: float
-
-    @property
-    def convex(self) -> bool:
-        return self.alpha >= 1.0
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
         return self.c * np.power(u, self.alpha)
@@ -331,13 +331,6 @@ class Tabulated(DissipationLaw):
         out = np.concatenate([[0.0], x[1:-1][kink], [1.0]])
         out.flags.writeable = False
         return out
-
-    @functools.cached_property
-    def convex(self) -> bool:
-        """Nondecreasing chord slopes and no jump: below 1, every breakpoint's
-        right slope is finite and at least its left one."""
-        left, right, _ = self.jet(self.breakpoints[:-1])
-        return bool(np.all(np.isfinite(right) & (right >= left)))
 
 
 @dataclass(frozen=True)

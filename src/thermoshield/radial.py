@@ -118,6 +118,7 @@ class PerturbationExpansion:
 
 def phi(n: int, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Increasing radial harmonic profile: log rho in 2D, -rho^(2-n)/(n-2) else."""
+    _check_params(n)
     r = np.asarray(rho, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("phi requires rho > 0")
@@ -130,6 +131,7 @@ def phi(n: int, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
 
 def phi_prime(n: int, rho: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
     """Derivative rho^(1-n) of the radial profile, any n >= 2."""
+    _check_params(n)
     r = np.asarray(rho, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("phi_prime requires rho > 0")
@@ -165,8 +167,8 @@ def convection_state(
 def gradient_ratio(
     n: int, beta: float, R: float, rho: Union[float, np.ndarray]
 ) -> Union[float, np.ndarray]:
-    """|grad u|/u of the convection state at radius rho <= R, which does
-    not depend on the inner radius: so every R > 0 whose R**(1-n) is
+    """|grad u|/u of the convection state at radius rho in (0, R], which
+    does not depend on the inner radius: so every R > 0 whose R**(1-n) is
     finite is accepted."""
     _check_params(n, beta)
     if not _require_finite("R", R) > 0.0:
@@ -176,6 +178,8 @@ def gradient_ratio(
     except OverflowError:
         raise ValueError(f"R must be larger, as R**{1 - n} overflows, got {R!r}") from None
     r = np.asarray(rho, dtype=float)
+    if not np.all((r > 0.0) & (r <= R * (1.0 + 1e-12))):
+        raise ValueError(f"rho must lie in (0, R], got {rho!r} with R = {R!r}")
     numer = beta * phi_prime(n, r)
     denom = phi_prime(n, R) + beta * (phi(n, R) - phi(n, r))
     out = numer / denom

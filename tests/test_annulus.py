@@ -52,8 +52,6 @@ def perturbed_pair(amp_inner=0.05, amp_outer=0.1, mode=2, r_out=2.0):
 class _NanValues(DissipationLaw):
     """Convection whose values are NaN on (0.3, 0.7): a broken law."""
 
-    convex = True
-
     def _raw(self, u):
         return np.where((u > 0.3) & (u < 0.7), np.nan, u * u)
 
@@ -432,6 +430,56 @@ class TestQuadraticForcing:
         res = solve_state(self.lopsided(1.45), Convection(1.0), Mesh(65, 256), tol=1e-14)
         assert len(preconditioner_calls) <= 200
         assert res.energy.total == pytest.approx(5.249832586927598, rel=1e-12)
+
+
+@dataclass(frozen=True)
+class _Root(Linear):
+    """theta = c sqrt(u), computed as `Power(c, 0.5)` computes it, on a class
+    whose parent law is convex."""
+
+    def _raw(self, u):
+        return self.c * np.power(u, 0.5)
+
+    def _jet(self, u):
+        slope = self.c * 0.5 * np.power(u, -0.5)
+        return slope, slope, self.c * 0.5 * -0.5 * np.power(u, -1.5)
+
+
+@dataclass(frozen=True)
+class _Flat(Convection):
+    """theta = beta u, `Linear`'s law, on a class whose parent is quadratic."""
+
+    def _raw(self, u):
+        return self.beta * u
+
+    def _jet(self, u):
+        return np.full_like(u, self.beta), np.full_like(u, self.beta), np.zeros_like(u)
+
+
+class TestLawFromJet:
+    """A solve reads the law only through its value, jet and breakpoints, so
+    a law solves as the built-in law with the same theta, whatever its
+    class: `convex` and `quadratic` follow from the jet, not the class."""
+
+    PAIR = TestQuadraticForcing.lopsided(1.45)
+
+    @pytest.mark.parametrize(
+        "law, twin", [(_Root(1.0), Power(1.0, 0.5)), (_Flat(1.0), Linear(1.0))], ids=["root", "flat"]
+    )
+    def test_subclass_solves_as_its_twin(self, law, twin):
+        # With the flags set per class, _Root took Linear's convex path and
+        # stopped at energy 20.53 (Power: 7.978), and _Flat took
+        # Convection's quadratic one, in 2 Newton steps where Linear takes 6.
+        got, want = (solve_state(self.PAIR, x, Mesh(17, 64)) for x in (law, twin))
+        assert (got.energy, got.iterations) == (want.energy, want.iterations)
+        assert np.array_equal(got.field.values, want.field.values)
+
+    @pytest.mark.parametrize("c", [1.0, 1.5])
+    def test_power_two_is_convection(self, c):
+        # Power(c, 2) is convection's law, so it takes the exact Newton model.
+        got, want = (solve_state(self.PAIR, x, Mesh(17, 64)) for x in (Power(c, 2.0), Convection(c)))
+        assert got.iterations == want.iterations == 1
+        assert got.energy.total == pytest.approx(want.energy.total, rel=1e-12, abs=0.0)
 
 
 class TestRadialStart:

@@ -331,7 +331,7 @@ class TestQuadratic:
         [
             (Convection(1.0), True),
             (Linear(2.0), False),
-            (Power(1.5, 2.0), False),
+            (Power(1.5, 2.0), True),
             (Power(1.5, 0.7), False),
             (Radiation(0.25), False),
             (SurfaceCost(0.3, 1.0, 2.0), False),
@@ -340,8 +340,7 @@ class TestQuadratic:
         ],
     )
     def test_per_class(self, law, quadratic):
-        # Only Convection claims it: the linear laws detach from the clamp
-        # at 0, and Power(c, 2), the same law, keeps the default.
+        # Convection's law only: the linear laws detach from the clamp at 0.
         assert law.quadratic is quadratic
         with pytest.raises(AttributeError):
             law.quadratic = not quadratic

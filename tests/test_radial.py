@@ -396,6 +396,8 @@ REJECTED = [
     (convection_state, (2, -1.0, 2.0, 1.5), "beta"),
     (convection_state, (2, 1.0, 0.5, 0.4), "R"),
     (gradient_ratio, (2, 1.0, math.nan, 1.5), "R"),
+    # Beyond R the ratio's formula gave -0.0901, -2.7e15 and -0.8.
+    *[(gradient_ratio, (n, 1.0, 2.0, rho), "rho") for n, rho in ((2, 10.0), (2, 2 * math.e**0.5), (3, 5.0))],
     (gradient_ratio_max, (2, -1.0, 2.0), "beta"),
     (gradient_ratio_max, (2, 1.0, 1.0), "R"),
     (general_radial_energy, (2.5, CONV, 2.0), "n"),
@@ -409,6 +411,8 @@ REJECTED = [
     (best_radius, (2, CONV, math.inf, 0.0), "R_max"),
     (best_radius, (2, CONV, 2.0, math.inf), "lam"),
     (perturbation_expansion, (1, CONV, 1e-3), "n"),
+    # Each gave a number: phi(1, 2.0) 2.0 and phi(2.5, 2.0) -1.414.
+    *[(f, (n, 2.0), "n") for f in (phi, phi_prime) for n in (1, 2.5, math.nan, True)],
 ]
 
 
