@@ -63,6 +63,8 @@ _MAX_ITERS = 20000
 _FLOOR = 2.0 * np.finfo(float).eps
 _ROUNDING = 1e3 * np.finfo(float).eps
 _ARMIJO = 1e-4
+# Distance within which a start value is set to 0 or to a law breakpoint.
+_SNAP = 1e-12
 
 
 class GeometryError(ValueError):
@@ -561,9 +563,11 @@ def solve_state(
     (Hintermueller, Ito & Kunisch 2002), on nodal values in [0, 1] with the
     inner row pinned at 1.  It starts from the harmonic profile of the best
     concentric shell (`_radial_start`), or from a caller's warm start (an
-    array or nested list) with values below 1e-12 snapped to 0, and reads
-    the law only through `value`, `jet` and `breakpoints`, from which its
-    `convex` and `quadratic` are derived:
+    array or nested list) with values below 1e-12 set to 0; in both, outer
+    values within 1e-12 of a law breakpoint are set to it, so a start that a
+    trace search put just beside a kink sits on it.  It reads the law only
+    through `value`, `jet` and `breakpoints`, from which its `convex` and
+    `quadratic` are derived:
 
     - A node on a clamp, or an outer node on a law breakpoint, is held where
       its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.
@@ -572,7 +576,9 @@ def solve_state(
       preconditioned CG (`_ModeSolver`), which cuts the 2-norm of its
       residual by the factor min(0.1, sqrt(residual)).  A quadratic law
       (`DissipationLaw.quadratic`) makes that system the exact Newton model,
-      and CG cuts it by min(0.1, 0.1 stop / residual) instead.  As
+      and CG cuts it by min(0.1, 0.1 stop / residual) instead; so does a
+      step at which no outer node is free, whose free nodes see only the
+      Dirichlet quadratic.  As
       `residual` and `stop` are max-norms, that bounds the new residual by
       0.1 stop only up to a factor of at most the root of the free node
       count; on the tested pairs one step ends the solve unless the set of
@@ -586,8 +592,9 @@ def solve_state(
       it is.
     - A convex law (`DissipationLaw.convex`) makes the energy convex, and
       the solve stops at its stationary point.  For a nonconvex law a full
-      step is doubled while the energy falls (a concave piece's curvature
-      is clipped to 0, so the step can fall short of detaching a node), and
+      step is doubled while the energy falls if a free outer node's
+      curvature was clipped to 0 (it was negative or not finite), since
+      only then can the step fall short of detaching a node; and
       at a stationary point single-node moves of the outer row to every
       breakpoint and to the Dirichlet-only minimizer are tried with exact
       law values; the improving ones are applied all at once and Newton
@@ -617,10 +624,14 @@ def solve_state(
         if not np.all(np.isfinite(u0)):
             raise ValueError("warm start u0 has a NaN or infinite value")
         u = np.clip(u0, 0.0, 1.0)
-        u[u < 1e-12] = 0.0
+        u[u < _SNAP] = 0.0
+    breaks = law.breakpoints
+    near = np.abs(u[-1, :, None] - breaks) < _SNAP
+    if near.any():
+        cols, k = np.nonzero(near)
+        u[-1, cols] = breaks[k]
     u[0] = 1.0
     stop = max(tol, _FLOOR * (np.max(asm._pe) + np.max(asm._ce)))
-    breaks = law.breakpoints
     convex, quadratic = law.convex, law.quadratic
     # Diagonal of the Dirichlet Hessian on the outer row.
     diag = asm._pe[-1] + asm._ce[-1] + _prev(asm._ce[-1])
@@ -669,13 +680,14 @@ def solve_state(
         # Each free node's slope on its steeper descending side, or 0.
         slope = np.where((up < 0.0) & (-up >= down), up, np.where(down > 0.0, down, 0.0))
         curv = asm.bw * np.where(np.isfinite(bend), np.maximum(bend, 0.0), 0.0)
-        precond.set_curvature(float(np.mean(curv)) if np.any(free[-1]) else math.inf)
+        held = not np.any(free[-1])
+        precond.set_curvature(math.inf if held else float(np.mean(curv)))
         mask = free.astype(float)
         # Preconditioned CG on the free nodes, from d = 0.  Squared norms are
         # reductions: np.linalg.norm calls BLAS, whose threads spin after it.
         d, p, rz = np.zeros_like(u), np.zeros_like(u), 1.0
         r = -slope * mask
-        forcing = (0.1 * stop / residual) ** 2 if quadratic else residual
+        forcing = (0.1 * stop / residual) ** 2 if quadratic or held else residual
         target = min(0.01, forcing) * float(np.sum(r * r))
         for _ in range(r.size):
             if float(np.sum(r * r)) <= target:
@@ -711,8 +723,11 @@ def solve_state(
                 raise ConvergenceError("state solver's Armijo backtracking underflowed")
             v, predicted = trial(t)
             e_v, g_v, p_v = energy(v)
-        if not convex and t == 1.0 and predicted > rounding:
-            # Slow detachment: double the full step while E falls.
+        if not convex and t == 1.0 and predicted > rounding and np.any(
+            free[-1] & ~(np.isfinite(bend) & (bend >= 0.0))
+        ):
+            # Slow detachment: a free outer node's curvature was clipped, so
+            # the step can fall short of detaching it; double it while E falls.
             while True:
                 t *= 2.0
                 w = trial(t)[0]
@@ -731,8 +746,12 @@ def solve_state(
 
 
 def _require_same_pair(field: ScalarField, pair: StarPair) -> None:
+    """The check of every function of a (field, pair): the field was built on
+    the pair, and its values are finite."""
     if field.pair != pair:
         raise MeshMismatchError("field was built on a different pair")
+    if not np.all(np.isfinite(field.values)):
+        raise ValueError("field has a NaN or infinite value")
 
 
 def energy_of(field: ScalarField, pair: StarPair, law: DissipationLaw) -> EnergyBreakdown:

@@ -21,14 +21,17 @@ above a level are a suffix sum, and only the cut (triangle, level) pairs
 are clipped, in blocks of a fixed number of pairs.  The superlevel-area
 function used for area matching is exact for the linear interpolant at all
 node values at once (it is piecewise quadratic in the level), so it needs
-no level count.
+no level count.  The triangles' vertex coordinates and areas depend only on
+the assembly: they are built once per assembly and shared, read-only, by the
+triangulations of every field on it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -116,18 +119,14 @@ _PAIR_BLOCK = 4096
 
 class _Triangulation:
     """Triangle split of the annulus mesh with per-triangle vertex data of
-    the nodal field `values`, and the outer boundary weights `bw`."""
+    the nodal field `values`, the assembly's triangle geometry (`_geometry`)
+    and the outer boundary weights `bw`."""
 
     def __init__(self, asm: Assembly, values: np.ndarray):
         self.values = values
         self.bw = asm.bw
-        self.vx = self.attach(asm.rho * np.cos(asm.theta)[None, :])
-        self.vy = self.attach(asm.rho * np.sin(asm.theta)[None, :])
+        self.vx, self.vy, self.tri_area = _geometry(asm)
         self.vu = self.attach(values)
-        cross = (self.vx[:, 1] - self.vx[:, 0]) * (self.vy[:, 2] - self.vy[:, 0]) - (
-            self.vx[:, 2] - self.vx[:, 0]
-        ) * (self.vy[:, 1] - self.vy[:, 0])
-        self.tri_area = 0.5 * np.abs(cross)
 
     @staticmethod
     def attach(nodal: np.ndarray) -> np.ndarray:
@@ -299,6 +298,20 @@ class _Triangulation:
         return np.where(j < 0, full, value[j] + (slope[j] + curv[j] * h) * h)
 
 
+@functools.lru_cache(maxsize=1)
+def _geometry(asm: Assembly) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-triangle vertex coordinates vx, vy and triangle areas of the
+    assembly's mesh, kept for the next call on it as `annulus._assembly`
+    keeps the assembly; read-only, as every triangulation on it shares them."""
+    vx = _Triangulation.attach(asm.rho * np.cos(asm.theta)[None, :])
+    vy = _Triangulation.attach(asm.rho * np.sin(asm.theta)[None, :])
+    cross = (vx[:, 1] - vx[:, 0]) * (vy[:, 2] - vy[:, 0]) - (vx[:, 2] - vx[:, 0]) * (vy[:, 1] - vy[:, 0])
+    geometry = (vx, vy, 0.5 * np.abs(cross))
+    for a in geometry:
+        a.setflags(write=False)
+    return geometry
+
+
 def _check_not_constant(u: np.ndarray) -> None:
     if float(np.max(u) - np.min(u)) < 1e-14:
         raise DegenerateFieldError("field is constant; no level structure")
@@ -323,7 +336,8 @@ def decompose_levels(
     interior contour and the integral of phi^2 over each superlevel set are
     accumulated alongside the geometry.  A field of another pair, or a
     density of another pair or mesh than the field, raises
-    `MeshMismatchError`.
+    `MeshMismatchError`; a field with a non-finite value, or a density with
+    a negative or non-finite one, raises `ValueError`.
     """
     _require_count("n_levels", n_levels, 1)
     _check_not_constant(field.values)
@@ -333,6 +347,8 @@ def decompose_levels(
     if density is not None:
         if (density.pair, density.mesh) != (field.pair, field.mesh):
             raise MeshMismatchError("density was built on another pair or mesh than the field")
+        if not np.all(np.isfinite(density.values) & (density.values >= 0.0)):
+            raise ValueError("density has a negative or non-finite value")
         dens = tri.attach(density.values)
     area, interior, dline, darea = tri.superlevels(levels, dens).T
     return LevelDecomposition(
@@ -346,7 +362,9 @@ def decompose_levels(
 
 
 def h_function(dec: LevelDecomposition, beta: float) -> np.ndarray:
-    """H(t, phi) per level from a decomposition carrying density integrals."""
+    """H(t, phi) per level from a decomposition carrying density integrals;
+    beta must be finite and positive."""
+    _check_params(2, beta)
     if dec.density_line is None or dec.density_sq_area is None:
         raise ValueError("decomposition carries no density integrals")
     return beta * dec.exterior_length + dec.density_line - dec.density_sq_area

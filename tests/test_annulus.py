@@ -393,6 +393,52 @@ class TestResidual:
         assert res.energy.total == pytest.approx(energy, rel=1e-12)
 
 
+class TestStartOnBreakpoint:
+    """Outer start values within 1e-12 of a law breakpoint are set to it,
+    and a step on a held outer row solves its exact Dirichlet model."""
+
+    PAIR = TestResidual.PAIR
+    KINKED = Tabulated([(0, 0), (0.4, 0.2), (1, 1.4)])
+
+    @pytest.mark.parametrize(
+        "mesh, energy", [(Mesh(17, 64), 5.819904029913216), (Mesh(33, 128), 5.819864950686924)]
+    )
+    def test_kinked_radial_start_sits_on_the_kink(self, mesh, energy):
+        # The radial start's trace lands 4e-14 below the kink and is set on
+        # it; the outer row is held there, and the interior's exact Dirichlet
+        # step ends the solve.  Started off the kink, the solve took 3 steps,
+        # the first with 9-14 Armijo halvings.
+        res = solve_state(self.PAIR, self.KINKED, mesh)
+        assert res.iterations == 1
+        assert res.energy.total == pytest.approx(energy, rel=1e-14, abs=0.0)
+        assert np.all(res.field.values[-1] == 0.4)
+
+    @pytest.mark.parametrize(
+        "law", [SurfaceCost(0.3, 1.0, 0.9), Power(1.0, 0.5)], ids=["SurfaceCost", "Power"]
+    )
+    @pytest.mark.parametrize(
+        "mesh, energy", [(Mesh(17, 64), 9.15999537042813), (Mesh(33, 128), 9.159886817021768)]
+    )
+    def test_detached_radial_start_takes_one_step(self, law, mesh, energy):
+        # The radial start is detached: the outer row is held at 0, so the
+        # interior solves its exact Dirichlet model in one step.  With the
+        # loose forcing of a free row it took 3.
+        res = solve_state(self.PAIR, law, mesh)
+        assert res.iterations == 1
+        assert res.energy.total == pytest.approx(energy, rel=1e-14, abs=0.0)
+        assert np.all(res.field.values[-1] == 0.0)
+
+    def test_warm_start_just_below_the_kink_is_on_it(self):
+        mesh = Mesh(17, 64)
+        on = np.repeat(1.0 - 0.6 * np.linspace(0.0, 1.0, mesh.n_s)[:, None], mesh.n_theta, axis=1)
+        on[-1] = 0.4
+        below = on.copy()
+        below[-1] = 0.4 - 5e-13
+        a, b = (solve_state(self.PAIR, self.KINKED, mesh, u0=u0) for u0 in (on, below))
+        assert np.array_equal(a.field.values, b.field.values)
+        assert (a.energy, a.iterations, a.residual) == (b.energy, b.iterations, b.residual)
+
+
 class TestQuadraticForcing:
     """A quadratic law (`DissipationLaw.quadratic`) makes the Newton model
     exact on the free nodes, so CG cuts its residual by 0.1 stop / residual

@@ -14,12 +14,15 @@ from thermoshield.annulus import (
     MeshMismatchError,
     ScalarField,
     StarPair,
+    _assembly,
     energy_of,
     solve_state,
 )
 from thermoshield.dissipation import Convection, Radiation, SurfaceCost, Tabulated, unit_ball_volume
 from thermoshield.levelset import (
     DegenerateFieldError,
+    _geometry,
+    _Triangulation,
     dearrangement,
     decompose_levels,
     h_function,
@@ -271,6 +274,70 @@ def test_solved_field_reuses_its_assembly(monkeypatch, call):
     monkeypatch.setattr(Assembly, "__init__", counted)
     call(field, pair)
     assert built == []
+
+
+def _verify_h_field():
+    """The `verify h` field at 17x64 (beta 1.2, amplitude 0.1) and its pair."""
+    pair = StarPair(FourierShape.circle(1.0), FourierShape([2.0, 0.0, 0.0, 0.1, 0.0]))
+    return pair, solve_state(pair, Convection(1.2), Mesh(17, 64)).field
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field, pair: energy_of(field, pair, Convection(1.2)),
+        lambda field, pair: decompose_levels(field, pair, 16),
+        nodal_gradient_ratio,
+        lambda field, pair: dearrangement(field, pair, 1.2),
+        lambda field, pair: h_inequality_check(field, pair, 1.2, 16),
+        lambda field, pair: truncation_scan(field, pair, Convection(1.2), 16),
+    ],
+    ids=["energy_of", "decompose_levels", "nodal_gradient_ratio", "dearrangement", "h_inequality_check",
+         "truncation_scan"],
+)
+def test_non_finite_field_rejected(call):
+    # Each returned NaN, or (dearrangement) raised with the whole radius
+    # array as its message.
+    pair, field = _verify_h_field()
+    values = field.values.copy()
+    values[values > 0.5] = np.nan
+    with pytest.raises(ValueError, match="^field has a NaN or infinite value$"):
+        call(ScalarField(values=values, mesh=field.mesh, pair=pair), pair)
+
+
+@pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+def test_invalid_density_rejected(value):
+    # A density of -1 passed the H check (min_H -18.37 against energy 5.67);
+    # an infinite one returned NaN with a RuntimeWarning.
+    pair, field = _verify_h_field()
+    values = np.ones_like(field.values)
+    values[3, 5] = value
+    phi = ScalarField(values=values, mesh=field.mesh, pair=pair)
+    with pytest.raises(ValueError, match="^density has a negative or non-finite value$"):
+        decompose_levels(field, pair, 16, phi)
+    with pytest.raises(ValueError, match="^density has a negative or non-finite value$"):
+        h_inequality_check(field, pair, 1.2, 16, phi)
+
+
+@pytest.mark.parametrize("beta", [np.nan, np.inf, 0.0, -1.0])
+def test_h_function_rejects_beta(beta):
+    pair, field = _verify_h_field()
+    dec = decompose_levels(field, pair, 16, nodal_gradient_ratio(field, pair))
+    with pytest.raises(ValueError, match="beta"):
+        h_function(dec, beta)
+
+
+def test_triangulations_share_one_geometry():
+    pair, field = _verify_h_field()
+    asm = _assembly(pair, field.mesh)
+    a, b = _Triangulation(asm, field.values), _Triangulation(asm, 1.0 - field.values)
+    for x, y in ((a.vx, b.vx), (a.vy, b.vy), (a.tri_area, b.tri_area)):
+        assert x is y
+        assert not x.flags.writeable
+    # The H check's dearrangement and decomposition build it once.
+    _geometry.cache_clear()
+    h_inequality_check(field, pair, 1.2, 16)
+    assert _geometry.cache_info().misses == 1
 
 
 class TestHInequality:
