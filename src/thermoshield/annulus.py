@@ -246,6 +246,7 @@ class ScalarField:
     pair: StarPair
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != (self.mesh.n_s, self.mesh.n_theta):
             raise MeshMismatchError(
                 f"field shape {self.values.shape} does not match mesh "
@@ -807,5 +808,7 @@ def load_field(path: str) -> ScalarField:
     if len(coefs) != 2 * ncoef:
         raise ValueError("field header has the wrong number of coefficients")
     pair = StarPair(FourierShape(coefs[:ncoef]), FourierShape(coefs[ncoef:]))
-    values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1 : n_s + 1]])
+    if len(lines) - 1 != n_s:
+        raise ValueError(f"field file holds {len(lines) - 1} value rows, its header announces {n_s}")
+    values = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     return ScalarField(values=values, mesh=Mesh(n_s, n_t), pair=pair)

@@ -272,10 +272,11 @@ def _trace_min(law: _Laws, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
 
 def _best_shells(
     n: int, theta: np.ndarray, l: np.ndarray, lam: ArrayLike, t_max: ArrayLike
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the shell energy over the outer radius R in [1, e^t_max] at
-    each trace in the array l, where the law's value is theta; returns
-    (log R*, minimal energy) per trace.  theta, lam and t_max broadcast against l.
+    each trace in the array l, where the law's value is theta; returns log R*
+    and the (dirichlet, boundary, penalty) terms there, per trace.  theta,
+    lam and t_max broadcast against l.
 
     With R = e^t, gap = 1 - l and D = phi(R) - phi(1), the energy
     per1 (gap^2 / D + R^(n-1) theta(l)) + lam w (R^n - 1) is convex in R and
@@ -285,8 +286,9 @@ def _best_shells(
     method from above the root falls monotonically onto it.  It starts at
     gap / B(0), which lies above the root because A >= t, or at t_max if
     that is lower; a trace whose product at t_max is still below gap keeps
-    t_max, the budget, and l = 1 gets t = 0, the bare ball.  A converged
-    trace takes zero steps while the others go on.
+    t_max, the budget, and l = 1 gets t = 0, the bare ball.  At t_max = 0,
+    the bare ball, a trace below 1 has an infinite Dirichlet term.  A
+    converged trace takes zero steps while the others go on.
     """
     gap = np.maximum(1.0 - l, 0.0)
     b0 = np.sqrt((n - 1) * theta + lam)
@@ -305,9 +307,10 @@ def _best_shells(
         # (A B)' B = A' B^2 + A lam R / 2, with A' = sqrt(R) + (n - 3/2) A.
         slope_b = (np.sqrt(R) + (n - 1.5) * a) * b2 + 0.5 * lam * R * a
         step = np.divide(excess * np.sqrt(b2), slope_b, out=np.zeros_like(t), where=high)
-    dirichlet = np.divide(gap**2, drop, out=np.zeros_like(t), where=gap > 0.0)
+    with np.errstate(divide="ignore"):
+        dirichlet = np.divide(gap**2, drop, out=np.zeros_like(t), where=gap > 0.0)
     w = unit_ball_volume(n)
-    return t, n * w * (dirichlet + R ** (n - 1) * theta) + lam * w * (R**n - 1.0)
+    return t, n * w * dirichlet, n * w * R ** (n - 1) * theta, lam * w * (R**n - 1.0)
 
 
 def _rows(law: _Laws, radii: _Grid, lam: _Grid, name: str) -> Tuple[list, list]:
@@ -441,15 +444,14 @@ def best_radius(
     any minimizer can afford; a lam too small to cap it before R**n
     overflows is rejected.  At a fixed trace l the energy is convex in R,
     so `_best_shells` solves for its minimizing radius R*(l) in [1, R_max],
-    for every trace at once; l = 1 gives the bare ball.  `_trace_search`
-    then minimizes the energy at R*(l) over l, and R_star is R* at that
-    trace, whose breakdown `general_radial_energy` gives.  The search
-    compares energy values, so it pins the trace, and with it an R_star
-    inside (1, R_max), only to about 1e-8; an optimum at the bare ball or
-    the budget is exact.  This reports the best concentric pair; for
-    general laws no claim is made against non-spherical competitors.  A
-    sequence R_max gives one result per entry, as a sequence R does in
-    `general_radial_energy`.
+    for every trace at once.  `_trace_search` minimizes the sum of its
+    terms over l, and R_star and the breakdown are R* and the terms at that
+    trace.  The search compares energy values, so it pins the trace, and
+    with it an R_star inside (1, R_max), only to about 1e-8; an optimum at
+    the bare ball (l = 1) or the budget is exact.  This reports the best
+    concentric pair; for general laws no claim is made against
+    non-spherical competitors.  A sequence R_max gives one result per
+    entry, as a sequence R does in `general_radial_energy`.
     """
     bounds, lams = _rows(law, R_max, lam, "R_max")
     for i, m in enumerate(lams):
@@ -465,20 +467,16 @@ def best_radius(
                     f"lam must be large enough to bound R below overflow, got {m!r}") from None
             bounds[i] = hi
         _check_params(n, R_max=bounds[i])
-    bounds = np.array(bounds, dtype=float)
-    search = np.flatnonzero(bounds != 1.0)
-    t_max = np.array([math.log(r) for r in bounds[search]])
-    lam_s = np.array(lams, dtype=float)[search]
+    t_max = np.array([math.log(r) for r in bounds])
+    lams = np.array(lams, dtype=float)
 
     def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _best_shells(n, _theta(law, l, search[idx]), l, lam_s[idx, None], t_max[idx, None])[1]
+        return sum(_best_shells(n, _theta(law, l, idx), l, lams[idx, None], t_max[idx, None])[1:])
 
-    l = _trace_search(energy, search.size)
-    t = _best_shells(n, _theta(law, l[:, None], search)[:, 0], l, lam_s, t_max)[0]
-    R_star = bounds.copy()
-    R_star[search] = [R if a == b else math.exp(a) for R, a, b in zip(bounds[search], t, t_max)]
-    R_star = R_star.tolist()
-    out = [BestRadius(*e) for e in zip(R_star, general_radial_energy(n, law, R_star, lams))]
+    l = _trace_search(energy, len(bounds))
+    t, *terms = _best_shells(n, _theta(law, l[:, None], np.arange(l.size))[:, 0], l, lams, t_max)
+    R_star = [float(R) if a == b else math.exp(a) for R, a, b in zip(bounds, t, t_max)]
+    out = [BestRadius(R, EnergyBreakdown(*map(float, e))) for R, *e in zip(R_star, *terms, l)]
     return out[0] if np.ndim(R_max) == 0 else out
 
 

@@ -658,6 +658,32 @@ class TestFieldDump:
         head = open(path).readline().split(",")
         assert int(head[0]) == 17 and int(head[1]) == 64
 
+    def test_extra_rows_rejected(self, tmp_path):
+        # A 5x8 field file with one more value row and a line of garbage.
+        path = str(tmp_path / "field.csv")
+        dump_field(ScalarField(np.full((5, 8), 0.5), Mesh(5, 8), StarPair.circles(1.0, 2.0)), path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(",".join(["0.5"] * 8) + "\ngarbage,row\n")
+        with pytest.raises(ValueError, match="^field file holds 7 value rows, its header announces 5$"):
+            load_field(path)
+
+    def test_numeric_values_become_floats(self):
+        # A nested list and an integer array are ordinary input; a float64
+        # array is kept as the same object.
+        pair, mesh = StarPair.circles(1.0, 2.0), Mesh(3, 8)
+        rows = [[1] * 8, [1] * 8, [0] * 8]
+        expected = energy_of(ScalarField(np.array(rows, dtype=float), mesh, pair), pair, Convection(1.0))
+        for values in (rows, np.array(rows)):
+            field = ScalarField(values, mesh, pair)
+            assert field.values.dtype == np.float64
+            assert energy_of(field, pair, Convection(1.0)) == expected
+        floats = np.ones((3, 8))
+        assert ScalarField(floats, mesh, pair).values is floats
+
+    def test_non_numeric_values_rejected(self):
+        with pytest.raises(ValueError):
+            ScalarField(np.full((3, 8), "hot"), Mesh(3, 8), StarPair.circles(1.0, 2.0))
+
     def test_wrong_shape_rejected(self):
         with pytest.raises(MeshMismatchError, match=r"field shape \(3, 7\) does not match mesh \(3, 8\)"):
             ScalarField(values=np.ones((3, 7)), mesh=Mesh(3, 8), pair=StarPair.circles(1.0, 2.0))

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -300,6 +301,38 @@ class TestBreakpoints:
         assert np.array_equal(Tabulated(knots).breakpoints, expected)
 
 
+@dataclass(frozen=True)
+class _Offset(DissipationLaw):
+    def _raw(self, u):
+        return u + 0.1
+
+
+@dataclass(frozen=True)
+class _Negative(DissipationLaw):
+    def _raw(self, u):
+        return -u
+
+
+@dataclass(frozen=True)
+class _Decreasing(DissipationLaw):
+    def _raw(self, u):
+        return u * (1.0 - u)
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            (_Offset, "_Offset: theta\\(0\\) must be 0"),
+            (_Negative, "_Negative: negative values on \\[0, 1\\]"),
+            (_Decreasing, "_Decreasing: not nondecreasing on \\[0, 1\\]"),
+        ],
+    )
+    def test_user_law_rejected(self, law, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            law()
+
+
 class TestConvex:
     @pytest.mark.parametrize(
         "law, convex",
@@ -414,6 +447,10 @@ class TestVolumeBound:
     def test_constant_must_be_finite_and_positive(self, c_n, message):
         with pytest.raises(ValueError, match=f"^c_n must be {message}$"):
             volume_bound(Power(1.0, 1.0), 2, c_n=c_n)
+
+    def test_law_vanishing_at_a_decade_cut_diverges(self):
+        # theta is 0 on [0, 1e-7], so the integrand is infinite there.
+        assert volume_bound(Tabulated([(0, 0), (1e-7, 0), (1, 1)]), 2) == math.inf
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     @pytest.mark.parametrize("law, diverges", ORACLE_LAWS)

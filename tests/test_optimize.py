@@ -284,6 +284,14 @@ class TestLineSearch:
         assert slope < -1e-2  # not stationary
         assert (e_plus - e_minus) / (2 * h) == pytest.approx(slope, rel=1e-5)
 
+    def test_projection_rejects_a_degenerate_inner_shape(self):
+        # The gauge zeroes the inner a1 and b1, which leaves no inner area.
+        descent = optimize._Descent(Convection(1.0), quick_init(), QUICK, lam=0.1, M=None)
+        x = descent.x.copy()
+        x[:5] = [0.0, 0.3, -0.2, 0.0, 0.0]
+        with pytest.raises(GeometryError, match="^inner shape degenerated$"):
+            descent.project_point(x)
+
     def test_geometry_error_halves_and_descends(self, monkeypatch):
         """From a thin gap the first trial step crosses the minimum gap; the
         search halves past it and every accepted step still descends."""

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from thermoshield import radial
 from thermoshield.dissipation import (
     Convection,
     Linear,
@@ -247,6 +248,28 @@ class TestBestRadius:
         br = best_radius(2, law, 1.0, lam)
         assert br.R_star == 1.0
         assert br.energy == EnergyBreakdown(0.0, 2 * math.pi * law.value(1.0), 0.0, 1.0)
+
+    def test_one_trace_search_per_call(self, monkeypatch):
+        # The breakdown is the terms the search minimized: no second search
+        # through general_radial_energy, and bare-ball rows join the search.
+        calls = []
+        search = radial._trace_search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(radial, "_trace_search", counted)
+        monkeypatch.setattr(radial, "general_radial_energy", None)
+        law = Convection(1.0)
+        for R_max, lam in [(3.0, 0.0), (1.0, 0.3), (math.inf, 0.1)]:
+            best_radius(2, law, R_max, lam)
+        assert len(calls) == 3
+        # A bare ball, a budget, an unbounded penalty and a budget below it.
+        grid = best_radius(2, law, [1.0, 3.0, math.inf, 2.0], [0.3, 0.0, 0.1, 0.05])
+        assert len(calls) == 4
+        assert [b.R_star for b in grid[:2]] == [1.0, 3.0]
+        assert 1.0 < grid[2].R_star < 2.0 and grid[3].R_star == 2.0
 
     def test_penalized_stationarity(self):
         br = best_radius(2, Convection(1.0), math.inf, 0.1)

@@ -119,7 +119,8 @@ def test_best_radius_beats_drawn_radii(n, R_max, law, lam, fracs):
 def test_radius_solve_beats_dense_scan(n, R_max, law, lam, l):
     # The second trace is l = 1, whose best radius is the bare ball.
     traces = np.array([l, 1.0])
-    t, energy = _best_shells(n, law.value(traces), traces, lam, math.log(R_max))
+    t, *terms = _best_shells(n, law.value(traces), traces, lam, math.log(R_max))
+    energy = sum(terms)
     assert t[1] == 0.0
     assert 0.0 <= t[0] <= math.log(R_max)
     w = unit_ball_volume(n)
