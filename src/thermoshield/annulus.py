@@ -63,7 +63,8 @@ _MAX_ITERS = 20000
 _FLOOR = 2.0 * np.finfo(float).eps
 _ROUNDING = 1e3 * np.finfo(float).eps
 _ARMIJO = 1e-4
-# Distance within which a start value is set to 0 or to a law breakpoint.
+# Distance within which an outer start value is set to a law breakpoint, 0
+# and 1 among them.
 _SNAP = 1e-12
 
 
@@ -564,9 +565,10 @@ def solve_state(
     (Hintermueller, Ito & Kunisch 2002), on nodal values in [0, 1] with the
     inner row pinned at 1.  It starts from the harmonic profile of the best
     concentric shell (`_radial_start`), or from a caller's warm start (an
-    array or nested list) with values below 1e-12 set to 0; in both, outer
-    values within 1e-12 of a law breakpoint are set to it, so a start that a
-    trace search put just beside a kink sits on it.  It reads the law only
+    array or nested list) clipped to [0, 1] with its inner row set to 1.  In
+    both, outer values within 1e-12 of a law breakpoint, 0 and 1 included,
+    are set to it, and no other start value changes, so a start that a trace
+    search put just beside a kink sits on it.  It reads the law only
     through `value`, `jet` and `breakpoints`, from which its `convex` and
     `quadratic` are derived:
 
@@ -625,7 +627,6 @@ def solve_state(
         if not np.all(np.isfinite(u0)):
             raise ValueError("warm start u0 has a NaN or infinite value")
         u = np.clip(u0, 0.0, 1.0)
-        u[u < _SNAP] = 0.0
     breaks = law.breakpoints
     near = np.abs(u[-1, :, None] - breaks) < _SNAP
     if near.any():
@@ -664,8 +665,6 @@ def solve_state(
             best = np.argmin(gain, axis=0)
             cols = np.arange(n_t)
             better = gain[best, cols] < -rounding
-            if not np.any(better):
-                break
             v = u.copy()
             v[-1] = np.where(better, cand[best, cols], ub)
             e_v, g_v, p_v = energy(v)
@@ -711,7 +710,6 @@ def solve_state(
             """The projected point at step t and its predicted decrease."""
             v = np.clip(u + t * d, 0.0, 1.0)
             v[-1] = np.clip(ub + t * d[-1], lo, hi)
-            v[0] = 1.0
             move = v - u
             return v, -float(np.sum(np.where(move > 0.0, up, np.where(move < 0.0, down, 0.0)) * move))
 

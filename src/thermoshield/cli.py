@@ -26,7 +26,6 @@ from .annulus import (
     Mesh,
     ScalarField,
     StarPair,
-    _SOLVE_TOL,
     _write_csv,
     dump_field,
     solve_state,
@@ -72,7 +71,6 @@ SWEEP_COLUMNS = ("value", "total", *(f.name for f in fields(EnergyBreakdown)))
 _COMMON_KEYS = {"axis", "lo", "hi", "count", "scale", "n"}
 _AXIS_KEYS = {"beta": {"R", "lambda"}, "gamma": {"R", "lambda"}, "R": {"law", "lambda"},
               "M": {"law", "lambda"}, "lambda": {"law"}}
-# `solve --tol` and the `optimize` options default to the library's values.
 _OPTIMIZE_DEFAULTS = OptimizeOptions()
 
 
@@ -190,7 +188,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     pair = _parse_pair(args.pair)
     law = _parse_law(args.law)
     mesh = _parse_mesh(args.mesh)
-    result = solve_state(pair, law, mesh, tol=args.tol)
+    result = solve_state(pair, law, mesh)
     _emit(result.energy.as_dict())
     if args.out_field:
         dump_field(result.field, args.out_field)
@@ -350,8 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair", required=True)
     p.add_argument("--law", required=True)
     p.add_argument("--mesh", default=None)
-    p.add_argument("--tol", type=_finite_float, default=_SOLVE_TOL,
-                   help="absolute tolerance on the solve's residual (default %(default)g)")
     p.add_argument("--out-field", default=None)
     p.set_defaults(func=_cmd_solve)
 

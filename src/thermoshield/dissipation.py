@@ -326,8 +326,9 @@ class Tabulated(DissipationLaw):
         left, right, _ = self.jet(x[1:-1])
         v, gap = np.abs(self.value(x)), np.diff(x)
         noise = 8 * np.finfo(float).eps * np.maximum(v[1:-1], v[2:]) * (1 / gap[:-1] + 1 / gap[1:])
-        # Infinite slopes (jumps) are tested apart: no scale applies to them.
-        kink = np.isinf(right) | (np.abs(right - left) > noise)
+        # A jump's right slope is infinite and its left one finite, so it
+        # counts as a kink whatever the noise.
+        kink = np.abs(right - left) > noise
         out = np.concatenate([[0.0], x[1:-1][kink], [1.0]])
         out.flags.writeable = False
         return out

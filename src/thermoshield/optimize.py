@@ -13,15 +13,16 @@ line-search solves start warm from the current field.
 The Fourier coordinates are scaled differently from mode to mode, so the
 direction is quasi-Newton: inverse BFGS on the projected gradient, from
 the accepted projected steps and the changes of the projected gradient.
-The pairs are dropped when the outer budget becomes active or inactive, or
-when their direction does not descend; the step is then steepest descent,
-and a quasi-Newton line search that fails is retried once along steepest
-descent.  Descent is monotone: a rejected step backtracks to the minimizer
-of the quadratic through the two energies and the current slope (the exact
-gradient along the step), and a search ends without a step once its
-predicted decrease is below the acceptance margin.  The energy does not
-change when both boundaries are translated together; that gauge is fixed
-linearly, by keeping the inner boundary's first Fourier mode at zero.
+The pairs are dropped when the outer budget becomes active or inactive; the
+step is then steepest descent.  A quasi-Newton line search that fails is
+retried once along steepest descent, with the pairs dropped; a direction
+that does not descend yields no trial, so its search fails.  Descent is
+monotone: a rejected step backtracks to the minimizer of the quadratic
+through the two energies and the current slope (the exact gradient along
+the step), and a search ends without a step once its predicted decrease is
+below the acceptance margin.  The energy does not change when both
+boundaries are translated together; that gauge is fixed linearly, by
+keeping the inner boundary's first Fourier mode at zero.
 
 A run stops on one of four tests: collapse (the gap at most twice the
 minimum gap), the iteration cap, a projected-gradient norm below
@@ -340,9 +341,6 @@ def _run(descent: _Descent) -> OptimizeResult:
         while True:  # the quasi-Newton search, then steepest descent if it fails
             if pairs:
                 d = descent.project_direction(x, -_inverse_bfgs(pairs, q))
-                if not np.dot(g, d) < 0.0:  # not a descent direction
-                    pairs.clear()
-                    continue
                 length = float(np.linalg.norm(d))
                 d /= length
                 slope = float(np.dot(g, d))

@@ -274,9 +274,9 @@ def _best_shells(
     n: int, theta: np.ndarray, l: np.ndarray, lam: ArrayLike, t_max: ArrayLike
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Minimize the shell energy over the outer radius R in [1, e^t_max] at
-    each trace in the array l, where the law's value is theta; returns log R*
-    and the (dirichlet, boundary, penalty) terms there, per trace.  theta,
-    lam and t_max broadcast against l.
+    each trace in the array l, all in [0, 1], where the law's value is theta;
+    returns log R* and the (dirichlet, boundary, penalty) terms there, per
+    trace.  theta, lam and t_max broadcast against l.
 
     With R = e^t, gap = 1 - l and D = phi(R) - phi(1), the energy
     per1 (gap^2 / D + R^(n-1) theta(l)) + lam w (R^n - 1) is convex in R and
@@ -290,7 +290,7 @@ def _best_shells(
     the bare ball, a trace below 1 has an infinite Dirichlet term.  A
     converged trace takes zero steps while the others go on.
     """
-    gap = np.maximum(1.0 - l, 0.0)
+    gap = 1.0 - l
     b0 = np.sqrt((n - 1) * theta + lam)
     t = np.minimum(np.divide(gap, b0, out=np.full(b0.shape, t_max), where=b0 > 0.0), t_max)
     step = np.zeros_like(t)

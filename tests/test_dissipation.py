@@ -219,6 +219,13 @@ class TestDerivative:
         assert np.all(left == 3.0) and np.all(right == 3.0)
         assert np.all(bend == 0.0)
 
+    @pytest.mark.parametrize("law", [Power(2.0, 1.0), SurfaceCost(0.3, 1.0, 1.0), SurfaceCost(0.3, 0.0, 0.5)])
+    def test_linear_or_vanishing_power_term_bends_nowhere(self, law):
+        # The power formula's curvature c alpha (alpha - 1) u^(alpha - 2) is
+        # 0 * inf at u = 0 when alpha = 1 or c = 0; such a term bends nowhere.
+        _, _, bend = law.jet([0.0, 0.5])
+        assert np.all(bend == 0.0)
+
     def test_tabulated_exact_slope(self):
         left, right, bend = Tabulated([(0, 0), (1.0, 2.0)]).jet(np.array([0.0, 0.5, 1.0]))
         assert np.all(left == 2.0) and np.all(right == 2.0)

@@ -2,6 +2,7 @@
 truncation scans, and the high-cutoff bound."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from thermoshield.annulus import (
     energy_of,
     solve_state,
 )
-from thermoshield.dissipation import Convection, Radiation, SurfaceCost, Tabulated, unit_ball_volume
+from thermoshield.dissipation import Convection, Power, Radiation, SurfaceCost, Tabulated, unit_ball_volume
 from thermoshield.levelset import (
     DegenerateFieldError,
     _geometry,
@@ -153,6 +154,17 @@ class TestHFunction:
         ratio = nodal_gradient_ratio(res.field, pair).values
         exact = gradient_ratio(2, 1.0, 2.0, Assembly(pair, mesh).rho)
         assert np.max(np.abs(ratio - exact) / exact) <= 1e-12
+
+    def test_gradient_ratio_finite_on_a_detached_state(self):
+        # The power law's cusp at 0 detaches the whole outer row, where the
+        # ratio divides by a floor on u rather than by 0.
+        pair = StarPair(FourierShape([1, 0, 0, 0.05, 0]), FourierShape([2, 0, 0, 0, 0.12]))
+        res = solve_state(pair, Power(1.0, 0.5), Mesh(17, 64))
+        assert np.all(res.field.values[-1] == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ratio = nodal_gradient_ratio(res.field, pair).values
+        assert np.all(np.isfinite(ratio))
 
 
 class TestDearrangement:

@@ -72,8 +72,25 @@ def test_areas_match_per_level_clipping(u, drawn):
     areas = tri.superlevel_areas(ts)
     for t, area, clipped in zip(ts, areas, tri.superlevels(ts)[:, 0]):
         assert abs(area - clipped) <= REL * full + _jump_allowance(tri, t)
-    # Nonincreasing in t, within the same rounding allowance.
+    # Nonincreasing in t, within the same rounding allowance, and nothing
+    # lies above the maximum.
     assert np.all(np.diff(areas) <= REL * full)
+    assert np.all(areas[ts >= u.max()] == 0.0)
+
+
+def test_areas_exact_when_every_piece_is_just_wider_than_a_jump():
+    # Quarters plus 0, 1 or 2 times 1.2e-7: every piece is 1.2 jump widths
+    # wide, so its curvature is about 1e7 times the others'.  Summed as they
+    # are, without the split into multiples of one power of two, those
+    # curvatures leave a residue of 1e-5 to 2e-4 of the full area behind the
+    # pieces.
+    rng = np.random.default_rng(0)
+    u = np.round(4.0 * rng.uniform(0.0, 1.0, (12, 48))) / 4.0 + 1.2e-7 * rng.integers(0, 3, (12, 48))
+    u[0] = 1.0
+    tri = _triangulation(u)
+    ts = np.unique(u)
+    full = float(np.sum(tri.tri_area))
+    assert np.max(np.abs(tri.superlevel_areas(ts) - tri.superlevels(ts)[:, 0])) <= REL * full
 
 
 @given(u=fields(), s=st.floats(0.0, 1.0))

@@ -188,6 +188,25 @@ class TestLineSearch:
                 assert seen[i + 1][1] <= 1
         assert res.iterations == len(seen)
 
+    def test_pairs_keep_positive_curvature(self, monkeypatch):
+        """A step whose change of projected gradient y has sᵀy <= 0 adds no
+        pair, which would make the inverse BFGS matrix indefinite; this
+        collapsing run takes such a step."""
+        rhos = []
+        inverse_bfgs = optimize._inverse_bfgs
+
+        def watched_bfgs(pairs, q):
+            rhos.extend(rho for _, _, rho in pairs)
+            return inverse_bfgs(pairs, q)
+
+        monkeypatch.setattr(optimize, "_inverse_bfgs", watched_bfgs)
+        init = StarPair(
+            FourierShape([1.0, 0.0, 0.0, -0.002137075048358173, -0.02707343376480876]),
+            FourierShape([1.896844965339445, 0.0, 0.0, -0.007427691254765481, -0.09409735393515267]),
+        )
+        optimize_constrained(Convection(0.5), 4 * math.pi, init, QUICK)
+        assert rhos and min(rhos) > 0.0
+
     def test_failed_quasi_newton_search_falls_back_to_steepest_descent(self, monkeypatch):
         """A quasi-Newton step too short to pass the acceptance test ends its
         search without a solve; the pairs are dropped and a steepest-descent
@@ -244,6 +263,18 @@ class TestLineSearch:
         assert not res.collapsed
         assert res.iterations > 14
         assert res.energy.total <= 4.38786585932755
+
+    def test_steps_capped_at_the_first_trial(self):
+        """The first trial of a steepest-descent search, the last accepted
+        decrease again at the current slope, is capped at 0.25 as the
+        quasi-Newton step is; on this run the uncapped trial is 0.33 and
+        is accepted."""
+        init = StarPair(
+            FourierShape([1.0, 0.0, 0.0, 0.0058666899565207285, -0.023823247854200317]),
+            FourierShape([1.6909584487874936, 0.0, 0.0, 0.01977025617919865, -0.08028235965914396]),
+        )
+        res = optimize_constrained(Convection(0.5), 4 * math.pi, init, replace(QUICK, mesh=Mesh(9, 32)))
+        assert max(row.step for row in res.trace) == 0.25
 
     def test_one_assembly_per_solve(self, monkeypatch):
         """The shape gradient reuses the assembly its state was solved on."""

@@ -142,6 +142,12 @@ class TestGeneralRadialEnergy:
                     assert e.total <= cand + 1e-9
                 assert e.total <= per_R * law.value(1.0) + 1e-9
 
+    def test_trace_inside_the_first_grid_cell(self):
+        # beta = 1e4 puts the optimal trace at 7.2e-5, inside the trace grid's
+        # first cell: the zoom brackets the grid's argmin 0 from 0 upward.
+        got = general_radial_energy(2, Convection(1e4), 2.0)
+        assert got.trace == pytest.approx(convection_energy(2, 1e4, 2.0).trace, rel=1e-6)
+
     def test_penalty_term(self):
         e = general_radial_energy(2, Convection(1.0), 2.0, lam=0.5)
         assert e.penalty == pytest.approx(0.5 * math.pi * 3.0, rel=1e-12)
