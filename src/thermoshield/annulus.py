@@ -544,8 +544,8 @@ class _ModeSolver:
 
 def _radial_start(asm: Assembly, law: DissipationLaw) -> np.ndarray:
     """The harmonic profile 1 - (1 - l) s at every node, with l the trace of
-    the best concentric shell (`radial._trace_min`) at the pair's mean
-    L = log(r_O/r_K) and mean arclength per radian."""
+    the best concentric shell (`radial._trace_min`, exact for a quadratic
+    law) at the pair's mean L = log(r_O/r_K) and mean arclength per radian."""
     stiff, per_r = 1.0 / np.mean(asm.L), np.mean(asm.bw) / asm.dt
     l = _trace_min(law, np.array([stiff]), np.array([per_r]))[0]
     return np.repeat(1.0 - (1.0 - l) * asm.s[:, None], asm.mesh.n_theta, axis=1)
@@ -575,9 +575,11 @@ def solve_state(
     - A node on a clamp, or an outer node on a law breakpoint, is held where
       its one-sided derivatives (`Assembly._one_sided`) strictly bracket 0.
     - On the free nodes the Newton system is the Dirichlet Hessian plus the
-      law's curvature, clipped at 0, on the outer row; it is solved by
-      preconditioned CG (`_ModeSolver`), which cuts the 2-norm of its
-      residual by the factor min(0.1, sqrt(residual)).  A quadratic law
+      law's curvature (0 where not finite) on the outer row; it is solved by
+      preconditioned CG (`_ModeSolver`, with the mean curvature clipped at
+      0), which cuts the 2-norm of its residual by the factor min(0.1,
+      sqrt(residual)), or stops at a direction p with p.Hp <= 0 and keeps
+      its step, or p if it has none (Newton-CG).  A quadratic law
       (`DissipationLaw.quadratic`) makes that system the exact Newton model,
       and CG cuts it by min(0.1, 0.1 stop / residual) instead; so does a
       step at which no outer node is free, whose free nodes see only the
@@ -596,8 +598,8 @@ def solve_state(
     - A convex law (`DissipationLaw.convex`) makes the energy convex, and
       the solve stops at its stationary point.  For a nonconvex law a full
       step is doubled while the energy falls if a free outer node's
-      curvature was clipped to 0 (it was negative or not finite), since
-      only then can the step fall short of detaching a node; and
+      curvature is negative or not finite, since only then can the step
+      fall short of detaching a node; and
       at a stationary point single-node moves of the outer row to every
       breakpoint and to the Dirichlet-only minimizer are tried with exact
       law values; the improving ones are applied all at once and Newton
@@ -679,9 +681,9 @@ def solve_state(
         free[0] = False
         # Each free node's slope on its steeper descending side, or 0.
         slope = np.where((up < 0.0) & (-up >= down), up, np.where(down > 0.0, down, 0.0))
-        curv = asm.bw * np.where(np.isfinite(bend), np.maximum(bend, 0.0), 0.0)
+        curv = asm.bw * np.where(np.isfinite(bend), bend, 0.0)
         held = not np.any(free[-1])
-        precond.set_curvature(math.inf if held else float(np.mean(curv)))
+        precond.set_curvature(math.inf if held else max(float(np.mean(curv)), 0.0))
         mask = free.astype(float)
         # Preconditioned CG on the free nodes, from d = 0.  Squared norms are
         # reductions: np.linalg.norm calls BLAS, whose threads spin after it.
@@ -698,7 +700,11 @@ def solve_state(
             hp = asm.dirichlet_grad(p)
             hp[-1] += curv * p[-1]
             hp *= mask
-            a = rz / float(np.sum(p * hp))
+            php = float(np.sum(p * hp))
+            if php <= 0.0:  # Newton-CG: a descent direction either way
+                d = d if d.any() else p
+                break
+            a = rz / php
             d += a * p
             r -= a * hp
         d[(down != up) & (((d < 0.0) & (down < 0.0)) | ((d > 0.0) & (up > 0.0)))] = 0.0
@@ -725,8 +731,8 @@ def solve_state(
         if not convex and t == 1.0 and predicted > rounding and np.any(
             free[-1] & ~(np.isfinite(bend) & (bend >= 0.0))
         ):
-            # Slow detachment: a free outer node's curvature was clipped, so
-            # the step can fall short of detaching it; double it while E falls.
+            # Slow detachment: a free outer node's curvature is negative or not
+            # finite, so the step can fall short of detaching it; double it while E falls.
             while True:
                 t *= 2.0
                 w = trial(t)[0]

@@ -162,9 +162,10 @@ class DissipationLaw:
     @functools.cached_property
     def quadratic(self) -> bool:
         """Whether theta = beta u^2, which makes the state solver's Newton
-        model exact: breakpoints 0 and 1 only, theta'(0+) = 0 and one positive
-        curvature on the grid.  A linear law's curvature is 0: its outer
-        nodes detach to 0 and the held set changes between steps."""
+        model exact and the shell trace closed form (`radial._trace_min`):
+        breakpoints 0 and 1 only, theta'(0+) = 0 and one positive curvature
+        on the grid.  A linear law's curvature is 0: its outer nodes detach
+        to 0 and the held set changes between steps."""
         bend, smooth = self.jet(_GRID)[2], np.array_equal(self.breakpoints, [0, 1])
         return bool(smooth and self.jet(0.0)[1] == 0.0 and bend[0] > 0.0 and np.all(bend == bend[0]))
 

@@ -259,10 +259,15 @@ def _theta(law: _Laws, l: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _trace_min(law: _Laws, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
-    """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row,
-    by `_trace_search`; returns the minimizing trace per row, to about 1e-8.
-    `law` is one law for every row or one law per row (see `_theta`).
+    """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row;
+    returns the minimizing trace per row.  `law` is one law for every row or
+    one law per row (see `_theta`).  If every law is quadratic, theta(l) =
+    theta(1) l^2, it is stiff / (stiff + per_R theta(1)) to rounding; else
+    `_trace_search` takes every row, to about 1e-8.
     """
+    laws = [law] if isinstance(law, DissipationLaw) else law
+    if all(x.quadratic for x in laws):
+        return stiff / (stiff + per_R * np.array([x.value(1.0) for x in laws]))
 
     def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return stiff[idx, None] * (1.0 - l) ** 2 + per_R[idx, None] * _theta(law, l, idx)
@@ -333,13 +338,14 @@ def general_radial_energy(
 
     The harmonic profile is determined by its outer trace l, so the energy
     is a scalar function of l: a Dirichlet term quadratic in (1 - l) plus
-    the boundary term Per(B_R) theta(l).  `_trace_search` minimizes it over
-    l by a global grid scan and zoom rounds.  They compare energy values, so
-    they pin a smooth law's trace only to about 1e-8, while the energy is
-    minimal to rounding.  R = 1 gives the bare ball, and a penalty that
-    overflows is rejected.  A sequence R gives one breakdown per entry from
-    one trace search, each bitwise that entry's alone; lam is then a number
-    or a sequence, and law one law or a sequence, of its length (`_rows`).
+    the boundary term Per(B_R) theta(l).  `_trace_min` minimizes it over l,
+    exactly for a quadratic law, else by a grid scan and zoom rounds that
+    compare energy values: they pin a smooth law's trace only to about 1e-8,
+    while the energy is minimal to rounding.  R = 1 gives the bare ball, and
+    a penalty that overflows is rejected.  A sequence R gives one breakdown
+    per entry, each bitwise that entry's alone unless its laws mix quadratic
+    and other laws, which are searched together; lam is then a number or a
+    sequence, and law one law or a sequence, of its length (`_rows`).
     """
     radii, lams = _rows(law, R, lam, "R")
     for R_i, lam_i in zip(radii, lams):

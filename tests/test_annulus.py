@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from thermoshield import radial
 from thermoshield.annulus import (
     Assembly,
     ConvergenceError,
@@ -387,7 +388,7 @@ class TestResidual:
         assert asm.residual(u, Convection(1.0)) > inner
 
     def test_doubling_detaches_surface_cost(self):
-        # Under the surface-cost jump the clipped Newton model cannot see the
+        # Under the surface-cost jump the Newton model cannot see the
         # gain of detaching the outer row; doubling the full step finds it.
         # Without doubling this solve stops attached, at energy 12.4686
         # (36% higher) and a residual as small: only the energy tells.  The
@@ -411,6 +412,26 @@ class TestResidual:
         res = solve_state(self.PAIR, law, mesh)
         assert len(preconditioner_calls) <= most
         assert res.energy.total == pytest.approx(energy, rel=1e-12)
+
+
+class TestNegativeCurvature:
+    """The Newton system holds a nonconvex law's negative curvature, and CG
+    stops at a direction of nonpositive curvature (Newton-CG)."""
+
+    def test_attached_power_solve_takes_few_steps(self):
+        # With the curvature clipped at 0 this solve took 11 Newton steps.
+        pair = StarPair(FourierShape([1.0]), FourierShape([1.86, 0, 0, 0, 0, 0, 0, 0, 0.12]))
+        res = solve_state(pair, Power(0.9, 0.5), Mesh(17, 64))
+        assert res.iterations <= 4
+        assert res.energy.total == pytest.approx(9.845298260735166, rel=1e-12, abs=0.0)
+
+    def test_cg_stops_on_nonpositive_curvature(self):
+        # This solve reaches p.Hp <= 0 and takes 15 steps; CG run through it
+        # took 36, with the clip at 0 it took 12.
+        pair = TestQuadraticForcing.lopsided(0.6)
+        res = solve_state(pair, Power(1.0, 0.5), Mesh(17, 64), u0=np.ones((17, 64)))
+        assert res.iterations <= 20
+        assert res.energy.total == pytest.approx(7.325780501135163, rel=1e-12, abs=0.0)
 
 
 class TestStartOnBreakpoint:
@@ -569,11 +590,22 @@ class TestRadialStart:
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
     def test_outer_row_is_the_shell_trace_on_circles(self, law, R):
         # Both searches compare energy values, which pins a smooth
-        # minimum's trace only to about the square root of the rounding.
+        # minimum's trace only to about the square root of the rounding;
+        # under convection both are the closed form.
         u = _radial_start(Assembly(StarPair.circles(1.0, R), Mesh(9, 32)), law)
         assert np.all(u[0] == 1.0)
         assert np.allclose(u[-1], general_radial_energy(2, law, R).trace, rtol=0.0, atol=1e-7)
         assert np.all(np.diff(u, axis=0) <= 0.0)
+
+    @pytest.mark.parametrize("mesh", [Mesh(9, 32), Mesh(48, 192)], ids=str)
+    def test_concentric_convection_starts_solved(self, monkeypatch, mesh):
+        # A quadratic law's shell trace is closed form, with no trace search,
+        # so a concentric pair starts at its solution.  The search's trace
+        # was 1e-8 off, and took up to one Newton step.
+        monkeypatch.setattr(radial, "_trace_search", None)
+        res = solve_state(StarPair.circles(1.0, 2.0), Convection(1.0), mesh)
+        assert res.iterations == 0
+        assert res.energy.trace == pytest.approx(convection_energy(2, 1.0, 2.0).trace, rel=1e-15, abs=0.0)
 
     def test_cusp_solve_detaches(self):
         # The shell trace under the cusp of Power(1, 0.5) is 0, and the

@@ -9,6 +9,7 @@ from thermoshield import radial
 from thermoshield.dissipation import (
     Convection,
     Linear,
+    Power,
     Radiation,
     SurfaceCost,
     unit_ball_volume,
@@ -145,8 +146,58 @@ class TestGeneralRadialEnergy:
     def test_trace_inside_the_first_grid_cell(self):
         # beta = 1e4 puts the optimal trace at 7.2e-5, inside the trace grid's
         # first cell: the zoom brackets the grid's argmin 0 from 0 upward.
-        got = general_radial_energy(2, Convection(1e4), 2.0)
-        assert got.trace == pytest.approx(convection_energy(2, 1e4, 2.0).trace, rel=1e-6)
+        # A quadratic law's trace is closed form, so the search runs alone.
+        law, want = Convection(1e4), convection_energy(2, 1e4, 2.0).trace
+        assert general_radial_energy(2, law, 2.0).trace == pytest.approx(want, rel=1e-15)
+        stiff, per_R = 2 * math.pi / math.log(2.0), 4 * math.pi
+        found = radial._trace_search(lambda l, idx: stiff * (1 - l) ** 2 + per_R * law.value(l), 1)
+        assert found[0] == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_quadratic_trace_is_closed_form(self, n):
+        # The trace search pinned these traces only to 2.7e-7 relative.
+        for beta in np.geomspace(0.05, 20.0, 13):
+            for R in (1.05, 1.5, 2.0, 4.0, 10.0):
+                got = general_radial_energy(n, Convection(float(beta)), R)
+                closed = convection_energy(n, float(beta), R)
+                assert got.trace == pytest.approx(closed.trace, rel=1e-15, abs=0.0)
+                assert got.total == pytest.approx(closed.total, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, 7.5])
+    def test_power_two_is_convection(self, c):
+        # Both take the closed form with beta = c: equal traces and Dirichlet
+        # terms.  Power rounds c u^2 and Convection (beta u) u, so the
+        # boundary terms may differ in the last bit.
+        R = [1.0, 1.5, 2.0, 6.0]
+        for p, q in zip(general_radial_energy(2, Power(c, 2.0), R), general_radial_energy(2, Convection(c), R)):
+            assert (p.trace, p.dirichlet) == (q.trace, q.dirichlet)
+            assert p.boundary == pytest.approx(q.boundary, rel=4.5e-16, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "laws, searches",
+        [
+            ([Convection(b) for b in np.linspace(0.1, 5.0, 32)], 0),
+            ([Radiation(g) for g in np.linspace(0.1, 5.0, 32)], 1),
+            ([Convection(1.0), Radiation(1.0), Power(2.0, 2.0)], 1),
+        ],
+        ids=["beta-axis", "gamma-axis", "mixed"],
+    )
+    def test_trace_searches_per_row_list(self, monkeypatch, laws, searches):
+        # Only a list whose every law is quadratic skips the search.  In a
+        # mixed list the quadratic rows take the search's trace, so only the
+        # other rows are bitwise their own results.
+        calls = []
+        search = radial._trace_search
+        monkeypatch.setattr(radial, "_trace_search", lambda *a: calls.append(a) or search(*a))
+        got = general_radial_energy(2, laws, [2.0] * len(laws))
+        assert len(calls) == searches
+        for law, energy in zip(laws, got):
+            alone = general_radial_energy(2, law, 2.0)
+            if searches and law.quadratic:
+                assert energy.trace == pytest.approx(alone.trace, rel=1e-7)
+                assert energy.total == pytest.approx(alone.total, rel=1e-14)
+            else:
+                assert energy == alone
 
     def test_penalty_term(self):
         e = general_radial_energy(2, Convection(1.0), 2.0, lam=0.5)
