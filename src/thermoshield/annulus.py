@@ -501,7 +501,7 @@ class _ModeSolver:
     concentric circles without a law term this is the exact inverse.
     Thomas' pivots and the coefficients of both sweeps, as scans
     (`_scan_levels`) over the rows below the outer one, are computed once per
-    assembly; the outer row, whose pivot holds the law's curvature, is one
+    solve; the outer row, whose pivot holds the law's curvature, is one
     more update.  An infinite curvature holds the whole outer row: its
     unknown is 0, and rows 1..n_s-2 solve their Dirichlet system with the
     same pivots."""
@@ -545,9 +545,9 @@ class _ModeSolver:
 def _radial_start(asm: Assembly, law: DissipationLaw) -> np.ndarray:
     """The harmonic profile 1 - (1 - l) s at every node, with l the trace of
     the best concentric shell (`radial._trace_min`, exact for a quadratic
-    law) at the pair's mean L = log(r_O/r_K) and mean arclength per radian."""
-    stiff, per_r = 1.0 / np.mean(asm.L), np.mean(asm.bw) / asm.dt
-    l = _trace_min(law, np.array([stiff]), np.array([per_r]))[0]
+    law) at kappa = L b: the pair's mean L = log(r_O/r_K) times its mean
+    outer arclength per radian b."""
+    l = _trace_min(law, np.array([np.mean(asm.L) * np.mean(asm.bw) / asm.dt]))[0]
     return np.repeat(1.0 - (1.0 - l) * asm.s[:, None], asm.mesh.n_theta, axis=1)
 
 

@@ -190,7 +190,7 @@ class Convection(DissipationLaw):
     beta: float
 
     def _raw(self, u: np.ndarray) -> np.ndarray:
-        return self.beta * u * u
+        return self.beta * (u * u)
 
     def _jet(self, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         return 2.0 * self.beta * u, 2.0 * self.beta * u, np.full_like(u, 2.0 * self.beta)

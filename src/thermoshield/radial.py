@@ -258,21 +258,21 @@ def _theta(law: _Laws, l: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.array([law[i].value(row) for i, row in zip(idx, rows)]).reshape(rows.shape)
 
 
-def _trace_min(law: _Laws, stiff: np.ndarray, per_R: np.ndarray) -> np.ndarray:
-    """Minimize stiff (1 - l)^2 + per_R theta(l) over l in [0, 1], per row;
-    returns the minimizing trace per row.  `law` is one law for every row or
-    one law per row (see `_theta`).  If every law is quadratic, theta(l) =
-    theta(1) l^2, it is stiff / (stiff + per_R theta(1)) to rounding; else
-    `_trace_search` takes every row, to about 1e-8.
-    """
+def _trace_min(law: _Laws, kappa: np.ndarray) -> np.ndarray:
+    """Minimize (1 - l)^2 + kappa theta(l) over l in [0, 1] for each row's
+    kappa >= 0; returns the minimizing trace per row.  `law` is one law for every
+    row or one law per row (see `_theta`).  If every law is quadratic,
+    theta(l) = theta(1) l^2, it is 1 / (1 + kappa theta(1)) to rounding;
+    else `_trace_search` takes every row, to about 1e-8.  Both give exactly
+    1 at kappa = 0, the bare ball."""
     laws = [law] if isinstance(law, DissipationLaw) else law
     if all(x.quadratic for x in laws):
-        return stiff / (stiff + per_R * np.array([x.value(1.0) for x in laws]))
+        return 1.0 / (1.0 + kappa * np.array([x.value(1.0) for x in laws]))
 
     def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return stiff[idx, None] * (1.0 - l) ** 2 + per_R[idx, None] * _theta(law, l, idx)
+        return (1.0 - l) ** 2 + kappa[idx, None] * _theta(law, l, idx)
 
-    return _trace_search(energy, stiff.size)
+    return _trace_search(energy, kappa.size)
 
 
 def _best_shells(
@@ -319,12 +319,11 @@ def _best_shells(
 
 
 def _rows(law: _Laws, radii: _Grid, lam: _Grid, name: str) -> Tuple[list, list]:
-    """([radii], [lam]) for a number `radii`; for a sequence, its entries and
-    lam's, where lam is a number for every row or a sequence; a ValueError
-    names the sequences, law among them, whose lengths differ."""
-    if np.ndim(radii) == 0:
-        return [radii], [lam]
-    rows = {name: list(radii), "lam": [lam] * len(radii) if np.ndim(lam) == 0 else list(lam)}
+    """The entries of `radii`, one row for a number, and lam's, where lam is
+    a number for every row or a sequence; a ValueError names the sequences,
+    law among them, whose lengths differ."""
+    radii = [radii] if np.ndim(radii) == 0 else list(radii)
+    rows = {name: radii, "lam": [lam] * len(radii) if np.ndim(lam) == 0 else list(lam)}
     sizes = {k: len(v) for k, v in [*rows.items(), ("law", law)] if not isinstance(v, DissipationLaw)}
     if len(set(sizes.values())) > 1:
         raise ValueError(f"{', '.join(sizes)} must have one entry per row, got lengths {sizes}")
@@ -337,15 +336,16 @@ def general_radial_energy(
     """Minimal shell energy for a general law at fixed outer radius R.
 
     The harmonic profile is determined by its outer trace l, so the energy
-    is a scalar function of l: a Dirichlet term quadratic in (1 - l) plus
-    the boundary term Per(B_R) theta(l).  `_trace_min` minimizes it over l,
-    exactly for a quadratic law, else by a grid scan and zoom rounds that
-    compare energy values: they pin a smooth law's trace only to about 1e-8,
-    while the energy is minimal to rounding.  R = 1 gives the bare ball, and
-    a penalty that overflows is rejected.  A sequence R gives one breakdown
-    per entry, each bitwise that entry's alone unless its laws mix quadratic
-    and other laws, which are searched together; lam is then a number or a
-    sequence, and law one law or a sequence, of its length (`_rows`).
+    Per(B_1) ((1 - l)^2 / D + R^(n-1) theta(l)), D = phi(R) - phi(1), is
+    Per(B_1) / D times `_trace_min`'s trace problem at kappa = D R^(n-1),
+    solved exactly for a quadratic law, else by a grid scan and zoom rounds
+    that pin a smooth law's trace only to about 1e-8, while the energy is
+    minimal to rounding.  R = 1 is kappa = 0, the bare ball, and a penalty
+    that overflows is rejected.
+    A number R is one row, a sequence one breakdown per entry, each bitwise
+    that entry's alone unless its laws mix quadratic and other laws, which
+    are searched together; lam and law are one for all rows or one per row
+    (`_rows`).
     """
     radii, lams = _rows(law, R, lam, "R")
     for R_i, lam_i in zip(radii, lams):
@@ -358,15 +358,10 @@ def general_radial_energy(
     for i in np.flatnonzero(~np.isfinite(penalty))[:1]:
         raise ValueError(f"lam and R must keep the penalty lam * omega_n * (R**{n} - 1) finite, "
                          f"got lam={float(lams[i])!r}, R={float(r[i])!r}")
-    shell = r != 1.0
-    per_R = n * w * r ** (n - 1)
-    stiff = n * w / (phi(n, r[shell]) - phi(n, 1.0))
-    l = np.ones(r.size)
-    rows = law if isinstance(law, DissipationLaw) else [law[i] for i in np.flatnonzero(shell)]
-    l[shell] = _trace_min(rows, stiff, per_R[shell])
-    dirichlet = np.zeros(r.size)
-    dirichlet[shell] = stiff * (1.0 - l[shell]) ** 2
-    boundary = per_R * _theta(law, l[:, None], np.arange(r.size))[:, 0]
+    drop = phi(n, r) - phi(n, 1.0)
+    l = _trace_min(law, drop * r ** (n - 1))
+    dirichlet = np.divide(n * w * (1.0 - l) ** 2, drop, out=np.zeros(r.size), where=l < 1.0)
+    boundary = n * w * r ** (n - 1) * _theta(law, l[:, None], np.arange(r.size))[:, 0]
     out = [EnergyBreakdown(*map(float, e)) for e in zip(dirichlet, boundary, penalty, l)]
     return out[0] if np.ndim(R) == 0 else out
 
@@ -456,8 +451,8 @@ def best_radius(
     with it an R_star inside (1, R_max), only to about 1e-8; an optimum at
     the bare ball (l = 1) or the budget is exact.  This reports the best
     concentric pair; for general laws no claim is made against
-    non-spherical competitors.  A sequence R_max gives one result per
-    entry, as a sequence R does in `general_radial_energy`.
+    non-spherical competitors.  A number R_max is one row, and a sequence
+    gives one result per entry, as R does in `general_radial_energy`.
     """
     bounds, lams = _rows(law, R_max, lam, "R_max")
     for i, m in enumerate(lams):

@@ -1,5 +1,6 @@
 """Concentric-ball energies, regimes, thresholds, and perturbations."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from thermoshield.dissipation import (
     Power,
     Radiation,
     SurfaceCost,
+    Tabulated,
     unit_ball_volume,
 )
 from thermoshield.radial import (
@@ -110,13 +112,33 @@ class TestGeneralRadialEnergy:
                     assert scanned.total == pytest.approx(closed.total, rel=1e-8)
                     assert scanned.trace == pytest.approx(closed.trace, abs=1e-6)
 
-    @pytest.mark.parametrize(
-        "law", [Convection(1.0), Radiation(1.0), Linear(0.5), SurfaceCost(1.0, 0.0, 1.0)]
-    )
+    TOUCHING_LAWS = [
+        Convection(1.0),
+        Radiation(1.0),
+        Linear(0.5),
+        SurfaceCost(1.0, 0.0, 1.0),
+        Power(1.0, 0.5),
+        SurfaceCost(0.3, 1.0, 0.9),
+        Tabulated([(0, 0), (0.4, 0.2), (1, 1.4)]),
+    ]
+
+    @pytest.mark.parametrize("law", TOUCHING_LAWS)
     def test_touching_configuration(self, law):
-        e = general_radial_energy(2, law, 1.0)
-        assert e.total == pytest.approx(2 * math.pi * law.value(1.0), rel=1e-12)
-        assert e.trace == 1.0
+        # R = 1 is the trace problem at kappa = 0: exactly the bare ball, also
+        # as rows of a grid with one shared law or one law per row.
+        for n, lam in itertools.product([2, 3], [0.0, 0.3]):
+            bare = EnergyBreakdown(0.0, n * unit_ball_volume(n) * law.value(1.0), 0.0, 1.0)
+            assert general_radial_energy(n, law, 1.0, lam) == bare
+            for laws in (law, [law, Radiation(1.0), law]):
+                got = general_radial_energy(n, laws, [1.0, 2.0, 1.0], lam)
+                assert (got[0], got[2]) == (bare, bare)
+
+    def test_bare_ball_trace_is_one_on_both_paths(self):
+        kappa = np.array([0.0, 0.5, 0.0])
+        assert radial._trace_min(Convection(2.0), kappa)[[0, 2]].tolist() == [1.0, 1.0]
+        for law in self.TOUCHING_LAWS[1:]:
+            assert radial._trace_min(law, kappa)[[0, 2]].tolist() == [1.0, 1.0]
+            assert radial._trace_min([law, Convection(1.0), law], kappa)[[0, 2]].tolist() == [1.0, 1.0]
 
     def test_surface_cost_branch_comparison(self):
         # The zero-trace branch costs Per(B_1)/log 2, the warm branch at
@@ -165,13 +187,11 @@ class TestGeneralRadialEnergy:
 
     @pytest.mark.parametrize("c", [0.3, 1.0, 7.5])
     def test_power_two_is_convection(self, c):
-        # Both take the closed form with beta = c: equal traces and Dirichlet
-        # terms.  Power rounds c u^2 and Convection (beta u) u, so the
-        # boundary terms may differ in the last bit.
+        # Both take the closed form with beta = c and round theta as c (u u):
+        # the breakdowns are bitwise equal.
         R = [1.0, 1.5, 2.0, 6.0]
         for p, q in zip(general_radial_energy(2, Power(c, 2.0), R), general_radial_energy(2, Convection(c), R)):
-            assert (p.trace, p.dirichlet) == (q.trace, q.dirichlet)
-            assert p.boundary == pytest.approx(q.boundary, rel=4.5e-16, abs=0.0)
+            assert p == q
 
     @pytest.mark.parametrize(
         "laws, searches",

@@ -211,6 +211,13 @@ def test_grid_best_radius_takes_a_law_per_row_and_one_lam(n, shared, gammas, R_m
         (lambda: general_radial_energy(2, [Radiation(1.0)], [1.5, 2.0]), "R, lam, law"),
         (lambda: best_radius(2, Radiation(1.0), [2.0], [0.1, 0.2]), "R_max, lam"),
         (lambda: best_radius(2, [Radiation(1.0)] * 3, [2.0, 3.0], 0.1), "R_max, lam, law"),
+        # A number R or R_max is one row, so it takes one law and one lam.
+        pytest.param(lambda: general_radial_energy(2, [Radiation(1.0)] * 2, 2.0), "R, lam, law",
+                     id="number-R-law-list"),
+        pytest.param(lambda: general_radial_energy(2, Radiation(1.0), 2.0, [0.1, 0.2]), "R, lam",
+                     id="number-R-lam-list"),
+        pytest.param(lambda: best_radius(2, [Radiation(1.0)] * 2, 3.0), "R_max, lam, law",
+                     id="number-R_max-law-list"),
     ],
 )
 def test_grid_of_unequal_lengths_names_them(call, names):
