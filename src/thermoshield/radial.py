@@ -39,13 +39,12 @@ __all__ = [
     "gradient_ratio_max",
 ]
 
-# Trace grid of the global scan.
-_TRACE_GRID = np.linspace(0.0, 1.0, 4096)
-# Rows per block of the grid scan, which bounds its temporaries.
+# The trace search's value scan; 65 points miss a basin of SurfaceCost(0.3, 1, 0.9).
+_SCAN = np.linspace(0.0, 1.0, 257)
+# Rows per block of the value scan, which bounds its temporaries.
 _SCAN_ROWS = 8
-# Relative positions of the points of one zoom round, and a cap on rounds.
+# Relative positions of the points of one zoom round.
 _ZOOM = np.linspace(0.0, 1.0, 33)
-_ZOOM_MAX_ROUNDS = 64
 # Cap on the Newton steps of the radius solve, which takes about ten.  Only
 # radii far beyond 1e6 can reach it; a capped solve stops above the root, at
 # a radius whose energy is still that of a real shell.
@@ -201,78 +200,75 @@ def gradient_ratio_max(n: int, beta: float, R: float) -> float:
     return float(np.max(gradient_ratio(n, beta, R, np.array([1.0, R]))))
 
 
-def _trace_search(energy: Callable[[np.ndarray, np.ndarray], np.ndarray], rows: int) -> np.ndarray:
-    """Minimize energy(l) over the trace l in [0, 1] for each of `rows`
-    rows; returns the argmin per row.
+def _trace_search(value: Callable, slope: Callable, rows: int, breakpoints: np.ndarray) -> np.ndarray:
+    """Minimize a function of l over [0, 1] for each of `rows` rows, which
+    may jump or kink only at `breakpoints`; returns the argmin per row.
 
-    `energy(l, idx)` maps a (len(idx), m) array of traces of the rows idx,
-    or one (1, m) row shared by them, to their (len(idx), m) energies.  A
-    global scan of the 4096-point trace grid comes first, `_SCAN_ROWS` rows
-    at a time, because theta may be discontinuous or nonconvex; the grid
-    holds l = 0 (where theta may jump) and l = 1, so no end needs a
-    candidate of its own.  Zoom rounds then refine the two grid cells
-    around each row's argmin: each evaluates 33 equispaced points per row
-    and keeps the two cells around their argmin, until the row's bracket
-    [lo, hi] is at most 1e-12 (1 + |lo| + |hi|) wide.  A row whose bracket
-    has converged is frozen: later rounds evaluate only the open rows, so
-    each row ends bitwise where a search of that row alone ends.  The grid
-    point is kept only where it is strictly lower, so ties go to the zoom.
-    The rounds compare energy values, which are flat to rounding within
-    about sqrt(eps) of a smooth minimum, so they pin its argmin only to
-    about 1e-8.
-    """
+    `value(l, idx)` and `slope(l, idx)` map a (len(idx), m) array of l on
+    the rows idx, or one (1, m) row shared by them, to values and right
+    slopes.  A value scan of 257 points joined with the breakpoints, in
+    blocks of `_SCAN_ROWS` rows, picks each row's basin; the slope at its
+    argmin picks the scan cell on the right if negative, else on the left
+    (an end beyond 0 or 1).  Zoom rounds split the cell into 32 and keep
+    the one ending at the first point of nonnegative slope, or the last,
+    until its ends are adjacent floats; they compare no values, so a
+    smooth minimum is pinned to rounding and a kink at a scan point
+    exactly.  Closed rows are frozen, so each ends bitwise as it would
+    alone.  The result is the cell's upper end, or the scan's argmin where
+    that is lower."""
+    # A merge sort: numpy's default sort maps about 1 MiB more on first use.
+    scan = np.sort(np.concatenate([_SCAN, breakpoints]), kind="stable")
+    scan = scan[np.append(True, scan[1:] != scan[:-1])]
+    # Point k of the scan is padded[k + 1], between its neighbours.
+    padded = np.concatenate([[0.0], scan, [1.0]])
     k = np.empty(rows, dtype=int)
-    e_grid = np.empty(rows)
     for start in range(0, rows, _SCAN_ROWS):
         idx = np.arange(start, min(start + _SCAN_ROWS, rows))
-        vals = energy(_TRACE_GRID[None, :], idx)
-        k[idx] = np.argmin(vals, axis=1)
-        e_grid[idx] = vals[np.arange(idx.size), k[idx]]
-    trace = _TRACE_GRID[k]
-    lo = _TRACE_GRID[np.maximum(k - 1, 0)]
-    hi = _TRACE_GRID[np.minimum(k + 1, _TRACE_GRID.size - 1)]
+        k[idx] = np.argmin(value(scan[None, :], idx), axis=1)
+    c = k + (slope(scan[k][:, None], np.arange(rows))[:, 0] < 0.0)
+    lo, hi = padded[c], padded[c + 1]
     idx = np.arange(rows)
-    last = _ZOOM.size - 1
-    for _ in range(_ZOOM_MAX_ROUNDS):
+    while True:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        idx = idx[(lo[idx] < mid) & (mid < hi[idx])]
         if not idx.size:
             break
-        pts = lo[:, None] + (hi - lo)[:, None] * _ZOOM
-        vals = energy(pts, idx)
-        at = np.arange(idx.size)
-        j = np.argmin(vals, axis=1)
-        trace[idx] = np.where(e_grid[idx] < vals[at, j], _TRACE_GRID[k[idx]], pts[at, j])
-        live = ~(hi - lo <= 1e-12 * (1.0 + np.abs(lo) + np.abs(hi)))
-        idx = idx[live]
-        lo = pts[at, np.maximum(j - 1, 0)][live]
-        hi = pts[at, np.minimum(j + 1, last)][live]
-    return trace
+        pts = lo[idx, None] + (hi[idx] - lo[idx])[:, None] * _ZOOM
+        j = np.argmax(np.column_stack([slope(pts[:, 1:-1], idx) >= 0.0, np.ones(idx.size, bool)]), axis=1)
+        lo[idx], hi[idx] = pts[np.arange(idx.size), j], pts[np.arange(idx.size), j + 1]
+    # A cell with several turns of the slope may zoom onto a higher minimum.
+    e = value(np.column_stack([hi, scan[k]]), np.arange(rows))
+    return np.where(e[:, 1] < e[:, 0], scan[k], hi)
 
 
-def _theta(law: _Laws, l: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """theta(l) on the rows idx: `law` is one law shared by every row, with
-    one call for all of them, or a sequence of one law per row; l is
-    (len(idx), m), or one (1, m) row shared by them."""
+def _theta(law: _Laws, l: np.ndarray, idx: np.ndarray, right_slope: bool = False) -> np.ndarray:
+    """theta(l), or theta'(l+) if right_slope, on the rows idx: `law` is one
+    law shared by every row, with one call for all, or one law per row; l
+    is (len(idx), m), or one (1, m) row shared by them."""
+    f = (lambda x, u: x.jet(u)[1]) if right_slope else (lambda x, u: x.value(u))
     if isinstance(law, DissipationLaw):
-        return law.value(l)
+        return f(law, l)
     rows = np.broadcast_to(l, (idx.size, l.shape[1]))
-    return np.array([law[i].value(row) for i, row in zip(idx, rows)]).reshape(rows.shape)
+    return np.array([f(law[i], row) for i, row in zip(idx, rows)]).reshape(rows.shape)
 
 
 def _trace_min(law: _Laws, kappa: np.ndarray) -> np.ndarray:
     """Minimize (1 - l)^2 + kappa theta(l) over l in [0, 1] for each row's
-    kappa >= 0; returns the minimizing trace per row.  `law` is one law for every
-    row or one law per row (see `_theta`).  If every law is quadratic,
-    theta(l) = theta(1) l^2, it is 1 / (1 + kappa theta(1)) to rounding;
-    else `_trace_search` takes every row, to about 1e-8.  Both give exactly
-    1 at kappa = 0, the bare ball."""
+    kappa >= 0; `law` is one law or one per row (see `_theta`).  If every
+    law is quadratic, theta(l) = theta(1) l^2, the trace is 1 / (1 + kappa
+    theta(1)); else `_trace_search` takes every row, on the slope 2 (l - 1)
+    + kappa theta'(l+).  Both are exact to rounding, and 1 at kappa = 0."""
     laws = [law] if isinstance(law, DissipationLaw) else law
     if all(x.quadratic for x in laws):
         return 1.0 / (1.0 + kappa * np.array([x.value(1.0) for x in laws]))
 
-    def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def value(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return (1.0 - l) ** 2 + kappa[idx, None] * _theta(law, l, idx)
 
-    return _trace_search(energy, kappa.size)
+    def slope(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return 2.0 * (l - 1.0) + kappa[idx, None] * _theta(law, l, idx, right_slope=True)
+
+    return _trace_search(value, slope, kappa.size, np.concatenate([x.breakpoints for x in laws]))
 
 
 def _best_shells(
@@ -338,10 +334,8 @@ def general_radial_energy(
     The harmonic profile is determined by its outer trace l, so the energy
     Per(B_1) ((1 - l)^2 / D + R^(n-1) theta(l)), D = phi(R) - phi(1), is
     Per(B_1) / D times `_trace_min`'s trace problem at kappa = D R^(n-1),
-    solved exactly for a quadratic law, else by a grid scan and zoom rounds
-    that pin a smooth law's trace only to about 1e-8, while the energy is
-    minimal to rounding.  R = 1 is kappa = 0, the bare ball, and a penalty
-    that overflows is rejected.
+    whose trace is exact to rounding for every law.  R = 1 is kappa = 0,
+    the bare ball, and a penalty that overflows is rejected.
     A number R is one row, a sequence one breakdown per entry, each bitwise
     that entry's alone unless its laws mix quadratic and other laws, which
     are searched together; lam and law are one for all rows or one per row
@@ -371,7 +365,9 @@ def threshold_radius(n: int, beta: float) -> Optional[float]:
     bare-ball value; exists only in the all-or-nothing regime.
 
     In 2D that regime is 0 < beta < 1; for n >= 3 it is n-2 < beta < n-1.
-    Outside it, None is returned.
+    Outside it, None is returned.  Bisection on the gap phi'(R) + beta
+    (phi(R) - phi(1)) - 1 runs to two adjacent floats and returns the one
+    with the smaller |gap|.
     """
     _check_params(n, beta)
     if n == 2:
@@ -384,17 +380,14 @@ def threshold_radius(n: int, beta: float) -> Optional[float]:
     def gap(R: float) -> float:
         return phi_prime(n, R) + beta * (phi(n, R) - phi(n, 1.0)) - 1.0
 
-    lo = crit
-    hi = 2.0 * crit
+    lo, hi = crit, 2.0 * crit
     while gap(hi) <= 0.0:
         hi *= 2.0
-    while hi - lo > 1e-10 * hi:
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
         mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return min(lo, hi, key=lambda r: abs(gap(r)))
 
 
 def classify_regime(n: int, beta: float, R_max: float) -> RegimeReport:
@@ -446,10 +439,11 @@ def best_radius(
     overflows is rejected.  At a fixed trace l the energy is convex in R,
     so `_best_shells` solves for its minimizing radius R*(l) in [1, R_max],
     for every trace at once.  `_trace_search` minimizes the sum of its
-    terms over l, and R_star and the breakdown are R* and the terms at that
-    trace.  The search compares energy values, so it pins the trace, and
-    with it an R_star inside (1, R_max), only to about 1e-8; an optimum at
-    the bare ball (l = 1) or the budget is exact.  This reports the best
+    terms over l, on the envelope theorem's slope Per(B_1) (-2 (1 - l) /
+    D(R*) + R*^(n-1) theta'(l+)), D = phi(R*) - phi(1); R_star and the
+    breakdown are R* and the terms at that trace, which is pinned to
+    rounding but for the radius solve's 1e-14 stop at an R* inside (1,
+    R_max); the bare ball and the budget are exact.  This reports the best
     concentric pair; for general laws no claim is made against
     non-spherical competitors.  A number R_max is one row, and a sequence
     gives one result per entry, as R does in `general_radial_energy`.
@@ -470,11 +464,17 @@ def best_radius(
         _check_params(n, R_max=bounds[i])
     t_max = np.array([math.log(r) for r in bounds])
     lams = np.array(lams, dtype=float)
+    laws = [law] if isinstance(law, DissipationLaw) else law
 
-    def energy(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def value(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return sum(_best_shells(n, _theta(law, l, idx), l, lams[idx, None], t_max[idx, None])[1:])
 
-    l = _trace_search(energy, len(bounds))
+    def slope(l: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        t, dirichlet = _best_shells(n, _theta(law, l, idx), l, lams[idx, None], t_max[idx, None])[:2]
+        return (np.divide(-2.0 * dirichlet, 1.0 - l, out=np.zeros(t.shape), where=l < 1.0)
+                + n * unit_ball_volume(n) * np.exp((n - 1) * t) * _theta(law, l, idx, right_slope=True))
+
+    l = _trace_search(value, slope, len(bounds), np.concatenate([x.breakpoints for x in laws]))
     t, *terms = _best_shells(n, _theta(law, l[:, None], np.arange(l.size))[:, 0], l, lams, t_max)
     R_star = [float(R) if a == b else math.exp(a) for R, a, b in zip(bounds, t, t_max)]
     out = [BestRadius(R, EnergyBreakdown(*map(float, e))) for R, *e in zip(R_star, *terms, l)]

@@ -609,19 +609,19 @@ class TestRadialStart:
     @pytest.mark.parametrize("R", [1.5, 2.5])
     @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
     def test_outer_row_is_the_shell_trace_on_circles(self, law, R):
-        # Both searches compare energy values, which pins a smooth
-        # minimum's trace only to about the square root of the rounding;
-        # under convection both are the closed form.
+        # Both take one trace problem, whose kappa they round differently;
+        # the trace search pins its smooth minima to rounding, and under
+        # convection both are the closed form.
         u = _radial_start(Assembly(StarPair.circles(1.0, R), Mesh(9, 32)), law)
         assert np.all(u[0] == 1.0)
-        assert np.allclose(u[-1], general_radial_energy(2, law, R).trace, rtol=0.0, atol=1e-7)
+        assert np.allclose(u[-1], general_radial_energy(2, law, R).trace, rtol=0.0, atol=1e-15)
         assert np.all(np.diff(u, axis=0) <= 0.0)
 
     @pytest.mark.parametrize("mesh", [Mesh(9, 32), Mesh(48, 192)], ids=str)
     def test_concentric_convection_starts_solved(self, monkeypatch, mesh):
         # A quadratic law's shell trace is closed form, with no trace search,
-        # so a concentric pair starts at its solution.  The search's trace
-        # was 1e-8 off, and took up to one Newton step.
+        # so a concentric pair starts at its solution.  A value-comparing
+        # search left the trace 1e-8 off, and took up to one Newton step.
         monkeypatch.setattr(radial, "_trace_search", None)
         res = solve_state(StarPair.circles(1.0, 2.0), Convection(1.0), mesh)
         assert res.iterations == 0

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thermoshield.annulus import FourierShape, Mesh, StarPair, _assembly, solve_state
+
 from thermoshield.dissipation import (
     Convection,
     DegenerateLawError,
@@ -533,6 +535,24 @@ class TestEpsilonRegularize:
         reg = epsilon_regularize(SurfaceCost(2.0, 1.0, 0.5), 0.05)
         grid = np.linspace(0.0, 1.0, 2048)
         assert np.all(np.diff(np.asarray(reg.value(grid))) >= -1e-12)
+
+    @pytest.mark.parametrize(
+        "law, attached", [(Radiation(1.0), True), (Power(1.0, 0.5), False)], ids=["attached", "detached"]
+    )
+    def test_solved_energy_converges_to_the_law(self, law, attached):
+        # On an attached outer row theta_eps acts as theta + eps, so the energy
+        # rises by eps times the row's length; a row detached at 0, where the
+        # regularization is a quadratic cap, moves by about eps^2.
+        pair = StarPair(FourierShape([1, 0, 0, 0.05, 0]), FourierShape([2, 0, 0, 0, 0.12]))
+        mesh, eps = Mesh(17, 64), 0.01
+        e = solve_state(pair, law, mesh).energy
+        e_eps = solve_state(pair, epsilon_regularize(law, eps), mesh).energy
+        assert (e.trace > 0.0) == attached
+        if attached:
+            length = float(np.sum(_assembly(pair, mesh).bw))
+            assert (e_eps.total - e.total) / eps == pytest.approx(length, rel=1e-3)
+        else:
+            assert abs(e_eps.total - e.total) <= eps**2 * e.total
 
     def test_eps_domain(self):
         with pytest.raises(ValueError):

@@ -166,14 +166,56 @@ class TestGeneralRadialEnergy:
                 assert e.total <= per_R * law.value(1.0) + 1e-9
 
     def test_trace_inside_the_first_grid_cell(self):
-        # beta = 1e4 puts the optimal trace at 7.2e-5, inside the trace grid's
-        # first cell: the zoom brackets the grid's argmin 0 from 0 upward.
-        # A quadratic law's trace is closed form, so the search runs alone.
+        # beta = 1e4 puts the optimal trace at 7.2e-5, inside the scan's first
+        # cell: the slope at the scan's argmin 0 is negative, so the zoom
+        # brackets the root from 0 upward.  A quadratic law's trace is closed
+        # form, so the search runs alone.
         law, want = Convection(1e4), convection_energy(2, 1e4, 2.0).trace
         assert general_radial_energy(2, law, 2.0).trace == pytest.approx(want, rel=1e-15)
         stiff, per_R = 2 * math.pi / math.log(2.0), 4 * math.pi
-        found = radial._trace_search(lambda l, idx: stiff * (1 - l) ** 2 + per_R * law.value(l), 1)
-        assert found[0] == pytest.approx(want, rel=1e-6)
+        found = radial._trace_search(
+            lambda l, idx: stiff * (1 - l) ** 2 + per_R * law.value(l),
+            lambda l, idx: 2 * stiff * (l - 1) + per_R * law.jet(l)[1],
+            1,
+            law.breakpoints,
+        )
+        assert found[0] == pytest.approx(want, rel=1e-15)
+
+    def test_scan_finds_the_lower_basin(self):
+        # The detached basin, l = 0, is 1.8e-5 above the attached one here:
+        # a scan of 65 points picked it.
+        law, R = SurfaceCost(0.3, 1.0, 0.9), 1.7003998316998863
+        e = general_radial_energy(2, law, R)
+        assert e.trace > 0.5
+        l = np.linspace(0.0, 1.0, 100_001)
+        stiff, per_R = 2 * math.pi / math.log(R), 2 * math.pi * R
+        assert e.total <= float(np.min(stiff * (1 - l) ** 2 + per_R * law.value(l)))
+
+    def test_minimum_at_or_near_a_scan_point(self):
+        # At the scan point 0.5 the slope is 0, which picks the cell on its
+        # left, so the zoom keeps 0.5 as its upper end; so it does with the
+        # midpoint of the cell's first zoom round.  A root 1e-9 to the right
+        # of 0.5 ties in value with the scan point, and the zoom's end wins.
+        def search(root):
+            value, slope = (lambda l, idx: 1.0 + (l - root) ** 2), (lambda l, idx: 2.0 * (l - root))
+            return radial._trace_search(value, slope, 1, np.array([]))[0]
+
+        assert search(0.5) == 0.5
+        assert search(127.5 / 256) == 127.5 / 256
+        assert search(0.5 + 1e-9) == pytest.approx(0.5 + 1e-9, rel=1e-15, abs=0.0)
+
+    def test_search_keeps_a_lower_scan_point(self):
+        # The minimum is the kink at the breakpoint 0.5, and the scan cell on
+        # its left holds shallow local minima, one of which the zoom lands on.
+        w = 2 * math.pi / 0.002
+
+        def value(l, idx):
+            return 10 * np.abs(l - 0.5) + 0.01 * np.where(l < 0.5, np.sin(w * (0.5 - l)), 0.0)
+
+        def slope(l, idx):
+            return np.where(l < 0.5, -10 - 0.01 * w * np.cos(w * (0.5 - l)), 10.0)
+
+        assert radial._trace_search(value, slope, 1, np.array([0.5]))[0] == 0.5
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_quadratic_trace_is_closed_form(self, n):
@@ -204,8 +246,9 @@ class TestGeneralRadialEnergy:
     )
     def test_trace_searches_per_row_list(self, monkeypatch, laws, searches):
         # Only a list whose every law is quadratic skips the search.  In a
-        # mixed list the quadratic rows take the search's trace, so only the
-        # other rows are bitwise their own results.
+        # mixed list the quadratic rows take the search's trace, which
+        # agrees with the closed form to rounding, so only the other rows
+        # are bitwise their own results.
         calls = []
         search = radial._trace_search
         monkeypatch.setattr(radial, "_trace_search", lambda *a: calls.append(a) or search(*a))
@@ -214,7 +257,7 @@ class TestGeneralRadialEnergy:
         for law, energy in zip(laws, got):
             alone = general_radial_energy(2, law, 2.0)
             if searches and law.quadratic:
-                assert energy.trace == pytest.approx(alone.trace, rel=1e-7)
+                assert energy.trace == pytest.approx(alone.trace, rel=1e-15)
                 assert energy.total == pytest.approx(alone.total, rel=1e-14)
             else:
                 assert energy == alone
@@ -278,6 +321,17 @@ class TestThresholdRadius:
         assert r is not None and r > 2.0 / 1.5
         bare = 1.5 * 3 * unit_ball_volume(3)
         assert abs(convection_energy(3, 1.5, r).total - bare) < 1e-8 * bare
+
+    @pytest.mark.parametrize("n, beta", [(2, b) for b in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)] + [(3, 1.2)])
+    def test_gap_vanishes_to_rounding(self, n, beta):
+        # Bisection runs to adjacent floats and returns the one with the
+        # smaller gap; a 1e-10 bracket left a gap of up to 4e4 eps.
+        def gap(r):
+            return abs(phi_prime(n, r) + beta * (phi(n, r) - phi(n, 1.0)) - 1.0)
+
+        r = threshold_radius(n, beta)
+        assert gap(r) <= 4 * np.finfo(float).eps
+        assert gap(r) <= min(gap(np.nextafter(r, 0.0)), gap(np.nextafter(r, np.inf)))
 
 
 class TestClassifyRegime:
@@ -369,6 +423,16 @@ class TestBestRadius:
         with pytest.raises(ValueError, match="^lam must be large enough"):
             best_radius(2, Radiation(1.0), math.inf, 5e-324)
         assert best_radius(2, Radiation(1.0), math.inf, 1e-300).R_star < 1e151
+
+    @pytest.mark.parametrize("beta", [1.0, 1.5, 3.0])
+    def test_convection_budget_traces_are_closed_form(self, beta):
+        # Regime a: the best shell is the budget, and the slope zoom pins its
+        # trace to rounding (value comparisons left it 5.8e-9 to 7.8e-9 off).
+        budgets = np.geomspace(1.05, 50.0, 30)
+        for R_max, best in zip(budgets, best_radius(2, Convection(beta), budgets)):
+            assert best.R_star == R_max
+            want = convection_energy(2, beta, float(R_max)).trace
+            assert best.energy.trace == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_infinite_budget_requires_penalty(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,8 @@ the best-radius search and their batched forms.
 
 Laws are drawn from the families whose trace energy is nonsmooth or
 nonconvex: radiation, the surface-cost jump at zero, power laws with
-alpha < 1, and tabulated laws with a convex kink or a nonconvex profile.
+alpha < 1, and tabulated laws with a convex kink, a nonconvex profile or
+a jump.
 """
 
 import math
@@ -58,12 +59,23 @@ def nonconvex_tabulated(draw):
     return Tabulated([(0.0, 0.0), (a, v1), (b, v2), (1.0, v3)])
 
 
+@st.composite
+def jump_tabulated(draw):
+    # A jump at a knot inside (0, 1): the trace energy is discontinuous there.
+    a = draw(_pos(0.05, 0.95))
+    v = draw(_pos(0.0, 2.0))
+    j = draw(_pos(0.05, 2.0))
+    w = v + j + draw(_pos(0.0, 2.0))
+    return Tabulated([(0.0, 0.0), (a, v), (a, v + j), (1.0, w)])
+
+
 LAWS = st.one_of(
     st.builds(Radiation, _pos(0.1, 3.0)),
     st.builds(SurfaceCost, _pos(0.05, 2.0), _pos(0.0, 2.0), _pos(0.5, 3.0)),
     st.builds(Power, _pos(0.1, 3.0), _pos(0.2, 0.95)),
     convex_kinked(),
     nonconvex_tabulated(),
+    jump_tabulated(),
 )
 
 
@@ -237,30 +249,38 @@ def test_scalar_and_empty_grids():
 
 
 def test_multi_row_trace_search_is_each_rows_search():
-    # Kinked energies |l - c| a + (l - d)^2 whose brackets close in
-    # different rounds; 11 rows span two blocks of the grid scan.
+    # Kinked functions |l - c| a + (l - d)^2 whose cells close in different
+    # rounds; 11 rows span two blocks of the value scan.
     rng = np.random.default_rng(3)
     a, c, d = rng.uniform(0.0, 2.0, 11), rng.uniform(0.0, 1.0, 11), rng.uniform(-0.5, 1.5, 11)
     a[:3] = 0.0
-    c[3] = d[3] = 0.25  # a kink at the minimum, inside a grid cell
+    c[3] = d[3] = 0.3  # a kink at the minimum, inside a scan cell
     calls = np.zeros(11, dtype=int)
 
-    def energy(rows):
-        def f(l, idx):
+    def functions(rows):
+        def value(l, idx):
             calls[rows[idx]] += 1
             return a[rows[idx], None] * np.abs(l - c[rows[idx], None]) + (l - d[rows[idx], None]) ** 2
 
-        return f
+        def slope(l, idx):
+            calls[rows[idx]] += 1
+            return a[rows[idx], None] * np.where(l < c[rows[idx], None], -1.0, 1.0) + 2.0 * (l - d[rows[idx], None])
 
-    together = _trace_search(energy(np.arange(11)), 11)
+        return value, slope
+
+    together = _trace_search(*functions(np.arange(11)), 11, np.array([]))
     calls_together = calls.copy()
     calls[:] = 0
     for k in range(11):
-        alone = _trace_search(energy(np.array([k])), 1)
+        alone = _trace_search(*functions(np.array([k])), 1, np.array([]))
         assert alone[0].hex() == together[k].hex()
     # A frozen row is evaluated no more than it is alone.
     assert np.array_equal(calls, calls_together)
     assert len(set(calls_together)) > 1
+    # Kinks inside a scan cell, smooth minima and the ends are pinned to
+    # rounding: the slopes cancel terms up to 2, so to about eps absolute.
+    want = np.clip(np.where(d < c - a / 2, d + a / 2, np.where(d > c + a / 2, d - a / 2, c)), 0.0, 1.0)
+    assert np.allclose(together, want, rtol=0.0, atol=1e-15)
 
 
 @given(n=st.integers(2, 5), beta=_pos(0.01, 50.0), R=_pos(1.0001, 20.0))
