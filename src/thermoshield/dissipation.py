@@ -8,10 +8,9 @@ temperature), constant-flux (linear), power laws, a surface-material cost
 with a jump at zero, and tabulated laws given by knots.
 
 Besides evaluation and exact one-sided slopes (`jet`, `breakpoints`), this
-module provides the structural quantities that decide which optimization
-regimes apply to a law: the infimum of ``theta(s/3)/theta(s)``, a volume
-threshold built from it, the flatness criterion at the hot end, and a
-quadratic regularization that makes any law behave like ``O(u^2)`` near zero.
+module provides the flatness criterion at the hot end, which decides whether
+no insulation is optimal for small budgets, and a quadratic regularization
+that makes any law behave like ``O(u^2)`` near zero.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ __all__ = [
     "SurfaceCost",
     "Tabulated",
     "FlatCriterion",
-    "DegenerateLawError",
-    "hyp_theta_inf",
-    "volume_bound",
     "flat_criterion",
     "epsilon_regularize",
     "law_to_json",
@@ -49,10 +45,6 @@ _MONOTONE_TOL = 1e-12
 _DOMAIN_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
 _GRID = np.linspace(0.0, 1.0, 1024)  # where every law is checked and classified
-
-
-class DegenerateLawError(ValueError):
-    """The law vanishes identically on the evaluation grid."""
 
 
 def _require_finite(name: str, value: object) -> float:
@@ -344,24 +336,6 @@ class FlatCriterion:
     flat_optimal_for_small_M: bool
 
 
-def hyp_theta_inf(law: DissipationLaw) -> float:
-    """Minimum of theta(s/3)/theta(s) over a logarithmic grid of s in (0, 1].
-
-    The grid has 4096 points, geometric with ratio 3**(-1/341), so that
-    small arguments are sampled densely down to 3**-12; a uniform grid would
-    undersample the region where the one-third comparison is most
-    restrictive.  Grid points with theta(s) = 0 are skipped (the ratio tends
-    to a limit there).
-    """
-    s = 3.0 ** (-np.arange(4096) / 341)
-    denom = np.asarray(law.value(s))
-    keep = denom > 0.0
-    if not np.any(keep):
-        raise DegenerateLawError("law vanishes on the whole grid")
-    numer = np.asarray(law.value(s[keep] / 3.0))
-    return float(np.min(numer / denom[keep]))
-
-
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in dimension n via the half-integer recurrence."""
     _check_params(n)
@@ -369,51 +343,6 @@ def unit_ball_volume(n: int) -> float:
     for k in range(2 + n % 2, n + 1, 2):
         vol *= 2.0 * math.pi / k
     return vol
-
-
-def volume_bound(law: DissipationLaw, n: int, c_n: float = 1.0) -> float:
-    """Volume threshold omega_n + c_n * inf^(2n) * int_0^1 t^(2n-1)/theta(t)^n dt.
-
-    Budgets below this threshold guarantee the insulation problem is
-    well-posed for the law.  The integral runs over [1e-8, 1] decade by
-    decade, with a fixed composite Gauss-Legendre rule: 20 nodes on each of
-    64 log-uniform panels per decade, and the law's breakpoints as extra
-    panel edges, so that no panel straddles a kink or a jump.  When a
-    decade's contribution is infinite, or the contributions do not decay
-    near zero, the integral diverges and +inf is returned (any budget is
-    then admissible).  c_n is a dimensional constant left to the caller; it
-    must be finite and positive.
-    """
-    _check_params(n)
-    if not _require_finite("c_n", c_n) > 0.0:
-        raise ValueError(f"c_n must be positive, got {c_n!r}")
-    ratio = hyp_theta_inf(law)
-    grid = np.logspace(-8, 0, 8 * 64 + 1)
-    cuts = grid[::64]  # 1e-8, 1e-7, ..., 1
-    if np.any(law.value(cuts) == 0.0):
-        return math.inf
-    knots = law.breakpoints
-    edges = np.union1d(grid, knots[(knots > grid[0]) & (knots < 1.0)])
-    nodes, weights = np.polynomial.legendre.leggauss(20)
-    panels = []
-    # One decade's nodes at a time: a law with thousands of knots would
-    # otherwise put all of them through one evaluation.
-    at = np.searchsorted(edges, cuts)
-    for e in (edges[a : b + 1] for a, b in zip(at[:-1], at[1:])):
-        half = 0.5 * np.diff(e)
-        t = (e[:-1] + half)[:, None] + half[:, None] * nodes
-        # t^(2n-1)/theta^n as (t^2/theta)^n / t, which has no 0/0 where both
-        # powers underflow; an overflow makes its panel infinite.
-        with np.errstate(divide="ignore", over="ignore"):
-            f = (t * t / law.value(t)) ** n / t
-        panels.append(half * np.sum(f * weights, axis=1))
-    decade = np.searchsorted(cuts, edges[:-1], side="right") - 1
-    pieces = np.bincount(decade, weights=np.concatenate(panels), minlength=8)  # [1e-8, 1e-7] first
-    total = float(np.sum(pieces))
-    # Harmonic-or-worse decay near zero means the integral diverges.
-    if total == math.inf or np.any((pieces[:-1] >= 0.8 * pieces[1:]) & (pieces[:-1] > 0.0)):
-        return math.inf
-    return unit_ball_volume(n) + c_n * ratio ** (2 * n) * total
 
 
 def flat_criterion(law: DissipationLaw, n: int) -> FlatCriterion:

@@ -45,6 +45,11 @@ _SCAN = np.linspace(0.0, 1.0, 257)
 _SCAN_ROWS = 8
 # Relative positions of the points of one zoom round.
 _ZOOM = np.linspace(0.0, 1.0, 33)
+# A zoom cell whose upper end is below this closes; a root that underflows
+# toward 0 would otherwise cost a round per factor of 32.  Both callers'
+# values obey value(l) >= (1 - l)^2 value(0), so the final pick's scan
+# argmin is then within 2**-63 relative of the cell's minimum.
+_ZOOM_FLOOR = 2.0**-64
 # Cap on the Newton steps of the radius solve, which takes about ten.  Only
 # radii far beyond 1e6 can reach it; a capped solve stops above the root, at
 # a radius whose energy is still that of a real shell.
@@ -211,11 +216,11 @@ def _trace_search(value: Callable, slope: Callable, rows: int, breakpoints: np.n
     argmin picks the scan cell on the right if negative, else on the left
     (an end beyond 0 or 1).  Zoom rounds split the cell into 32 and keep
     the one ending at the first point of nonnegative slope, or the last,
-    until its ends are adjacent floats; they compare no values, so a
-    smooth minimum is pinned to rounding and a kink at a scan point
-    exactly.  Closed rows are frozen, so each ends bitwise as it would
-    alone.  The result is the cell's upper end, or the scan's argmin where
-    that is lower."""
+    until its ends are adjacent floats or its upper end is below
+    `_ZOOM_FLOOR`; they compare no values, so a smooth minimum is pinned to
+    rounding and a kink at a scan point exactly.  Closed rows are frozen,
+    so each ends bitwise as it would alone.  The result is the cell's upper
+    end, or the scan's argmin where that is lower."""
     # A merge sort: numpy's default sort maps about 1 MiB more on first use.
     scan = np.sort(np.concatenate([_SCAN, breakpoints]), kind="stable")
     scan = scan[np.append(True, scan[1:] != scan[:-1])]
@@ -230,7 +235,7 @@ def _trace_search(value: Callable, slope: Callable, rows: int, breakpoints: np.n
     idx = np.arange(rows)
     while True:
         mid = 0.5 * (lo[idx] + hi[idx])
-        idx = idx[(lo[idx] < mid) & (mid < hi[idx])]
+        idx = idx[(lo[idx] < mid) & (mid < hi[idx]) & (hi[idx] > _ZOOM_FLOOR)]
         if not idx.size:
             break
         pts = lo[idx, None] + (hi[idx] - lo[idx])[:, None] * _ZOOM
@@ -285,29 +290,37 @@ def _best_shells(
     B = sqrt((n-1) theta(l) + lam R).  A and B are nonnegative,
     nondecreasing and convex in t, so their product is too, and Newton's
     method from above the root falls monotonically onto it.  It starts at
-    gap / B(0), which lies above the root because A >= t, or at t_max if
-    that is lower; a trace whose product at t_max is still below gap keeps
-    t_max, the budget, and l = 1 gets t = 0, the bare ball.  At t_max = 0,
-    the bare ball, a trace below 1 has an infinite Dirichlet term.  A
-    converged trace takes zero steps while the others go on.
+    the root of (t + (n - 1) t^2 / 2) B(0) = gap, which lies above the root
+    because A >= t + (n - 1) t^2 / 2 (every Taylor coefficient of A is
+    nonnegative), or at t_max if that is lower; a trace whose product at
+    t_max is still below gap keeps t_max, the budget, and l = 1 gets t = 0,
+    the bare ball.  At t_max = 0, the bare ball, a trace below 1 has an
+    infinite Dirichlet term.  A trace stops once a step no longer lowers
+    its t, which pins the root to rounding, and takes zero steps while the
+    others go on.
     """
-    gap = 1.0 - l
-    b0 = np.sqrt((n - 1) * theta + lam)
-    t = np.minimum(np.divide(gap, b0, out=np.full(b0.shape, t_max), where=b0 > 0.0), t_max)
-    step = np.zeros_like(t)
-    for _ in range(_NEWTON_MAX_STEPS):
-        t = t - step
-        R = np.exp(t)
-        drop = t if n == 2 else -np.expm1((2 - n) * t) / (n - 2)
-        a = drop * R ** (n - 1.5)
-        b2 = (n - 1) * theta + lam * R
-        excess = a * np.sqrt(b2) - gap
-        high = excess > 1e-14 * gap
-        if not np.any(high):
-            break
-        # (A B)' B = A' B^2 + A lam R / 2, with A' = sqrt(R) + (n - 3/2) A.
-        slope_b = (np.sqrt(R) + (n - 1.5) * a) * b2 + 0.5 * lam * R * a
-        step = np.divide(excess * np.sqrt(b2), slope_b, out=np.zeros_like(t), where=high)
+    gap, th = 1.0 - l, (n - 1) * theta
+    b0 = np.sqrt(th + lam)
+    first = b0 + np.sqrt(b0 * (b0 + 2 * (n - 1) * gap))
+    t = np.minimum(np.divide(2.0 * gap, first, out=np.full(first.shape, t_max), where=first > 0.0), t_max)
+    # theta = lam = 0 makes the Newton denominator 0 and the step 0/0, which
+    # stops that trace.
+    step = 0.0
+    with np.errstate(invalid="ignore"):
+        for _ in range(_NEWTON_MAX_STEPS):
+            t = t - step
+            R = np.exp(t)
+            drop = t if n == 2 else -np.expm1((2 - n) * t) / (n - 2)
+            a = drop * R ** (n - 1.5)
+            lr = lam * R
+            b2 = th + lr
+            b = np.sqrt(b2)
+            # (A B)' B = A' B^2 + A lam R / 2, with A' = sqrt(R) + (n - 3/2) A.
+            step = (a * b - gap) * b / ((np.sqrt(R) + (n - 1.5) * a) * b2 + 0.5 * lr * a)
+            lower = t - step < t
+            if not lower.any():
+                break
+            step = np.where(lower, step, 0.0)
     with np.errstate(divide="ignore"):
         dirichlet = np.divide(gap**2, drop, out=np.zeros_like(t), where=gap > 0.0)
     w = unit_ball_volume(n)
@@ -441,9 +454,8 @@ def best_radius(
     for every trace at once.  `_trace_search` minimizes the sum of its
     terms over l, on the envelope theorem's slope Per(B_1) (-2 (1 - l) /
     D(R*) + R*^(n-1) theta'(l+)), D = phi(R*) - phi(1); R_star and the
-    breakdown are R* and the terms at that trace, which is pinned to
-    rounding but for the radius solve's 1e-14 stop at an R* inside (1,
-    R_max); the bare ball and the budget are exact.  This reports the best
+    breakdown are R* and the terms at that trace, both pinned to rounding;
+    the bare ball and the budget are exact.  This reports the best
     concentric pair; for general laws no claim is made against
     non-spherical competitors.  A number R_max is one row, and a sequence
     gives one result per entry, as R does in `general_radial_energy`.

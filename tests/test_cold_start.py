@@ -1,4 +1,5 @@
-"""Importing the package, running the CLI and `volume_bound` load no scipy.
+"""Importing the package, running the CLI, `epsilon_regularize` and
+`high_cutoff_bound` load no scipy.
 
 No module under `src/` imports scipy; only the tests use it, as an
 independent oracle.  The check runs in a fresh interpreter, because other
@@ -33,7 +34,7 @@ COMMANDS = {
 
 # Runs in the fresh interpreter: argv[1] is the JSON command table.  Prints
 # one JSON line of [step, exit code, loaded scipy modules] records; the last
-# step is a `volume_bound` call on a law with a jump.
+# two steps call the public functions that no CLI command reaches.
 CHILD = """
 import contextlib, io, json, sys
 
@@ -46,8 +47,10 @@ for name, argv in json.loads(sys.argv[1]).items():
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(argv)
     records.append([name, code, scipy_modules()])
-thermoshield.volume_bound(thermoshield.Tabulated([(0, 0), (0.3, 0.1), (0.3, 0.5), (1, 1)]), 2)
-records.append(["volume_bound", 0, scipy_modules()])
+thermoshield.epsilon_regularize(thermoshield.Radiation(1.0), 0.1)
+records.append(["epsilon_regularize", 0, scipy_modules()])
+thermoshield.high_cutoff_bound(thermoshield.Convection(1.0), 2, 3.1416)
+records.append(["high_cutoff_bound", 0, scipy_modules()])
 print(json.dumps(records))
 """
 
@@ -60,7 +63,7 @@ def test_import_and_cli_commands_load_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     records = json.loads(proc.stdout)
-    assert [r[0] for r in records] == ["import", *COMMANDS, "volume_bound"]
+    assert [r[0] for r in records] == ["import", *COMMANDS, "epsilon_regularize", "high_cutoff_bound"]
     for name, code, loaded in records:
         assert code == 0, f"{name}: exit code {code}\n{proc.stderr}"
         assert loaded == [], f"{name} loaded {loaded}"

@@ -1,18 +1,14 @@
 """Dissipation law evaluation, structural hypotheses, and regularization."""
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from thermoshield.annulus import FourierShape, Mesh, StarPair, _assembly, solve_state
-
 from thermoshield.dissipation import (
     Convection,
-    DegenerateLawError,
     DissipationLaw,
     Linear,
     Power,
@@ -21,12 +17,11 @@ from thermoshield.dissipation import (
     Tabulated,
     epsilon_regularize,
     flat_criterion,
-    hyp_theta_inf,
     law_from_json,
     law_to_json,
     unit_ball_volume,
-    volume_bound,
 )
+from thermoshield.radial import general_radial_energy
 
 ALL_LAWS = [
     Convection(1.0),
@@ -42,39 +37,9 @@ ALL_LAWS = [
     Tabulated([(0, 0), (0, 0.5), (1, 1.5)]),
 ]
 
-# (law, whether the volume integral diverges): it does exactly when theta
-# vanishes at least quadratically at 0, so that t^(2n-1)/theta(t)^n is at
-# least of order 1/t there.
-ORACLE_LAWS = [
-    pytest.param(Convection(1.0), True, id="convection"),
-    pytest.param(Radiation(1.0), True, id="radiation"),
-    pytest.param(Linear(1.0), False, id="linear"),
-    pytest.param(Power(1.0, 0.5), False, id="power-0.5"),
-    pytest.param(Power(1.0, 1.0), False, id="power-1"),
-    pytest.param(Power(1.0, 1.5), False, id="power-1.5"),
-    pytest.param(Power(1.0, 3.0), True, id="power-3"),
-    pytest.param(SurfaceCost(0.3, 1.0, 2.0), False, id="surface-cost"),
-    pytest.param(SurfaceCost(1.0, 0.0, 1.0), False, id="surface-cost-flat"),
-    pytest.param(Tabulated([(0, 0), (0.25, 0.1), (0.5, 0.1), (1, 2.0)]), False, id="tabulated-kinked"),
-    pytest.param(Tabulated([(0, 0), (0.3, 0.1), (0.3, 0.5), (1, 1)]), False, id="tabulated-jump"),
-    pytest.param(epsilon_regularize(Radiation(1.0), 0.1), True, id="regularized-radiation"),
-]
-
 
 def _no_call(*args, **kwargs):
     raise AssertionError("the law was evaluated")
-
-
-def _quad_integral(law, n):
-    """int_{1e-8}^1 t^(2n-1)/theta(t)^n dt by adaptive quadrature on each
-    decade, split at the knots of a tabulated law."""
-    knots = [u for u, _ in getattr(law, "knots", ())]
-    total = 0.0
-    for k in range(8):
-        lo, hi = 10.0 ** -(k + 1), 10.0**-k
-        points = [u for u in knots if lo < u < hi] or None
-        total += quad(lambda t: t ** (2 * n - 1) / law.value(t) ** n, lo, hi, points=points, limit=200)[0]
-    return total
 
 
 class TestEval:
@@ -269,7 +234,14 @@ class TestBreakpoints:
         law = Tabulated([(0, 0), (0.2, 0.1), (0.5, 0.25), (1, 1)])
         assert np.array_equal(law.breakpoints, [0.0, 0.5, 1.0])
         plain = Tabulated([(0, 0), (0.5, 0.25), (1, 1)])
-        assert volume_bound(law, n) == pytest.approx(volume_bound(plain, n), rel=1e-13)
+        u = np.linspace(0.0, 1.0, 4001)
+        assert np.allclose(law.value(u), plain.value(u), rtol=1e-13, atol=0.0)
+        for got, want in zip(law.jet(u), plain.jet(u)):
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        R = [1.0, 1.5, 2.0, 4.0]
+        got = [e.total for e in general_radial_energy(n, law, R)]
+        want = [e.total for e in general_radial_energy(n, plain, R)]
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_regularized_linear_keeps_only_real_kinks(self):
         # Knots on the quadratic branch, and the first on the affine branch
@@ -386,100 +358,6 @@ class TestQuadratic:
         assert law.quadratic is quadratic
         with pytest.raises(AttributeError):
             law.quadratic = not quadratic
-
-
-class TestHypThetaInf:
-    def test_convection_exactly_one_ninth(self):
-        # (s/3)^2 / s^2 is 1/9 at every grid point.
-        assert hyp_theta_inf(Convection(2.3)) == pytest.approx(1.0 / 9.0, rel=1e-12)
-
-    def test_power_linear(self):
-        assert hyp_theta_inf(Power(1.0, 1.0)) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_radiation(self):
-        got = hyp_theta_inf(Radiation(1.0))
-        assert got == pytest.approx(0.0595, abs=2e-3)
-        # Independent fine-grid oracle; the minimum sits at s = 1 where the
-        # ratio is theta(1/3)/theta(1), below the s -> 0 limit 1/9.
-        s = np.geomspace(1e-9, 1.0, 200_001)
-        law = Radiation(1.0)
-        oracle = float(np.min(law.value(s / 3.0) / law.value(s)))
-        assert got == pytest.approx(oracle, abs=1e-4)
-        assert got == pytest.approx(law.value(1.0 / 3.0) / 5.2, abs=1e-6)
-
-    def test_result_in_unit_interval(self):
-        for law in ALL_LAWS:
-            r = hyp_theta_inf(law)
-            assert 0.0 <= r <= 1.0 + 1e-12
-
-    def test_degenerate_law(self):
-        with pytest.raises(DegenerateLawError):
-            hyp_theta_inf(Tabulated([(0, 0), (1, 0)]))
-
-
-class TestVolumeBound:
-    def test_convection_diverges(self):
-        # Quadratic decay at 0 makes the integrand behave like 1/t.
-        assert volume_bound(Convection(1.0), 2) == math.inf
-
-    def test_power_linear(self):
-        got = volume_bound(Power(1.0, 1.0), 2, 1.0)
-        expected = math.pi + (1.0 / 81.0) * 0.5
-        assert got == pytest.approx(expected, rel=1e-6)
-        # Quadrature oracle for the integral factor.
-        integral, _ = quad(lambda t: t**3 / t**2, 1e-8, 1.0)
-        assert integral == pytest.approx(0.5, rel=1e-6)
-        ratio = hyp_theta_inf(Power(1.0, 1.0))
-        assert got == pytest.approx(math.pi + ratio**4 * integral, rel=1e-6)
-
-    def test_surface_cost(self):
-        # theta is identically 1 on (0, 1]: ratio 1, integral 1/4.
-        got = volume_bound(SurfaceCost(1.0, 0.0, 1.0), 2, 1.0)
-        assert got == pytest.approx(math.pi + 0.25, rel=1e-6)
-
-    def test_dimension_floor(self):
-        with pytest.raises(ValueError):
-            volume_bound(Power(1.0, 1.0), 1)
-
-    def test_constant_must_be_positive(self):
-        with pytest.raises(ValueError, match="c_n must be positive"):
-            volume_bound(Power(1.0, 1.0), 2, c_n=0)
-
-    @pytest.mark.parametrize(
-        "c_n, message",
-        [
-            (math.nan, "a finite real number, got nan"),
-            (math.inf, "a finite real number, got inf"),
-            (-1, "positive, got -1"),
-        ],
-    )
-    def test_constant_must_be_finite_and_positive(self, c_n, message):
-        with pytest.raises(ValueError, match=f"^c_n must be {message}$"):
-            volume_bound(Power(1.0, 1.0), 2, c_n=c_n)
-
-    def test_law_vanishing_at_a_decade_cut_diverges(self):
-        # theta is 0 on [0, 1e-7], so the integrand is infinite there.
-        assert volume_bound(Tabulated([(0, 0), (1e-7, 0), (1, 1)]), 2) == math.inf
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("law, diverges", ORACLE_LAWS)
-    def test_matches_quadrature(self, law, diverges, n):
-        # c_n = 1e12 lifts the integral term far above omega_n, so that the
-        # difference shows the integral's own error.
-        got = volume_bound(law, n, 1e12) - unit_ball_volume(n)
-        if diverges:
-            assert got == math.inf
-        else:
-            expected = 1e12 * hyp_theta_inf(law) ** (2 * n) * _quad_integral(law, n)
-            assert got == pytest.approx(expected, rel=1e-9)
-
-    @pytest.mark.parametrize("n", [2, 4])
-    @pytest.mark.parametrize("alpha", [3.0, 8.0, 20.0])
-    def test_steep_power_law_diverges_silently(self, alpha, n):
-        # At alpha = 20 theta(t)^n underflows near t = 1e-8.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert volume_bound(Power(1.0, alpha), n) == math.inf
 
 
 class TestFlatCriterion:
@@ -631,11 +509,10 @@ class TestJson:
     [
         lambda: unit_ball_volume(2.5),
         lambda: unit_ball_volume(1),
-        lambda: volume_bound(Radiation(1.0), 2.5),
         lambda: flat_criterion(Radiation(1.0), 2.5),
         lambda: flat_criterion(Radiation(1.0), 1),
     ],
-    ids=["ball-fraction", "ball-one", "volume-bound-fraction", "flat-fraction", "flat-one"],
+    ids=["ball-fraction", "ball-one", "flat-fraction", "flat-one"],
 )
 def test_dimension_must_be_an_integer_of_at_least_two(call):
     with pytest.raises(ValueError, match="n must be an integer of at least 2"):

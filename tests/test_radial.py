@@ -204,6 +204,30 @@ class TestGeneralRadialEnergy:
         assert search(127.5 / 256) == 127.5 / 256
         assert search(0.5 + 1e-9) == pytest.approx(0.5 + 1e-9, rel=1e-15, abs=0.0)
 
+    def test_underflowing_trace_stops_at_the_floor(self, monkeypatch):
+        # Power(1, 1.01)'s trace is 2.8e-107 at R = 10 and 2.2e-237 at R =
+        # 100; a zoom to adjacent floats took 81 and 168 slope calls.  From
+        # the scan's first cell, 2**-8 wide, the floor 2**-64 is 12 rounds
+        # away and ulp(0.31) at R = 2 is 10.  Below the floor the Dirichlet
+        # term is stiff (1 - l)^2 = stiff to rounding.
+        calls = []
+        theta = radial._theta
+
+        def counted(law, l, idx, right_slope=False):
+            calls.append(right_slope)
+            return theta(law, l, idx, right_slope)
+
+        monkeypatch.setattr(radial, "_theta", counted)
+        law, slope_calls = Power(1.0, 1.01), {}
+        for R in (2.0, 10.0, 100.0):
+            calls.clear()
+            e = general_radial_energy(2, law, R)
+            slope_calls[R] = sum(calls)
+            if R > 2.0:
+                assert 0.0 <= e.trace <= 2.0**-64
+                assert e.total == pytest.approx(2 * math.pi / math.log(R), rel=1e-15, abs=0.0)
+        assert max(slope_calls[10.0], slope_calls[100.0]) <= slope_calls[2.0] + 2
+
     def test_search_keeps_a_lower_scan_point(self):
         # The minimum is the kink at the breakpoint 0.5, and the scan cell on
         # its left holds shallow local minima, one of which the zoom lands on.
@@ -416,6 +440,20 @@ class TestBestRadius:
         closed = convection_energy(2, 1.0, float(Rs[k])).total + 0.1 * math.pi * (Rs[k] ** 2 - 1.0)
         assert vals[k] == pytest.approx(closed, rel=1e-14)
         assert br.energy.total <= vals[k] + 1e-9
+
+    def test_penalized_radiation_is_jointly_stationary(self):
+        # R* inside (1, inf) solves gap = D R^(n - 3/2) sqrt((n - 1) theta +
+        # lam R), and the trace solves 2 gap / D = R^(n - 1) theta'(l), with
+        # gap = 1 - l and D = phi(R) - phi(1).  A relative Newton stop of
+        # 1e-14 left the first residual at 20 eps.
+        n, lam, law = 3, 0.05, Radiation(1.0)
+        best = best_radius(n, law, math.inf, lam)
+        l, R = best.energy.trace, best.R_star
+        gap, D = 1.0 - l, float(phi(n, R) - phi(n, 1.0))
+        radius = D * R ** (n - 1.5) * math.sqrt((n - 1) * float(law.value(l)) + lam * R) / gap - 1.0
+        trace = R ** (n - 1) * float(law.jet(l)[1]) * D / (2.0 * gap) - 1.0
+        eps = np.finfo(float).eps
+        assert abs(radius) <= 6 * eps and abs(trace) <= 6 * eps, (radius / eps, trace / eps)
 
     @pytest.mark.filterwarnings("error")
     def test_penalty_too_small_to_bound_the_radius(self):
