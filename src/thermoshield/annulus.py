@@ -805,6 +805,8 @@ def load_field(path: str) -> ScalarField:
     """Read a field written by `dump_field`."""
     with open(path, "r", encoding="utf-8") as handle:
         lines = [ln for ln in handle.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("field file holds no header")
     head = lines[0].split(",")
     n_s, n_t, order = int(head[0]), int(head[1]), int(head[2])
     ncoef = 2 * order + 1

@@ -763,6 +763,13 @@ class TestFieldDump:
         with pytest.raises(MeshMismatchError, match=r"field shape \(3, 7\) does not match mesh \(3, 8\)"):
             ScalarField(values=np.ones((3, 7)), mesh=Mesh(3, 8), pair=StarPair.circles(1.0, 2.0))
 
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+    def test_file_without_header_rejected(self, tmp_path, text):
+        path = tmp_path / "field.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^field file holds no header$"):
+            load_field(str(path))
+
     def test_header_with_wrong_coefficient_count_rejected(self, tmp_path):
         # Order 1 announces 3 + 3 coefficients; the header holds 5.
         path = tmp_path / "field.csv"

@@ -1,5 +1,6 @@
 """Command-line surface: JSON/CSV outputs, exit codes, determinism."""
 
+import csv
 import json
 import math
 from dataclasses import astuple
@@ -16,7 +17,7 @@ from thermoshield.cli import (
     run,
 )
 from thermoshield.dissipation import Convection, Radiation, law_from_json, unit_ball_volume
-from thermoshield.radial import best_radius, general_radial_energy
+from thermoshield.radial import best_radius, convection_energy, general_radial_energy
 
 CONV1 = '{"type":"convection","beta":1}'
 CONV1_SPEC = json.loads(CONV1)
@@ -29,14 +30,6 @@ def run_json(capsys, argv):
 
 
 class TestRadial:
-    def test_bare_ball(self, capsys):
-        code, data = run_json(
-            capsys, ["radial", "--n", "2", "--law", CONV1, "--R", "1"]
-        )
-        assert code == EXIT_OK
-        assert data["total"] == pytest.approx(2 * math.pi, rel=1e-9)
-        assert set(data) == {"total", "dirichlet", "boundary", "penalty", "trace"}
-
     def test_deterministic_output(self, capsys):
         argv = ["radial", "--n", "2", "--law", CONV1, "--R", "2.5"]
         run(argv)
@@ -425,12 +418,6 @@ class TestVerifyFlags:
 
 
 class TestVerify:
-    def test_regimes_pass(self, capsys):
-        assert run(["verify", "regimes", "--n", "2", "--beta", "0.5", "--rmax", "3"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.startswith("PASS regimes")
-        assert "threshold 4.92" in out
-
     def test_perturbation_radiation(self, capsys):
         code = run(
             ["verify", "perturbation", "--law", '{"type":"radiation","gamma":1.0}', "--eps", "1e-3"]
@@ -472,3 +459,74 @@ class TestVerify:
         lines = open(path).read().splitlines()
         assert lines[0] == "t,interior_length,exterior_length,area,H_value"
         assert len(lines) == 17
+
+
+RADIATION = '{"type":"radiation","gamma":1}'
+CIRCLES = '{"inner":[1],"outer":[2]}'
+
+
+def sweep_rows(tmp_path, spec):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--out", str(out), "--spec", json.dumps(spec)]) == EXIT_OK
+    return list(csv.DictReader(out.open()))
+
+
+class TestExactOutputs:
+    """Values that the CLI prints exactly, and relations between the outputs
+    of two commands.  The golden cases (`cli_golden/`) hold each number only
+    to 1e-12, so that a numpy build that rounds differently still passes."""
+
+    def test_bare_ball_radial_breakdown(self, capsys):
+        # R = 1 is the bare ball exactly: no Dirichlet term, trace 1.
+        code, r = run_json(capsys, ["radial", "--n", "2", "--law", RADIATION, "--R", "1"])
+        assert code == EXIT_OK
+        assert (r["total"], r["dirichlet"], r["penalty"], r["trace"]) == (32.67256359733385, 0.0, 0.0, 1.0)
+
+    def test_radius_sweep_starts_on_the_bare_ball(self, tmp_path):
+        row = sweep_rows(tmp_path, {"axis": "R", "lo": 1, "hi": 4, "count": 9, "law": KINKED})[0]
+        assert (row["dirichlet"], row["trace"], row["total"], row["boundary"]) == (
+            "0.0", "1.0", "8.79645943005142", "8.79645943005142")
+
+    def test_3d_budget_sweep_leaves_the_bare_ball_for_a_detached_shell(self, tmp_path):
+        spec = {"axis": "M", "lo": 5, "hi": 40, "count": 3, "scale": "log", "n": 3, "law": POWER}
+        assert [r["trace"] for r in sweep_rows(tmp_path, spec)] == ["1.0", "0.0", "0.0"]
+
+    def test_convection_budget_sweep_traces_are_closed_form(self, tmp_path):
+        # Regime a fills each budget, and the trace search's slope zoom pins
+        # the trace to the closed form.
+        spec = {"axis": "M", "lo": 5, "hi": 40, "count": 5, "scale": "log",
+                "law": {"type": "convection", "beta": 1.5}}
+        rows = sweep_rows(tmp_path, spec)
+        want = [convection_energy(2, 1.5, math.sqrt(float(r["value"]) / math.pi)).trace for r in rows]
+        assert len(rows) == 5
+        assert all(abs(float(r["trace"]) - w) <= 1e-15 * w for r, w in zip(rows, want)), (rows, want)
+
+    @pytest.mark.parametrize(
+        "law, key, rel", [(RADIATION, "total", 1e-12), (CONV1, "trace", 1e-15)], ids=["radiation", "convection"]
+    )
+    def test_circles_solve_is_the_radial_energy(self, capsys, law, key, rel):
+        # Under the log-polar map the concentric state is exact even on the
+        # coarsest mesh, and a quadratic law's solve starts on the closed-form
+        # shell trace.
+        _, solved = run_json(capsys, ["solve", "--pair", CIRCLES, "--law", law, "--mesh", "9,32"])
+        _, radial = run_json(capsys, ["radial", "--n", "2", "--law", law, "--R", "2"])
+        assert abs(solved[key] - radial[key]) <= rel * radial[key], (solved, radial)
+
+    def test_power_two_prints_convections_bytes(self, capsys):
+        # A law is its value, jet and breakpoints: Power(1, 2) is convection's law.
+        pair = '{"inner":[1,0,0],"outer":[2.4975,1.45,0]}'
+        outs = []
+        for law in (CONV1, '{"type":"power","c":1,"alpha":2}'):
+            assert run(["solve", "--law", law, "--pair", pair, "--mesh", "33,128"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_radiation_penalized_optimize_ends_after_six_iterations(self, capsys):
+        # The BFGS pairs build up until a quasi-Newton search fails; its
+        # steepest-descent retry ends on its predicted decrease.
+        init = '{"inner":[1.0,0.0,0.0,0.04,0.0],"outer":[2.0,0.0,0.0,0.08,0.0]}'
+        code, r = run_json(capsys, ["optimize", "--mode", "penalized", "--law", RADIATION, "--lambda", "0.3",
+                                    "--init", init, "--order", "2", "--mesh", "9,32", "--max-iters", "8"])
+        assert code == EXIT_OK
+        assert r["iterations"] == 6
+        assert abs(r["energy"]["total"] - 9.842035763429752) <= 1e-12, r
